@@ -12,17 +12,10 @@ import os
 import sys
 from dataclasses import replace
 
-from morphlex.baseline import baseline_predict, procrustes_fit
+from morphlex.baseline import procrustes_fit
 from morphlex.evaluation import precision_at_1, write_bins_tsv, write_summary_tsv, write_tags_tsv
 from morphlex.morph import learn_analyzer, learn_inflector
-from morphlex.pipeline import (
-    JointConfig,
-    UntranslatableError,
-    translate_base,
-    translate_direct,
-    translate_hybrid,
-    translate_oracle,
-)
+from morphlex.pipeline import JointConfig, translate
 from morphlex.synthetic import build_bilingual_task
 from morphlex.translator import TrainConfig, train
 
@@ -62,37 +55,22 @@ def main() -> int:
     )
     proc = procrustes_fit(task.seed_pairs, task.source_space, task.target_space)
 
-    base_cfg = JointConfig(
+    base = JointConfig(
         "base", result.model, task.source_space, task.target_space, analyzer, inflector
     )
-    hybrid_cfg = replace(base_cfg, mode="hybrid")
-    oracle_cfg = replace(base_cfg, mode="oracle")
-
-    def guard(fn):
-        def system(form):
-            try:
-                return fn(form)
-            except (UntranslatableError, KeyError, LookupError):
-                return None
-        return system
-
-    systems = {
-        "base": guard(lambda f: translate_base(base_cfg, f).form),
-        "hybrid": guard(lambda f: translate_hybrid(hybrid_cfg, f).form),
-        "oracle": guard(
-            lambda f: translate_oracle(oracle_cfg, f, *task.gold_analyses[f]).form
-        ),
-        "translator-direct": guard(lambda f: translate_direct(base_cfg, f).form),
-        "procrustes": guard(
-            lambda f: baseline_predict(proc, f, task.source_space, task.target_space, 1)[0][0]
-        ),
+    configs = {
+        "base": base,
+        "hybrid": replace(base, mode="hybrid"),
+        "oracle": replace(base, mode="oracle"),
+        "translator-direct": replace(base, mode="direct"),
+        "procrustes": replace(base, mode="direct", model=proc),
     }
 
     os.makedirs(args.out_dir, exist_ok=True)
     print(f"{'system':18s}\tvoc\tall\tuntranslatable")
-    for name, system in systems.items():
+    for name, config in configs.items():
         report = precision_at_1(
-            system,
+            lambda form: translate(config, form, task.gold_analyses.get(form)).form,
             task.eval_dictionary,
             task.source_space,
             bin_width=args.bin_width,

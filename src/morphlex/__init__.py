@@ -11,14 +11,8 @@ __version__ = "0.1.0"
 from .embeddings import EmbeddingSpace, load_vec_file, nearest, compose_oov
 from .morph import MorphTag, UniMorphEntry, parse_tag, tag_translate
 from .translator import TranslationModel, TrainConfig, train, predict
-from .baseline import procrustes_fit, baseline_predict
-from .pipeline import (
-    JointConfig,
-    TranslationCandidate,
-    translate_base,
-    translate_hybrid,
-    translate_oracle,
-)
+from .baseline import procrustes_fit
+from .pipeline import JointConfig, TranslationCandidate, translate
 from .evaluation import EvalDictionary, EvalReport, precision_at_1, extract_identical_seed
 
 __all__ = [
@@ -31,7 +25,6 @@ __all__ = [
     "TranslationCandidate",
     "TranslationModel",
     "UniMorphEntry",
-    "baseline_predict",
     "compose_oov",
     "extract_identical_seed",
     "load_vec_file",
@@ -42,7 +35,5 @@ __all__ = [
     "procrustes_fit",
     "tag_translate",
     "train",
-    "translate_base",
-    "translate_hybrid",
-    "translate_oracle",
+    "translate",
 ]

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 
 from .embeddings import EmbeddingSpace
-from .translator import NoTrainablePairsError, TranslationModel, predict
+from .translator import NoTrainablePairsError, TranslationModel
 
 logger = logging.getLogger(__name__)
 
@@ -53,13 +53,3 @@ def procrustes_fit(
     support = target_space.n_file_loaded or len(target_space)
     return TranslationModel(omega, support)
 
-
-def baseline_predict(
-    model: TranslationModel,
-    source_word: str,
-    source_space: EmbeddingSpace,
-    target_space: EmbeddingSpace,
-    k: int = 1,
-) -> list[tuple[str, float]]:
-    """Cosine retrieval through the fitted map; same path as the translator."""
-    return predict(model, source_word, source_space, target_space, k)

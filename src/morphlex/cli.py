@@ -15,6 +15,7 @@ import json
 import logging
 import platform
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .embeddings import (
     CompositionError,
     DEFAULT_MAX_WORDS,
     VecFormatError,
+    apply_preprocessing,
     compose_oov,
     ensure_preprocessed,
     load_ngram_table,
@@ -57,16 +59,14 @@ from .morph import (
 )
 from .pipeline import (
     MODE_BASE,
-    MODE_DIRECT,
     MODE_HYBRID,
     MODE_ORACLE,
+    MODES,
+    TRANSLATION_ERRORS,
     JointConfig,
-    UntranslatableError,
+    SupportMismatchError,
     joint_log_prob,
-    translate_base,
-    translate_direct,
-    translate_hybrid,
-    translate_oracle,
+    translate,
 )
 from .translator import (
     ModelFormatError,
@@ -86,18 +86,13 @@ EXIT_UNTRAINABLE = 3
 
 NONE_FIELD = "<NONE>"
 
-# Stock hyperparameter defaults; overrides get echoed for provenance.
-DEFAULTS = {
-    "alpha": 10.0,
-    "learning_rate": 0.05,
-    "min_learning_rate": 1e-8,
-    "batch_size": 24,
-    "max_words": DEFAULT_MAX_WORDS,
-}
+# Flags whose overrides of the stock value get echoed for provenance.
+_ECHOED_FLAGS = ("alpha", "learning_rate", "min_learning_rate", "batch_size", "max_words")
 
 _DATA_ERRORS = (
     VecFormatError,
     ModelFormatError,
+    SupportMismatchError,
     MorphFormatError,
     DictionaryFormatError,
     TagParseError,
@@ -125,8 +120,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _echo_overrides(args: argparse.Namespace) -> None:
-    for name, default in DEFAULTS.items():
-        value = getattr(args, name, None)
+    stock = {**asdict(TrainConfig()), "max_words": DEFAULT_MAX_WORDS}
+    for name in _ECHOED_FLAGS:
+        value, default = getattr(args, name, None), stock[name]
         if value is not None and value != default:
             print(
                 f"note: --{name.replace('_', '-')} {value} overrides the default {default}",
@@ -168,15 +164,7 @@ def cmd_train_translator(args: argparse.Namespace) -> int:
     source_space = _load_preprocessed_space(args.src, args.max_words)
     target_space = _load_preprocessed_space(args.tgt, args.max_words)
     seed_pairs = read_seed_dictionary(args.seed_dict)
-    config = TrainConfig(
-        alpha=args.alpha,
-        learning_rate=args.learning_rate,
-        min_learning_rate=args.min_learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        dev_fraction=args.dev_fraction,
-        seed=args.seed,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     result = train(seed_pairs, source_space, target_space, config)
     metadata = {
         "source_path": args.src,
@@ -231,7 +219,7 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_joint_config(args: argparse.Namespace, mode: str) -> JointConfig:
+def _build_joint_config(args: argparse.Namespace) -> JointConfig:
     model = load_model(args.model)
     source_space = _load_preprocessed_space(args.src, args.max_words)
     target_space = _load_preprocessed_space(args.tgt, args.max_words)
@@ -239,7 +227,7 @@ def _build_joint_config(args: argparse.Namespace, mode: str) -> JointConfig:
     inflector = load_rule_table(args.inflector) if args.inflector else None
     ngram_table = load_ngram_table(args.ngrams, source_space.dim) if args.ngrams else None
     return JointConfig(
-        mode=mode,
+        mode=args.mode,
         model=model,
         source_space=source_space,
         target_space=target_space,
@@ -249,7 +237,8 @@ def _build_joint_config(args: argparse.Namespace, mode: str) -> JointConfig:
     )
 
 
-def _require_components(args: argparse.Namespace, mode: str) -> str | None:
+def _require_components(args: argparse.Namespace) -> str | None:
+    mode = args.mode
     if mode in (MODE_BASE, MODE_HYBRID) and (not args.analyzer or not args.inflector):
         return f"mode {mode!r} needs --analyzer and --inflector"
     if mode == MODE_ORACLE and not args.inflector:
@@ -257,26 +246,21 @@ def _require_components(args: argparse.Namespace, mode: str) -> str | None:
     return None
 
 
-def _translate_line(config: JointConfig, mode: str, line: str) -> str:
-    fields = line.split("\t")
-    source_form = fields[0]
+def _translate_line(config: JointConfig, line: str) -> str:
+    columns = line.split("\t")
+    source_form = columns[0]
+    untranslated = f"{source_form}\t{NONE_FIELD}\t-\t-"
+    if config.mode == MODE_ORACLE and len(columns) != 3:
+        print(
+            f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}",
+            file=sys.stderr,
+        )
+        return untranslated
     try:
-        if mode == MODE_ORACLE:
-            if len(fields) != 3:
-                print(
-                    f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}",
-                    file=sys.stderr,
-                )
-                return f"{source_form}\t{NONE_FIELD}\t-\t-"
-            candidate = translate_oracle(config, source_form, fields[1], parse_tag(fields[2]))
-        elif mode == MODE_BASE:
-            candidate = translate_base(config, source_form)
-        elif mode == MODE_HYBRID:
-            candidate = translate_hybrid(config, source_form)
-        else:
-            candidate = translate_direct(config, source_form)
-    except (UntranslatableError, TagParseError, KeyError, LookupError):
-        return f"{source_form}\t{NONE_FIELD}\t-\t-"
+        gold = (columns[1], parse_tag(columns[2])) if config.mode == MODE_ORACLE else None
+        candidate = translate(config, source_form, gold)
+    except TRANSLATION_ERRORS:
+        return untranslated
     return (
         f"{source_form}\t{candidate.form}\t{candidate.route}\t"
         f"{joint_log_prob(candidate):.6f}"
@@ -285,11 +269,11 @@ def _translate_line(config: JointConfig, mode: str, line: str) -> str:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     _echo_overrides(args)
-    problem = _require_components(args, args.mode)
+    problem = _require_components(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    config = _build_joint_config(args, args.mode)
+    config = _build_joint_config(args)
     in_handle = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     out_handle = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
@@ -297,7 +281,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
             line = raw.rstrip("\n")
             if not line.strip():
                 continue
-            out_handle.write(_translate_line(config, args.mode, line) + "\n")
+            out_handle.write(_translate_line(config, line) + "\n")
     finally:
         if in_handle is not sys.stdin:
             in_handle.close()
@@ -310,51 +294,31 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _echo_overrides(args)
-    problem = _require_components(args, args.mode)
+    problem = _require_components(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     if args.mode == MODE_ORACLE and not args.oracle_analyses:
         print("error: mode 'oracle' needs --oracle-analyses", file=sys.stderr)
         return EXIT_USAGE
-    config = _build_joint_config(args, args.mode)
+    config = _build_joint_config(args)
     dictionary = read_eval_dictionary(args.dict)
-
+    gold: dict[str, tuple[str, object]] = {}
     if args.mode == MODE_ORACLE:
-        gold: dict[str, tuple[str, object]] = {}
         with open(args.oracle_analyses, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line.strip():
                     continue
-                fields = line.split("\t")
-                if len(fields) != 3:
+                columns = line.split("\t")
+                if len(columns) != 3:
                     raise DictionaryFormatError(
                         f"{args.oracle_analyses}: line {lineno}: expected 3 columns"
                     )
-                gold[fields[0]] = (fields[1], parse_tag(fields[2]))
+                gold[columns[0]] = (columns[1], parse_tag(columns[2]))
 
-        def system(form: str) -> str | None:
-            if form not in gold:
-                return None
-            lemma, tag = gold[form]
-            try:
-                return translate_oracle(config, form, lemma, tag).form
-            except (UntranslatableError, KeyError, LookupError):
-                return None
-
-    else:
-        translate_fn = {
-            MODE_BASE: translate_base,
-            MODE_HYBRID: translate_hybrid,
-            MODE_DIRECT: translate_direct,
-        }[args.mode]
-
-        def system(form: str) -> str | None:
-            try:
-                return translate_fn(config, form).form
-            except (UntranslatableError, KeyError, LookupError):
-                return None
+    def system(form: str) -> str:
+        return translate(config, form, gold.get(form)).form
 
     report = precision_at_1(
         system,
@@ -409,13 +373,7 @@ def cmd_compose_oov(args: argparse.Namespace) -> int:
             failures += 1
             logger.warning("compose-oov: no n-gram coverage for %r", form)
             continue
-        if space.unit_normalized:
-            norm = float(np.linalg.norm(vec))
-            if norm > 0.0:
-                vec = vec / norm
-        if space.center is not None:
-            vec = vec - space.center
-        additions.append((form, vec))
+        additions.append((form, apply_preprocessing(space, vec)))
     if not additions and forms:
         print("error: no form could be composed", file=sys.stderr)
         return EXIT_UNTRAINABLE
@@ -440,14 +398,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt", required=True, help="target .vec file")
     p.add_argument("--seed-dict", required=True, help="seed dictionary TSV")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--alpha", type=float, default=10.0,
-                   help="orthogonal regularization weight (default %(default)s)")
-    p.add_argument("--learning-rate", type=float, default=0.05)
-    p.add_argument("--min-learning-rate", type=float, default=1e-8)
-    p.add_argument("--batch-size", type=int, default=24)
-    p.add_argument("--max-epochs", type=int, default=50)
-    p.add_argument("--dev-fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(TrainConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default,
+                       help="(default %(default)s)")
     add_max_words(p)
     p.set_defaults(func=cmd_train_translator)
 
@@ -467,8 +420,7 @@ def build_parser() -> _Parser:
         p.add_argument("--analyzer", help="source analyzer rule table")
         p.add_argument("--inflector", help="target inflector rule table")
         p.add_argument("--ngrams", help="source n-gram table for OOV composition")
-        p.add_argument("--mode", choices=[MODE_BASE, MODE_HYBRID, MODE_ORACLE, MODE_DIRECT],
-                       default=MODE_BASE)
+        p.add_argument("--mode", choices=MODES, default=MODE_BASE)
         add_max_words(p)
 
     p = commands.add_parser("translate", help="translate forms, one per line")

@@ -104,9 +104,12 @@ class EmbeddingSpace:
     def index_or_none(self, word: str) -> int | None:
         return self._index.get(word)
 
-    def rank(self, word: str) -> int:
-        """Frequency rank of a word; identical to its row index."""
-        return self.index(word)
+    def frequency_rank(self, word: str) -> int | None:
+        """Row index of a file-loaded word; None when absent or composed."""
+        index = self._index.get(word)
+        if index is None or self.composed_flags[index]:
+            return None
+        return index
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.index(word)]
@@ -144,7 +147,8 @@ def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> Embed
     """Read the leading ``min(count, max_words)`` entries of a .vec file.
 
     Duplicate words keep their first occurrence (later ones are dropped
-    with a warning); malformed rows raise VecFormatError naming the line.
+    with a warning); malformed rows, non-finite values and a file shorter
+    than its header promises raise VecFormatError.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
@@ -161,9 +165,11 @@ def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> Embed
         words: list[str] = []
         seen: set[str] = set()
         rows: list[np.ndarray] = []
+        lines_read = 0
         for lineno, line in enumerate(handle, start=2):
-            if lineno - 2 >= limit:
+            if lines_read >= limit:
                 break
+            lines_read += 1
             tokens = line.split()
             if len(tokens) != dim + 1:
                 raise VecFormatError(
@@ -184,7 +190,15 @@ def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> Embed
             seen.add(word)
             words.append(word)
             rows.append(vec)
+    if lines_read < limit:
+        raise VecFormatError(
+            f"{path}: expected {limit} rows after the header, found {lines_read}"
+        )
     vectors = np.vstack(rows) if rows else np.zeros((0, dim))
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        word = words[int(np.argmin(finite))]
+        raise VecFormatError(f"{path}: non-finite value in the vector of {word!r}")
     return EmbeddingSpace(tuple(words), vectors)
 
 
@@ -274,6 +288,19 @@ def ensure_preprocessed(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str
     if space.center is None:
         space = mean_center(space)
     return space, zero_words
+
+
+def apply_preprocessing(space: EmbeddingSpace, vec: np.ndarray) -> np.ndarray:
+    """Give a vector from outside the space (a composed OOV vector) the
+    preprocessing the space has received: unit normalization, then
+    subtraction of the stored training mean."""
+    if space.unit_normalized:
+        norm = float(np.linalg.norm(vec))
+        if norm > 0.0:
+            vec = vec / norm
+    if space.center is not None:
+        vec = vec - space.center
+    return vec
 
 
 def ngrams(form: str, min_n: int = NGRAM_MIN, max_n: int = NGRAM_MAX) -> list[str]:

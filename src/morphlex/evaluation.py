@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .embeddings import EmbeddingSpace
 from .morph import MorphTag, TagParseError, parse_tag
-from .pipeline import UntranslatableError
+from .pipeline import TRANSLATION_ERRORS
 
 logger = logging.getLogger(__name__)
 
@@ -174,19 +174,18 @@ def score_entries(
     dictionary: EvalDictionary,
     source_space: EmbeddingSpace,
 ) -> list[EntryOutcome]:
-    """Run the system over every entry; UntranslatableError counts as a miss."""
+    """Run the system over every entry; a declared translation failure
+    (``pipeline.TRANSLATION_ERRORS``) counts as a miss."""
     outcomes = []
     for entry in dictionary.entries:
-        index = source_space.index_or_none(entry.source)
-        in_voc = index is not None and not source_space.composed_flags[index]
         try:
             prediction = system(entry.source)
-        except UntranslatableError:
+        except TRANSLATION_ERRORS:
             prediction = None
         outcomes.append(
             EntryOutcome(
                 source=entry.source,
-                rank=index if in_voc else None,
+                rank=source_space.frequency_rank(entry.source),
                 tag=entry.tag,
                 prediction=prediction,
                 correct=prediction is not None and prediction in entry.golds,

@@ -3,25 +3,24 @@
 Base mode routes every form through its lemma; hybrid mode does so only
 when the analyzer's lemma is strictly more frequent than the surface
 form, translating the form directly otherwise; oracle mode is given the
-gold (lemma, tag) and skips analysis. Every stage decodes greedily
-(1-best).
+gold (lemma, tag) and skips analysis; direct mode translates the surface
+form alone. Every stage decodes greedily (1-best).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .embeddings import CompositionError, EmbeddingSpace, compose_oov
+from .embeddings import CompositionError, EmbeddingSpace, apply_preprocessing, compose_oov
 from .morph import (
-    Analysis,
     MorphTag,
     NoAnalysisError,
     NoRuleError,
     SuffixRuleTable,
+    TagParseError,
     UnknownTagError,
     analyze,
     inflect,
@@ -40,6 +39,15 @@ ROUTE_DIRECT = "direct-route"
 
 class UntranslatableError(ValueError):
     """Neither the lemma route nor direct translation can handle the form."""
+
+
+class SupportMismatchError(ValueError):
+    """The model's softmax support exceeds the target space's file-loaded rows."""
+
+
+# The declared per-form failures: callers that report a miss or <NONE>
+# for a form catch these and nothing else.
+TRANSLATION_ERRORS = (UntranslatableError, UnknownTagError, NoRuleError, TagParseError)
 
 
 @dataclass(frozen=True)
@@ -73,174 +81,107 @@ class JointConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == MODE_ORACLE and self.inflector is None:
+            raise ValueError("oracle mode needs an inflector")
+        support = self.model.normalizer_vocab_size
+        rows = self.target_space.n_file_loaded
+        if support > rows:
+            raise SupportMismatchError(
+                f"the model's softmax support of {support} words exceeds the "
+                f"{rows} file-loaded rows of the target space"
+            )
 
 
 def _resolve_source_vector(config: JointConfig, word: str) -> np.ndarray | None:
-    """In-vocabulary lookup, falling back to n-gram composition.
-
-    Composed vectors receive the same preprocessing as the space they
-    stand in for: unit normalization, then subtraction of the stored
-    training mean.
-    """
+    """In-vocabulary lookup, falling back to n-gram composition under the
+    space's stored preprocessing."""
     index = config.source_space.index_or_none(word)
     if index is not None:
         return config.source_space.vectors[index]
     if config.ngram_table is None:
         return None
     try:
-        vec = compose_oov(word, config.ngram_table)
+        return apply_preprocessing(config.source_space, compose_oov(word, config.ngram_table))
     except CompositionError:
         return None
-    if config.source_space.unit_normalized:
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec = vec / norm
-    if config.source_space.center is not None:
-        vec = vec - config.source_space.center
-    return vec
 
 
-def _translator_log_prob(config: JointConfig, target_word: str, source_vec: np.ndarray) -> float | None:
-    """Softmax log-probability of the retrieved word, when it is in support.
+def _retrieve(config: JointConfig, source_word: str) -> tuple[str, float | None]:
+    """The 1-best target word for a source word, with its log-probability.
 
     Retrieval ranges over the whole target space, so a composed row can
     win; its probability is undefined under the fixed normalizer and is
-    recorded as not-applicable.
+    recorded as None.
     """
-    index = config.target_space.index_or_none(target_word)
-    if index is None or index >= config.model.normalizer_vocab_size:
-        return None
-    return log_prob(config.model, config.target_space, target_word, source_vec)
-
-
-def _lemma_route(config: JointConfig, analysis: Analysis) -> TranslationCandidate | None:
-    """Translate the analyzed lemma and re-inflect; None when any stage fails."""
-    if config.inflector is None:
-        return None
-    source_vec = _resolve_source_vector(config, analysis.lemma)
+    source_vec = _resolve_source_vector(config, source_word)
     if source_vec is None:
-        return None
+        raise UntranslatableError(source_word)
     predictions = predict_vector(config.model, source_vec, config.target_space, k=1)
     if not predictions:
-        return None
+        raise UntranslatableError(source_word)
     target_word = predictions[0][0]
-    target_tag = analysis.tag  # indicator tag translator: the tag carries over
-    try:
-        form, inflector_log_prob = inflect(config.inflector, target_word, target_tag)
-    except (UnknownTagError, NoRuleError):
-        return None
+    if config.target_space.index(target_word) >= config.model.normalizer_vocab_size:
+        return target_word, None
+    return target_word, log_prob(config.model, config.target_space, target_word, source_vec)
+
+
+def _lemma_route(
+    config: JointConfig, lemma: str, tag: MorphTag, analyzer_log_prob: float
+) -> TranslationCandidate:
+    """Translate the lemma and re-inflect it with the tag, which the
+    indicator tag translator carries over unchanged."""
+    target_lemma, translator_log_prob = _retrieve(config, lemma)
+    form, inflector_log_prob = inflect(config.inflector, target_lemma, tag)
     return TranslationCandidate(
-        form=form,
-        tag=target_tag,
-        route=ROUTE_LEMMA,
-        analyzer_log_prob=analysis.log_prob,
-        translator_log_prob=_translator_log_prob(config, target_word, source_vec),
-        inflector_log_prob=inflector_log_prob,
+        form, tag, ROUTE_LEMMA, analyzer_log_prob, translator_log_prob, inflector_log_prob
     )
 
 
-def _direct_route(config: JointConfig, source_form: str) -> TranslationCandidate:
-    source_vec = _resolve_source_vector(config, source_form)
-    if source_vec is None:
-        raise UntranslatableError(source_form)
-    predictions = predict_vector(config.model, source_vec, config.target_space, k=1)
-    if not predictions:
-        raise UntranslatableError(source_form)
-    target_word = predictions[0][0]
-    return TranslationCandidate(
-        form=target_word,
-        tag=None,
-        route=ROUTE_DIRECT,
-        analyzer_log_prob=None,
-        translator_log_prob=_translator_log_prob(config, target_word, source_vec),
-        inflector_log_prob=None,
-    )
+def _lemma_outranks_form(config: JointConfig, lemma: str, source_form: str) -> bool:
+    """The hybrid gate: strict frequency-rank inequality.
 
-
-def _try_analyze(config: JointConfig, source_form: str) -> Analysis | None:
-    if config.analyzer is None:
-        return None
-    try:
-        return analyze(config.analyzer, source_form)
-    except NoAnalysisError:
-        return None
-
-
-def translate_base(config: JointConfig, source_form: str) -> TranslationCandidate:
-    """Analyze, translate the lemma, re-inflect with the source tag.
-
-    Falls back to direct translation of the surface form when analysis
-    fails or the lemma route cannot complete; raises UntranslatableError
-    only when the direct route fails as well.
+    A form without a rank counts as infinitely rare; a lemma without one
+    never outranks it. Composed rows have no rank.
     """
-    if config.mode != MODE_BASE:
-        raise ValueError("pipeline mode must be 'base'")
-    analysis = _try_analyze(config, source_form)
-    if analysis is not None:
-        candidate = _lemma_route(config, analysis)
-        if candidate is not None:
-            return candidate
-    return _direct_route(config, source_form)
+    lemma_rank = config.source_space.frequency_rank(lemma)
+    form_rank = config.source_space.frequency_rank(source_form)
+    return lemma_rank is not None and (form_rank is None or lemma_rank < form_rank)
 
 
-def translate_hybrid(config: JointConfig, source_form: str) -> TranslationCandidate:
-    """Route through the lemma only when it outranks the surface form.
-
-    A form absent from the source space counts as infinitely rare; a
-    lemma absent from the space has no rank, which sends the form down
-    the direct route. Rank ties go direct (strict inequality).
-    """
-    if config.mode != MODE_HYBRID:
-        raise ValueError("pipeline mode must be 'hybrid'")
-    analysis = _try_analyze(config, source_form)
-    if analysis is not None:
-        lemma_rank = config.source_space.index_or_none(analysis.lemma)
-        form_index = config.source_space.index_or_none(source_form)
-        form_rank = math.inf if form_index is None else form_index
-        if lemma_rank is not None and lemma_rank < form_rank:
-            candidate = _lemma_route(config, analysis)
-            if candidate is not None:
-                return candidate
-    return _direct_route(config, source_form)
-
-
-def translate_oracle(
+def translate(
     config: JointConfig,
     source_form: str,
-    gold_lemma: str,
-    gold_tag: MorphTag,
+    gold: tuple[str, MorphTag] | None = None,
 ) -> TranslationCandidate:
-    """Skyline: translate the known lemma and inflect with the known tag.
+    """Translate one source form in the configured mode.
 
-    There is no direct fallback; the skyline isolates translator and
-    inflector quality, so failures surface as errors. The analyzer score
-    is recorded as 0 (certainty).
+    Oracle mode translates the gold (lemma, tag) with no fallback, so its
+    failures surface as errors; without gold the form is untranslatable.
+    Base and hybrid modes analyze the form and take the lemma route when
+    allowed (hybrid: only when the lemma outranks the form), falling back
+    to direct translation of the surface form when analysis or any stage
+    of the lemma route fails. Direct mode never uses morphology. ``gold``
+    is read in oracle mode only.
     """
-    if config.mode != MODE_ORACLE:
-        raise ValueError("pipeline mode must be 'oracle'")
-    if config.inflector is None:
-        raise ValueError("oracle mode needs an inflector")
-    source_vec = _resolve_source_vector(config, gold_lemma)
-    if source_vec is None:
-        raise UntranslatableError(gold_lemma)
-    predictions = predict_vector(config.model, source_vec, config.target_space, k=1)
-    if not predictions:
-        raise UntranslatableError(gold_lemma)
-    target_word = predictions[0][0]
-    form, inflector_log_prob = inflect(config.inflector, target_word, gold_tag)
-    return TranslationCandidate(
-        form=form,
-        tag=gold_tag,
-        route=ROUTE_LEMMA,
-        analyzer_log_prob=0.0,
-        translator_log_prob=_translator_log_prob(config, target_word, source_vec),
-        inflector_log_prob=inflector_log_prob,
-    )
-
-
-def translate_direct(config: JointConfig, source_form: str) -> TranslationCandidate:
-    """Pure translator prediction of the surface form, no morphology."""
-    return _direct_route(config, source_form)
+    if config.mode == MODE_ORACLE:
+        if gold is None:
+            raise UntranslatableError(source_form)
+        return _lemma_route(config, *gold, analyzer_log_prob=0.0)
+    has_morphology = config.analyzer is not None and config.inflector is not None
+    if config.mode != MODE_DIRECT and has_morphology:
+        try:
+            analysis = analyze(config.analyzer, source_form)
+        except NoAnalysisError:
+            analysis = None
+        if analysis is not None and (
+            config.mode == MODE_BASE or _lemma_outranks_form(config, analysis.lemma, source_form)
+        ):
+            try:
+                return _lemma_route(config, analysis.lemma, analysis.tag, analysis.log_prob)
+            except TRANSLATION_ERRORS:
+                pass
+    target_word, translator_log_prob = _retrieve(config, source_form)
+    return TranslationCandidate(target_word, None, ROUTE_DIRECT, None, translator_log_prob, None)
 
 
 def joint_log_prob(candidate: TranslationCandidate) -> float:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlex.baseline import baseline_predict, procrustes_fit
+from morphlex.baseline import procrustes_fit
 from morphlex.cli import EXIT_OK, main
 from morphlex.embeddings import EmbeddingSpace, save_vec_file
 from morphlex.evaluation import precision_at_1
@@ -27,19 +27,14 @@ from morphlex.morph import (
     learn_inflector,
     tag_translate,
 )
-from morphlex.pipeline import (
-    JointConfig,
-    translate_base,
-    translate_direct,
-    translate_hybrid,
-    translate_oracle,
-)
+from morphlex.pipeline import JointConfig, translate
 from morphlex.synthetic import build_bilingual_task, make_language, split_lexemes
 from morphlex.translator import (
     TrainConfig,
     TranslationModel,
     log_prob,
     loss_and_gradient,
+    predict,
     train,
 )
 
@@ -142,7 +137,7 @@ def test_criterion_3_procrustes_exact_recovery():
     model = procrustes_fit(pairs, source, target)
     deviation = float(np.linalg.norm(model.omega - q, "fro"))
     hits = sum(
-        baseline_predict(model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
+        predict(model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
         for i in range(n_seed, n_words)
     )
     precision = hits / (n_words - n_seed)
@@ -222,15 +217,14 @@ def test_criterion_6_joint_beats_direct_on_rare_forms(bilingual_world):
     oracle_config = replace(config, mode="oracle")
 
     def base_system(form):
-        return translate_base(config, form).form
+        return translate(config, form).form
 
     def oracle_system(form):
-        lemma, tag = task.gold_analyses[form]
-        return translate_oracle(oracle_config, form, lemma, tag).form
+        return translate(oracle_config, form, task.gold_analyses[form]).form
 
     def procrustes_system(form):
         try:
-            return baseline_predict(proc, form, task.source_space, task.target_space, 1)[0][0]
+            return predict(proc, form, task.source_space, task.target_space, 1)[0][0]
         except KeyError:
             return None
 
@@ -247,10 +241,11 @@ def test_criterion_6_joint_beats_direct_on_rare_forms(bilingual_world):
 def test_criterion_7_hybrid_routing_exactness(bilingual_world):
     task, config = bilingual_world
     base_config = config
+    direct_config = replace(config, mode="direct")
     hybrid_config = replace(config, mode="hybrid")
     mismatches = 0
     for form in task.source_space.words:
-        hybrid = translate_hybrid(hybrid_config, form)
+        hybrid = translate(hybrid_config, form)
         analysis = None
         try:
             analysis = analyze(config.analyzer, form)
@@ -261,9 +256,9 @@ def test_criterion_7_hybrid_routing_exactness(bilingual_world):
         )
         form_rank = task.source_space.index(form)
         if analysis is not None and lemma_rank is not None and lemma_rank < form_rank:
-            expected = translate_base(base_config, form)
+            expected = translate(base_config, form)
         else:
-            expected = translate_direct(base_config, form)
+            expected = translate(direct_config, form)
         if hybrid != expected:
             mismatches += 1
     report(7, "hybrid routing partition is exact over the full vocabulary",
@@ -274,7 +269,7 @@ def test_criterion_8_frequency_bin_bookkeeping(bilingual_world):
     task, config = bilingual_world
 
     def base_system(form):
-        return translate_base(config, form).form
+        return translate(config, form).form
 
     width, nbins = 60, 8
     report_obj = precision_at_1(

@@ -134,6 +134,17 @@ class TestTrainTranslator:
         ])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("row", ["b 1 nan 3", "b 1 inf 3"])
+    def test_non_finite_vec_is_data_error(self, corpus, tmp_path, capsys, row):
+        bad = tmp_path / "bad.vec"
+        bad.write_text(f"2 3\na 1 2 3\n{row}\n")
+        code = main([
+            "train-translator", "--src", str(bad), "--tgt", corpus["tgt"],
+            "--seed-dict", corpus["seed"], "--out", str(tmp_path / "m"),
+        ])
+        assert code == EXIT_DATA
+        assert "non-finite value" in capsys.readouterr().err
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["train-translator", "--src", "x.vec"])
@@ -248,6 +259,41 @@ class TestTranslate:
         ])
         assert code == EXIT_OK
         assert out.read_text().split("\t")[2] == "direct-route"
+
+
+    def test_max_words_below_model_support_is_data_error(self, corpus, trained, tmp_path, capsys):
+        support = len(corpus["task"].target_space)
+        code = main([
+            "translate", "--model", trained["model"], "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
+            "--inflector", trained["inflector"], "--mode", "hybrid", "--max-words", "7",
+            "--input", corpus["forms"], "--output", str(tmp_path / "preds.tsv"),
+        ])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"support of {support} words" in err and "7 file-loaded rows" in err
+
+    def test_programming_error_is_not_reported_as_none(
+        self, corpus, trained, tmp_path, monkeypatch
+    ):
+        # Only the declared domain errors become <NONE> or a miss; a bare
+        # KeyError from inside the pipeline must propagate.
+        import morphlex.pipeline
+
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(morphlex.pipeline, "predict_vector", broken)
+        common = [
+            "--model", trained["model"], "--src", corpus["src"], "--tgt", corpus["tgt"],
+            "--mode", "direct",
+        ]
+        with pytest.raises(KeyError, match="bug"):
+            main(["translate", *common, "--input", corpus["forms"],
+                  "--output", str(tmp_path / "preds.tsv")])
+        with pytest.raises(KeyError, match="bug"):
+            main(["evaluate", *common, "--dict", corpus["eval"],
+                  "--out-prefix", str(tmp_path / "run")])
 
 
 class TestEvaluate:

@@ -31,7 +31,7 @@ class TestLoadVecFile:
         space = load_vec_file(path)
         assert space.words == ("a", "b", "c")
         assert space.dim == 2
-        assert space.rank("a") == 0
+        assert space.frequency_rank("a") == 0
         np.testing.assert_array_equal(space.vector("c"), [1.0, 1.0])
 
     def test_max_words_truncates(self, tmp_path):
@@ -67,6 +67,23 @@ class TestLoadVecFile:
         with pytest.raises(VecFormatError, match="line 2"):
             load_vec_file(path)
 
+    @pytest.mark.parametrize(
+        "text, kept", [("3 2\na 1 0\nb 0 1\n", 2), ("3 2\na 1 0\na 0 1\n", 1)]
+    )
+    def test_fewer_rows_than_header_rejected(self, tmp_path, text, kept):
+        # Lines are counted, not kept words: with a duplicate dropped the
+        # file is still short, and two lines satisfy max_words=2.
+        path = write(tmp_path / "a.vec", text)
+        with pytest.raises(VecFormatError, match="expected 3 rows after the header, found 2"):
+            load_vec_file(path)
+        assert len(load_vec_file(path, max_words=2)) == kept
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = write(tmp_path / "a.vec", f"2 2\na 1 0\nb 0 {value}\n")
+        with pytest.raises(VecFormatError, match="non-finite value in the vector of 'b'"):
+            load_vec_file(path)
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         space = EmbeddingSpace(("w1", "w2", "w3"), rng.normal(size=(3, 5)))
@@ -97,7 +114,8 @@ class TestSpaceInvariants:
         space = EmbeddingSpace(("a", "b"), np.eye(2))
         grown = space.with_composed([("c", np.array([1.0, 1.0]))])
         assert grown.words == ("a", "b", "c")
-        assert grown.rank("a") == 0 and grown.rank("b") == 1
+        assert grown.frequency_rank("a") == 0 and grown.frequency_rank("b") == 1
+        assert grown.frequency_rank("c") is None and grown.frequency_rank("zz") is None
         assert grown.is_composed("c") and not grown.is_composed("a")
         assert grown.n_file_loaded == 2
 

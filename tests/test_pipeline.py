@@ -8,6 +8,7 @@ from morphlex.embeddings import EmbeddingSpace
 from morphlex.morph import UniMorphEntry, parse_tag, learn_analyzer, learn_inflector
 from morphlex.pipeline import (
     MODE_BASE,
+    MODE_DIRECT,
     MODE_HYBRID,
     MODE_ORACLE,
     ROUTE_DIRECT,
@@ -16,10 +17,7 @@ from morphlex.pipeline import (
     TranslationCandidate,
     UntranslatableError,
     joint_log_prob,
-    translate_base,
-    translate_direct,
-    translate_hybrid,
-    translate_oracle,
+    translate,
 )
 from morphlex.translator import TranslationModel
 
@@ -60,7 +58,7 @@ def tiny_setup():
 class TestTranslateBase:
     def test_composes_the_three_stages(self):
         config = tiny_setup()
-        candidate = translate_base(config, "salto")
+        candidate = translate(config, "salto")
         assert candidate.form == "springe"
         assert candidate.tag == TAG
         assert candidate.route == ROUTE_LEMMA
@@ -88,13 +86,13 @@ class TestTranslateBase:
             learn_analyzer(entries),
             learn_inflector(entries),
         )
-        assert translate_base(config, "canto").form == "canto"
-        assert translate_base(config, "cantar").form == "cantar"
+        assert translate(config, "canto").form == "canto"
+        assert translate(config, "cantar").form == "cantar"
 
     def test_junk_is_untranslatable(self):
         config = tiny_setup()
         with pytest.raises(UntranslatableError):
-            translate_base(config, "zzzz")
+            translate(config, "zzzz")
 
     def test_unanalyzable_in_vocab_form_falls_back_to_direct(self):
         config = tiny_setup()
@@ -106,15 +104,14 @@ class TestTranslateBase:
             np.vstack([config.source_space.vectors, [[1.0, 1.0]]]),
         )
         config = replace(config, source_space=source, analyzer=analyzer)
-        candidate = translate_base(config, "xyz")
+        candidate = translate(config, "xyz")
         assert candidate.route == ROUTE_DIRECT
         assert candidate.analyzer_log_prob is None
         assert candidate.inflector_log_prob is None
 
     def test_wrong_mode_rejected(self):
-        config = replace(tiny_setup(), mode=MODE_HYBRID)
-        with pytest.raises(ValueError):
-            translate_base(config, "salto")
+        with pytest.raises(ValueError, match="unknown mode"):
+            replace(tiny_setup(), mode="lemma")
 
     def test_oov_lemma_composed_from_ngrams(self):
         config = tiny_setup()
@@ -123,7 +120,7 @@ class TestTranslateBase:
         source = EmbeddingSpace(("salto",), np.array([[0.0, 1.0]]))
         table = {"<sal": np.array([1.0, 0.0]), "tar>": np.array([0.0, 0.0])}
         config = replace(config, source_space=source, ngram_table=table)
-        candidate = translate_base(config, "salto")
+        candidate = translate(config, "salto")
         assert candidate.route == ROUTE_LEMMA
         assert candidate.form == "springe"
 
@@ -168,21 +165,21 @@ class TestTranslateHybrid:
         config = JointConfig(
             MODE_HYBRID, TranslationModel(np.eye(2), 2), source, target, analyzer, inflector
         )
-        candidate = translate_hybrid(config, "dice")
+        candidate = translate(config, "dice")
         assert candidate.route == ROUTE_DIRECT
         assert candidate.form == "sagt"
 
     def test_rare_regular_equals_base(self):
         config = replace(tiny_setup(), mode=MODE_HYBRID)
         # rank(saltar)=0 < rank(salto)=1: identical to the base output.
-        hybrid = translate_hybrid(config, "salto")
-        base = translate_base(replace(config, mode=MODE_BASE), "salto")
+        hybrid = translate(config, "salto")
+        base = translate(replace(config, mode=MODE_BASE), "salto")
         assert hybrid == base
 
     def test_form_equal_to_its_lemma_goes_direct(self):
         config = replace(tiny_setup(), mode=MODE_HYBRID)
         # "saltar" analyzes to itself: equal rank, strict inequality fails.
-        candidate = translate_hybrid(config, "saltar")
+        candidate = translate(config, "saltar")
         assert candidate.route == ROUTE_DIRECT
 
     def test_lemma_absent_from_space_goes_direct(self):
@@ -193,7 +190,19 @@ class TestTranslateHybrid:
         config = JointConfig(
             MODE_HYBRID, TranslationModel(np.eye(2), 1), source, target, analyzer, inflector
         )
-        candidate = translate_hybrid(config, "salto")
+        candidate = translate(config, "salto")
+        assert candidate.route == ROUTE_DIRECT
+        assert candidate.form == "springe"
+
+    @pytest.mark.parametrize("order", [("saltar", "salto"), ("salto", "saltar")])
+    def test_composed_rows_have_no_rank(self, order):
+        # Lemma and form both composed: neither has a frequency rank, so
+        # the route must not depend on which one was composed first.
+        config = replace(tiny_setup(), mode=MODE_HYBRID)
+        vectors = dict(zip(config.source_space.words, config.source_space.vectors))
+        source = EmbeddingSpace(("other",), np.array([[1.0, 1.0]]))
+        source = source.with_composed([(word, vectors[word]) for word in order])
+        candidate = translate(replace(config, source_space=source), "salto")
         assert candidate.route == ROUTE_DIRECT
         assert candidate.form == "springe"
 
@@ -202,7 +211,7 @@ class TestTranslateHybrid:
         source = EmbeddingSpace(("saltar",), np.array([[1.0, 0.0]]))
         config = replace(config, source_space=source)
         # "salto" has no rank at all; the lemma is rank 0, so inf > 0.
-        candidate = translate_hybrid(config, "salto")
+        candidate = translate(config, "salto")
         assert candidate.route == ROUTE_LEMMA
         assert candidate.form == "springe"
 
@@ -211,8 +220,8 @@ class TestTranslateOracle:
     def test_matches_base_with_certain_analyzer(self):
         config = tiny_setup()
         oracle_config = replace(config, mode=MODE_ORACLE)
-        base = translate_base(config, "salto")
-        oracle = translate_oracle(oracle_config, "salto", "saltar", TAG)
+        base = translate(config, "salto")
+        oracle = translate(oracle_config, "salto", ("saltar", TAG))
         assert oracle.form == base.form == "springe"
         assert oracle.analyzer_log_prob == 0.0
         assert oracle.translator_log_prob == base.translator_log_prob
@@ -223,12 +232,17 @@ class TestTranslateOracle:
         from morphlex.morph import UnknownTagError
 
         with pytest.raises(UnknownTagError):
-            translate_oracle(config, "salto", "saltar", parse_tag("N;PL"))
+            translate(config, "salto", ("saltar", parse_tag("N;PL")))
+
+    def test_missing_gold_is_untranslatable(self):
+        config = replace(tiny_setup(), mode=MODE_ORACLE)
+        with pytest.raises(UntranslatableError):
+            translate(config, "salto")
 
     def test_unresolvable_gold_lemma_has_no_fallback(self):
         config = replace(tiny_setup(), mode=MODE_ORACLE)
         with pytest.raises(UntranslatableError):
-            translate_oracle(config, "salto", "zzzz", TAG)
+            translate(config, "salto", ("zzzz", TAG))
 
 
 class TestJointLogProb:
@@ -253,7 +267,7 @@ class TestJointLogProb:
 
     def test_pipeline_candidate_decomposition(self):
         config = tiny_setup()
-        candidate = translate_base(config, "salto")
+        candidate = translate(config, "salto")
         expected = (
             candidate.analyzer_log_prob
             + candidate.translator_log_prob
@@ -264,7 +278,7 @@ class TestJointLogProb:
     def test_all_scores_nonpositive(self):
         config = tiny_setup()
         for form in ("salto", "saltar"):
-            candidate = translate_base(config, form)
+            candidate = translate(config, form)
             for part in (
                 candidate.analyzer_log_prob,
                 candidate.translator_log_prob,
@@ -277,7 +291,7 @@ class TestJointLogProb:
 class TestDirect:
     def test_direct_never_uses_morphology(self):
         config = tiny_setup()
-        candidate = translate_direct(config, "salto")
+        candidate = translate(replace(config, mode=MODE_DIRECT), "salto")
         assert candidate.route == ROUTE_DIRECT
         assert candidate.tag is None
         assert candidate.analyzer_log_prob is None
@@ -287,5 +301,5 @@ class TestDirect:
         # Anything the direct translator handles never raises in base mode.
         config = tiny_setup()
         for word in config.source_space.words:
-            translate_direct(config, word)  # must not raise
-            translate_base(config, word)  # must not raise either
+            translate(replace(config, mode=MODE_DIRECT), word)  # must not raise
+            translate(config, word)  # must not raise either
