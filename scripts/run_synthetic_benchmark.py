@@ -15,7 +15,7 @@ from dataclasses import replace
 from morphlex.baseline import procrustes_fit
 from morphlex.evaluation import precision_at_1, write_bins_tsv, write_summary_tsv, write_tags_tsv
 from morphlex.morph import learn_analyzer, learn_inflector
-from morphlex.pipeline import JointConfig, translate
+from morphlex.pipeline import JointConfig, translate_many, unwrap
 from morphlex.synthetic import build_bilingual_task
 from morphlex.translator import TrainConfig, train
 
@@ -68,9 +68,12 @@ def main() -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     print(f"{'system':18s}\tvoc\tall\tuntranslatable")
+    forms = [entry.source for entry in task.eval_dictionary.entries]
+    golds = [task.gold_analyses.get(form) for form in forms]
     for name, config in configs.items():
+        by_form = dict(zip(forms, translate_many(config, forms, golds)))
         report = precision_at_1(
-            lambda form: translate(config, form, task.gold_analyses.get(form)).form,
+            lambda form: unwrap(by_form[form]).form,
             task.eval_dictionary,
             task.source_space,
             bin_width=args.bin_width,

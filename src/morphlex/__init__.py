@@ -12,7 +12,7 @@ from .embeddings import EmbeddingSpace, load_vec_file, nearest, compose_oov
 from .morph import MorphTag, UniMorphEntry, parse_tag, tag_translate
 from .translator import TranslationModel, TrainConfig, train, predict
 from .baseline import procrustes_fit
-from .pipeline import JointConfig, TranslationCandidate, translate
+from .pipeline import JointConfig, TranslationCandidate, translate, translate_many
 from .evaluation import EvalDictionary, EvalReport, precision_at_1, extract_identical_seed
 
 __all__ = [
@@ -36,4 +36,5 @@ __all__ = [
     "tag_translate",
     "train",
     "translate",
+    "translate_many",
 ]

@@ -11,6 +11,7 @@ is echoed to stderr for provenance.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import platform
@@ -47,6 +48,7 @@ from .evaluation import (
 )
 from .morph import (
     MorphFormatError,
+    MorphTag,
     TagParseError,
     analyzer_accuracy,
     inflector_accuracy,
@@ -62,11 +64,13 @@ from .pipeline import (
     MODE_HYBRID,
     MODE_ORACLE,
     MODES,
-    TRANSLATION_ERRORS,
+    BatchStats,
     JointConfig,
     SupportMismatchError,
+    TranslationCandidate,
     joint_log_prob,
-    translate,
+    translate_many,
+    unwrap,
 )
 from .translator import (
     ModelFormatError,
@@ -85,6 +89,11 @@ EXIT_DATA = 2
 EXIT_UNTRAINABLE = 3
 
 NONE_FIELD = "<NONE>"
+
+# translate reads its input in blocks of this many lines, one batched
+# translate_many call each: large enough to share the retrievals of repeated
+# forms, small enough to keep memory flat on a long stream.
+INPUT_BLOCK_LINES = 1024
 
 # Flags whose overrides of the stock value get echoed for provenance.
 _ECHOED_FLAGS = ("alpha", "learning_rate", "min_learning_rate", "batch_size", "max_words")
@@ -246,25 +255,18 @@ def _require_components(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _translate_line(config: JointConfig, line: str) -> str:
+def _oracle_gold(line: str) -> tuple[str, MorphTag] | None:
+    """The (lemma, tag) of an oracle input line, or None, which makes the
+    line untranslatable: a line without three columns draws a warning, a
+    tag that does not parse none."""
     columns = line.split("\t")
-    source_form = columns[0]
-    untranslated = f"{source_form}\t{NONE_FIELD}\t-\t-"
-    if config.mode == MODE_ORACLE and len(columns) != 3:
-        print(
-            f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}",
-            file=sys.stderr,
-        )
-        return untranslated
+    if len(columns) != 3:
+        print(f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}", file=sys.stderr)
+        return None
     try:
-        gold = (columns[1], parse_tag(columns[2])) if config.mode == MODE_ORACLE else None
-        candidate = translate(config, source_form, gold)
-    except TRANSLATION_ERRORS:
-        return untranslated
-    return (
-        f"{source_form}\t{candidate.form}\t{candidate.route}\t"
-        f"{joint_log_prob(candidate):.6f}"
-    )
+        return columns[1], parse_tag(columns[2])
+    except TagParseError:
+        return None
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
@@ -276,17 +278,25 @@ def cmd_translate(args: argparse.Namespace) -> int:
     config = _build_joint_config(args)
     in_handle = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     out_handle = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    stats = BatchStats()
     try:
-        for raw in in_handle:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            out_handle.write(_translate_line(config, line) + "\n")
+        lines = (raw.rstrip("\n") for raw in in_handle if raw.strip())
+        for block in iter(lambda: list(itertools.islice(lines, INPUT_BLOCK_LINES)), []):
+            forms = [line.partition("\t")[0] for line in block]
+            golds = [_oracle_gold(line) for line in block] if config.mode == MODE_ORACLE else None
+            for form, result in zip(forms, translate_many(config, forms, golds, stats)):
+                if isinstance(result, TranslationCandidate):
+                    out_handle.write(
+                        f"{form}\t{result.form}\t{result.route}\t{joint_log_prob(result):.6f}\n"
+                    )
+                else:
+                    out_handle.write(f"{form}\t{NONE_FIELD}\t-\t-\n")
     finally:
         if in_handle is not sys.stdin:
             in_handle.close()
         if out_handle is not sys.stdout:
             out_handle.close()
+    logger.info("translate: %s", stats)
     if args.output != "-":
         _write_manifest(args.output, args)
     return EXIT_OK
@@ -317,11 +327,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     )
                 gold[columns[0]] = (columns[1], parse_tag(columns[2]))
 
-    def system(form: str) -> str:
-        return translate(config, form, gold.get(form)).form
-
+    forms = [entry.source for entry in dictionary.entries]
+    stats = BatchStats()
+    results = translate_many(config, forms, [gold.get(form) for form in forms], stats)
+    logger.info("evaluate: %s", stats)
+    by_form = dict(zip(forms, results))
     report = precision_at_1(
-        system,
+        lambda form: unwrap(by_form[form]).form,
         dictionary,
         config.source_space,
         bin_width=args.bin_width,

@@ -76,6 +76,7 @@ class EmbeddingSpace:
                 raise ValueError(f"duplicate word in space: {word!r}")
             index[word] = position
         self._index = index
+        self._row_norms: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -94,6 +95,18 @@ class EmbeddingSpace:
     def n_file_loaded(self) -> int:
         """Number of rows read from file (rank range of the 'real' vocabulary)."""
         return int(np.count_nonzero(~self.composed_flags))
+
+    @property
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of every row, computed on first use and kept.
+
+        ``einsum`` sums the squares row by row without a V x d temporary.
+        """
+        if self._row_norms is None:
+            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
+            norms.setflags(write=False)
+            self._row_norms = norms
+        return self._row_norms
 
     def index(self, word: str) -> int:
         try:
@@ -335,7 +348,7 @@ def compose_oov(
 
 
 def load_ngram_table(path: str, dim: int) -> dict[str, np.ndarray]:
-    """Read a header-less n-gram table; every row carries ``dim`` values."""
+    """Read a header-less n-gram table; every row carries ``dim`` finite values."""
     table: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -351,31 +364,49 @@ def load_ngram_table(path: str, dim: int) -> dict[str, np.ndarray]:
                 logger.warning("%s: line %d: duplicate n-gram %r", path, lineno, gram)
                 continue
             try:
-                table[gram] = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+                vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise VecFormatError(f"{path}: line {lineno}: non-numeric value") from exc
+            if not np.isfinite(vec).all():
+                raise VecFormatError(f"{path}: line {lineno}: non-finite value in {gram!r}")
+            table[gram] = vec
     return table
 
 
-def nearest(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """The ``k`` words most cosine-similar to ``query``, best first.
+def top_by_cosine(
+    space: EmbeddingSpace, products: np.ndarray, query_norms: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` best rows of the space for each query, from raw products.
 
-    Exact score ties are broken in favor of the lower (more frequent)
-    rank. Zero rows never win: their similarity is treated as -inf.
+    ``products[i, j]`` is the dot product of query i with row j and
+    ``query_norms[i]`` the norm of query i. Cosine divides by the cached
+    row norms times the query norm. Exact ties go to the lower (more
+    frequent) rank, and zero rows score -inf, so they never beat a
+    non-zero row. Returns the (queries, k) row indices and their cosines.
     """
+    if not np.all(query_norms > 0.0):
+        raise ValueError("cannot rank neighbours of a zero query vector")
+    scores = np.multiply.outer(query_norms, space.row_norms)
+    zero = scores == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(products, scores, out=scores)
+    scores[zero] = -np.inf
+    if k == 1:
+        order = np.argmax(scores, axis=1)[:, None]
+    else:
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(scores, order, axis=1)
+
+
+def nearest(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """The ``k`` words most cosine-similar to ``query``, best first,
+    under the tie and zero-row rules of ``top_by_cosine``."""
     if k <= 0:
         raise ValueError("k must be positive")
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (space.dim,):
         raise ValueError(f"query has shape {q.shape}, expected ({space.dim},)")
-    q_norm = float(np.linalg.norm(q))
-    if q_norm == 0.0:
-        raise ValueError("cannot rank neighbours of a zero query vector")
-    if len(space) == 0:
-        return []
-    row_norms = np.linalg.norm(space.vectors, axis=1)
-    denom = row_norms * q_norm
-    safe = np.where(denom > 0.0, denom, 1.0)
-    scores = np.where(denom > 0.0, (space.vectors @ q) / safe, -np.inf)
-    order = np.argsort(-scores, kind="stable")[: min(k, len(space))]
-    return [(space.words[i], float(scores[i])) for i in order]
+    order, scores = top_by_cosine(
+        space, (space.vectors @ q)[None, :], np.array([np.linalg.norm(q)]), min(k, len(space))
+    )
+    return [(space.words[i], float(score)) for i, score in zip(order[0], scores[0])]

@@ -4,18 +4,21 @@ Base mode routes every form through its lemma; hybrid mode does so only
 when the analyzer's lemma is strictly more frequent than the surface
 form, translating the form directly otherwise; oracle mode is given the
 gold (lemma, tag) and skips analysis; direct mode translates the surface
-form alone. Every stage decodes greedily (1-best).
+form alone. Every stage decodes greedily (1-best). Retrieval is batched:
+``translate_many`` maps all the lemmas, then all the direct forms, of a
+list of inputs through one fused score product each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .embeddings import CompositionError, EmbeddingSpace, apply_preprocessing, compose_oov
 from .morph import (
+    Analysis,
     MorphTag,
     NoAnalysisError,
     NoRuleError,
@@ -25,7 +28,7 @@ from .morph import (
     analyze,
     inflect,
 )
-from .translator import TranslationModel, log_prob, predict_vector
+from .translator import TranslationModel, retrieve, score_block_rows
 
 MODE_BASE = "base"
 MODE_HYBRID = "hybrid"
@@ -64,6 +67,25 @@ class TranslationCandidate:
     analyzer_log_prob: float | None
     translator_log_prob: float | None
     inflector_log_prob: float | None
+
+
+@dataclass
+class BatchStats:
+    """Work counts summed over ``translate_many`` calls: forms asked,
+    distinct forms within each call, retrieved rows and score blocks."""
+
+    forms: int = 0
+    distinct_forms: int = 0
+    retrievals: int = 0
+    score_blocks: int = 0
+
+    def __str__(self) -> str:
+        per_form = self.retrievals / self.forms if self.forms else 0.0
+        return (
+            f"{self.forms} forms, {self.distinct_forms} distinct, "
+            f"{self.retrievals} retrievals in {self.score_blocks} score blocks "
+            f"({per_form:.4f} retrievals per form)"
+        )
 
 
 @dataclass
@@ -106,35 +128,32 @@ def _resolve_source_vector(config: JointConfig, word: str) -> np.ndarray | None:
         return None
 
 
-def _retrieve(config: JointConfig, source_word: str) -> tuple[str, float | None]:
-    """The 1-best target word for a source word, with its log-probability.
+def _retrieve_many(
+    config: JointConfig, source_words: list[str], stats: BatchStats | None
+) -> dict[str, tuple[str, float | None]]:
+    """The 1-best target word and its log-probability for every source
+    word that has a vector, from one batched ``retrieve``.
 
     Retrieval ranges over the whole target space, so a composed row can
     win; its probability is undefined under the fixed normalizer and is
-    recorded as None.
+    recorded as None. Words without a vector are left out.
     """
-    source_vec = _resolve_source_vector(config, source_word)
-    if source_vec is None:
-        raise UntranslatableError(source_word)
-    predictions = predict_vector(config.model, source_vec, config.target_space, k=1)
-    if not predictions:
-        raise UntranslatableError(source_word)
-    target_word = predictions[0][0]
-    if config.target_space.index(target_word) >= config.model.normalizer_vocab_size:
-        return target_word, None
-    return target_word, log_prob(config.model, config.target_space, target_word, source_vec)
-
-
-def _lemma_route(
-    config: JointConfig, lemma: str, tag: MorphTag, analyzer_log_prob: float
-) -> TranslationCandidate:
-    """Translate the lemma and re-inflect it with the tag, which the
-    indicator tag translator carries over unchanged."""
-    target_lemma, translator_log_prob = _retrieve(config, lemma)
-    form, inflector_log_prob = inflect(config.inflector, target_lemma, tag)
-    return TranslationCandidate(
-        form, tag, ROUTE_LEMMA, analyzer_log_prob, translator_log_prob, inflector_log_prob
-    )
+    vectors = {}
+    for word in source_words:
+        vec = _resolve_source_vector(config, word)
+        if vec is not None:
+            vectors[word] = vec
+    if not vectors:
+        return {}
+    target = config.target_space
+    winners, log_probs = retrieve(config.model, np.vstack(list(vectors.values())), target)
+    if stats is not None:
+        stats.retrievals += len(vectors)
+        stats.score_blocks += -(-len(vectors) // score_block_rows(len(target)))
+    return {
+        word: (target.words[index], lp)
+        for word, index, lp in zip(vectors, winners, log_probs)
+    }
 
 
 def _lemma_outranks_form(config: JointConfig, lemma: str, source_form: str) -> bool:
@@ -148,40 +167,113 @@ def _lemma_outranks_form(config: JointConfig, lemma: str, source_form: str) -> b
     return lemma_rank is not None and (form_rank is None or lemma_rank < form_rank)
 
 
+def _lemma_route_analysis(config: JointConfig, source_form: str) -> Analysis | None:
+    """The analysis a base or hybrid form takes the lemma route with, or
+    None when it goes direct: no morphology, no analysis, or (hybrid) a
+    lemma that does not outrank the form."""
+    if config.mode == MODE_DIRECT or config.analyzer is None or config.inflector is None:
+        return None
+    try:
+        analysis = analyze(config.analyzer, source_form)
+    except NoAnalysisError:
+        return None
+    if config.mode == MODE_HYBRID and not _lemma_outranks_form(
+        config, analysis.lemma, source_form
+    ):
+        return None
+    return analysis
+
+
+def translate_many(
+    config: JointConfig,
+    forms: Sequence[str],
+    golds: Sequence[tuple[str, MorphTag] | None] | None = None,
+    stats: BatchStats | None = None,
+) -> list[TranslationCandidate | Exception]:
+    """Translate source forms in the configured mode.
+
+    Slot i holds the candidate for ``forms[i]`` (with ``golds[i]``), or
+    the declared error (one of ``TRANSLATION_ERRORS``) that stopped it.
+    Oracle mode translates the gold (lemma, tag) with no fallback, so its
+    failures are the slot's error; without gold the form is
+    untranslatable. Base and hybrid modes analyze the form and take the
+    lemma route when allowed (hybrid: only when the lemma outranks the
+    form), falling back to direct translation of the surface form when
+    analysis or any stage of the lemma route fails. Direct mode never
+    uses morphology. ``golds`` is read in oracle mode only.
+
+    The work runs in stages over the distinct inputs: route each form,
+    retrieve every lemma in one batch, inflect, then retrieve every form
+    that goes direct in a second batch. ``stats``, when given, adds up
+    the work done.
+    """
+    oracle = config.mode == MODE_ORACLE
+    if golds is None:
+        golds = [None] * len(forms)
+    keys = [(form, gold if oracle else None) for form, gold in zip(forms, golds, strict=True)]
+    distinct = list(dict.fromkeys(keys))
+    if stats is not None:
+        stats.forms += len(keys)
+        stats.distinct_forms += len(distinct)
+
+    results: dict[tuple, TranslationCandidate | Exception] = {}
+    routed: dict[tuple, Analysis] = {}
+    for key in distinct:
+        form, gold = key
+        if oracle and gold is None:
+            results[key] = UntranslatableError(form)
+        elif oracle:
+            routed[key] = Analysis(*gold, log_prob=0.0)
+        else:
+            analysis = _lemma_route_analysis(config, form)
+            if analysis is not None:
+                routed[key] = analysis
+
+    lemmas = _retrieve_many(config, list(dict.fromkeys(a.lemma for a in routed.values())), stats)
+    for key, analysis in routed.items():
+        try:
+            if analysis.lemma not in lemmas:
+                raise UntranslatableError(analysis.lemma)
+            target_lemma, translator_log_prob = lemmas[analysis.lemma]
+            # The indicator tag translator carries the tag over unchanged.
+            target_form, inflector_log_prob = inflect(config.inflector, target_lemma, analysis.tag)
+        except TRANSLATION_ERRORS as error:
+            if oracle:
+                results[key] = error
+            continue
+        results[key] = TranslationCandidate(
+            target_form, analysis.tag, ROUTE_LEMMA, analysis.log_prob, translator_log_prob,
+            inflector_log_prob,
+        )
+
+    pending = [key for key in distinct if key not in results]
+    direct = _retrieve_many(config, [form for form, _ in pending], stats)
+    for form, gold in pending:
+        if form in direct:
+            target_word, translator_log_prob = direct[form]
+            results[form, gold] = TranslationCandidate(
+                target_word, None, ROUTE_DIRECT, None, translator_log_prob, None
+            )
+        else:
+            results[form, gold] = UntranslatableError(form)
+    return [results[key] for key in keys]
+
+
+def unwrap(result: TranslationCandidate | Exception) -> TranslationCandidate:
+    """The candidate of a ``translate_many`` slot; a slot's error is raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def translate(
     config: JointConfig,
     source_form: str,
     gold: tuple[str, MorphTag] | None = None,
 ) -> TranslationCandidate:
-    """Translate one source form in the configured mode.
-
-    Oracle mode translates the gold (lemma, tag) with no fallback, so its
-    failures surface as errors; without gold the form is untranslatable.
-    Base and hybrid modes analyze the form and take the lemma route when
-    allowed (hybrid: only when the lemma outranks the form), falling back
-    to direct translation of the surface form when analysis or any stage
-    of the lemma route fails. Direct mode never uses morphology. ``gold``
-    is read in oracle mode only.
-    """
-    if config.mode == MODE_ORACLE:
-        if gold is None:
-            raise UntranslatableError(source_form)
-        return _lemma_route(config, *gold, analyzer_log_prob=0.0)
-    has_morphology = config.analyzer is not None and config.inflector is not None
-    if config.mode != MODE_DIRECT and has_morphology:
-        try:
-            analysis = analyze(config.analyzer, source_form)
-        except NoAnalysisError:
-            analysis = None
-        if analysis is not None and (
-            config.mode == MODE_BASE or _lemma_outranks_form(config, analysis.lemma, source_form)
-        ):
-            try:
-                return _lemma_route(config, analysis.lemma, analysis.tag, analysis.log_prob)
-            except TRANSLATION_ERRORS:
-                pass
-    target_word, translator_log_prob = _retrieve(config, source_form)
-    return TranslationCandidate(target_word, None, ROUTE_DIRECT, None, translator_log_prob, None)
+    """Translate one source form: ``translate_many`` of one item, with the
+    slot's declared error raised."""
+    return unwrap(translate_many(config, [source_form], [gold])[0])
 
 
 def joint_log_prob(candidate: TranslationCandidate) -> float:

@@ -6,7 +6,8 @@ over the first ``normalizer_vocab_size`` rows of the target space.
 Training maximizes seed-pair log-likelihood with a Frobenius penalty
 pulling Omega toward the orthogonal manifold, optimized by Adam; the
 learning rate halves after every epoch whose development loss went up,
-and training stops once it falls below the configured minimum.
+and training stops once it falls below the configured minimum, or at
+once on a non-finite development loss.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, nearest
+from .embeddings import EmbeddingSpace, nearest, top_by_cosine
 
 logger = logging.getLogger(__name__)
 
@@ -26,6 +27,13 @@ MODEL_MAGIC = "MORPHLEX-OMEGA"
 MODEL_VERSION = "v1"
 
 _PENALTY_NORM_FLOOR = 1e-12
+
+# Bytes of one block of target scores in ``retrieve``. A block has this
+# budget over the vocabulary size in rows (at least one), so memory stays
+# flat however many queries arrive. Its cosines take a second array of the
+# same size; the pair stays cache-sized, and larger blocks bought no speed
+# on a 16k x 300 target space, where even two rows stream the whole matrix.
+SCORE_BLOCK_BYTES = 1 << 16
 
 
 class ModelFormatError(ValueError):
@@ -249,6 +257,9 @@ def train(
 ) -> TrainResult:
     """Fit omega on seed pairs with Adam, lr halving and early stopping.
 
+    A non-finite development loss ends the run with a warning; the model
+    is then the best snapshot before it.
+
     Pairs whose words are missing from the spaces (or whose target lies
     outside the normalizer support) are dropped and counted. Runs with
     equal seeds and inputs are bit-identical.
@@ -318,6 +329,13 @@ def train(
             )
             omega = adam.update(omega, grad, learning_rate)
         current = dev_loss(omega)
+        if not np.isfinite(current):
+            losses.append(current)
+            logger.warning(
+                "train: dev loss %r after epoch %d is not finite; stopping with "
+                "the snapshot of epoch %d", current, epoch, best_epoch,
+            )
+            break
         if current > losses[-1]:
             learning_rate *= 0.5
         losses.append(current)
@@ -338,17 +356,57 @@ def train(
     )
 
 
-def predict_vector(
-    model: TranslationModel,
-    source_vec: np.ndarray,
-    target_space: EmbeddingSpace,
-    k: int = 1,
-) -> list[tuple[str, float]]:
-    """Map a source vector through omega and retrieve by cosine."""
-    source = np.asarray(source_vec, dtype=np.float64)
-    if source.shape != (model.source_dim,):
-        raise ValueError(f"source vector has shape {source.shape}, expected ({model.source_dim},)")
-    return nearest(target_space, model.omega @ source, k)
+def score_block_rows(vocab_size: int) -> int:
+    """Queries per block of ``retrieve``'s score matrix."""
+    return max(1, SCORE_BLOCK_BYTES // (8 * vocab_size))
+
+
+def retrieve(
+    model: TranslationModel, source_vecs: np.ndarray, target_space: EmbeddingSpace
+) -> tuple[np.ndarray, list[float | None]]:
+    """The 1-best target row for each source vector, with its log-probability.
+
+    One product P = S Omega^T maps the sources; each row block of
+    R = P V^T then gives both the cosine winner (``top_by_cosine``: ties
+    to the lower rank, zero rows never win, a zero mapped query raises)
+    and the log-softmax at the winner over the first
+    ``normalizer_vocab_size`` columns, which is None when the winner lies
+    outside that support.
+    """
+    sources = np.asarray(source_vecs, dtype=np.float64)
+    if sources.ndim != 2 or sources.shape[1] != model.source_dim:
+        raise ValueError(f"sources have shape {sources.shape}, expected (n, {model.source_dim})")
+    size = model.normalizer_vocab_size
+    if size > len(target_space):
+        raise ValueError("normalizer support exceeds the target space")
+    projected = sources @ model.omega.T
+    query_norms = np.linalg.norm(projected, axis=1)
+    step = score_block_rows(len(target_space))
+    winners = np.empty(len(sources), dtype=np.intp)
+    log_probs = np.empty(len(sources))
+    for lo in range(0, len(sources), step):
+        block = slice(lo, lo + step)
+        winners[block], log_probs[block] = _retrieve_block(
+            projected[block], query_norms[block], target_space, size
+        )
+    return winners, [float(lp) if i < size else None for i, lp in zip(winners, log_probs)]
+
+
+def _retrieve_block(
+    projected: np.ndarray, query_norms: np.ndarray, target_space: EmbeddingSpace, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Winners, and their log-softmax over the first ``size`` columns, for
+    one block of mapped queries. The softmax runs in place on the block's
+    scores once the winners' scores are read, so the block costs two
+    score-sized arrays at most."""
+    scores = projected @ target_space.vectors.T
+    best = top_by_cosine(target_space, scores, query_norms, 1)[0][:, 0]
+    at_best = scores[np.arange(len(best)), best]
+    support = scores[:, :size]
+    shift = support.max(axis=1)
+    support -= shift[:, None]
+    log_z = np.log(np.exp(support, out=support).sum(axis=1))
+    return best, at_best - shift - log_z
 
 
 def predict(
@@ -358,8 +416,8 @@ def predict(
     target_space: EmbeddingSpace,
     k: int = 1,
 ) -> list[tuple[str, float]]:
-    """Top-k target words for a source word already present in the space."""
-    return predict_vector(model, source_space.vector(source_word), target_space, k)
+    """Top-k target words by cosine for a source word already present in the space."""
+    return nearest(target_space, model.omega @ source_space.vector(source_word), k)
 
 
 def model_metadata_path(path: str) -> str:

@@ -1,4 +1,7 @@
 import json
+import logging
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -283,7 +286,7 @@ class TestTranslate:
         def broken(*args, **kwargs):
             raise KeyError("bug")
 
-        monkeypatch.setattr(morphlex.pipeline, "predict_vector", broken)
+        monkeypatch.setattr(morphlex.pipeline, "retrieve", broken)
         common = [
             "--model", trained["model"], "--src", corpus["src"], "--tgt", corpus["tgt"],
             "--mode", "direct",
@@ -294,6 +297,41 @@ class TestTranslate:
         with pytest.raises(KeyError, match="bug"):
             main(["evaluate", *common, "--dict", corpus["eval"],
                   "--out-prefix", str(tmp_path / "run")])
+
+
+    def test_non_finite_ngram_table_is_data_error(self, corpus, trained, tmp_path, capsys):
+        table = tmp_path / "bad.ngrams"
+        table.write_text("<sa " + " ".join(["1"] * 9 + ["inf"]) + "\n")
+        code = main([
+            "translate", "--model", trained["model"], "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--ngrams", str(table), "--mode", "direct",
+            "--input", corpus["forms"], "--output", str(tmp_path / "preds.tsv"),
+        ])
+        assert code == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_verbose_logs_batch_counts_and_leaves_output_unchanged(
+        self, corpus, trained, tmp_path, caplog
+    ):
+        forms = tmp_path / "forms.txt"
+        forms.write_text(pathlib.Path(corpus["forms"]).read_text() * 2)
+        common = [
+            "translate", "--model", trained["model"], "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
+            "--inflector", trained["inflector"], "--mode", "base", "--input", str(forms),
+        ]
+        quiet, verbose = tmp_path / "quiet.tsv", tmp_path / "verbose.tsv"
+        assert main(common + ["--output", str(quiet)]) == EXIT_OK
+        with caplog.at_level(logging.INFO, logger="morphlex.cli"):
+            assert main(["--verbose", *common, "--output", str(verbose)]) == EXIT_OK
+        assert verbose.read_bytes() == quiet.read_bytes()
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphlex.cli"]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"translate: 6 forms, 3 distinct, \d+ retrievals in \d+ score blocks "
+            r"\(\d\.\d{4} retrievals per form\)",
+            lines[0],
+        )
 
 
 class TestEvaluate:
@@ -326,6 +364,24 @@ class TestEvaluate:
             "--oracle-analyses", corpus["oracle"],
         ])
         assert code == EXIT_OK
+
+    def test_verbose_logs_batch_counts_and_leaves_reports_unchanged(
+        self, corpus, trained, tmp_path, caplog
+    ):
+        common = [
+            "evaluate", "--model", trained["model"], "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
+            "--inflector", trained["inflector"], "--mode", "hybrid", "--dict", corpus["eval"],
+        ]
+        assert main(common + ["--out-prefix", str(tmp_path / "quiet")]) == EXIT_OK
+        with caplog.at_level(logging.INFO, logger="morphlex.cli"):
+            assert main(["--verbose", *common, "--out-prefix", str(tmp_path / "loud")]) == EXIT_OK
+        for suffix in (".summary.tsv", ".bins.tsv", ".tags.tsv", ".report.json"):
+            loud, quiet = tmp_path / f"loud{suffix}", tmp_path / f"quiet{suffix}"
+            assert loud.read_bytes() == quiet.read_bytes()
+        n = len(corpus["task"].eval_dictionary)
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphlex.cli"]
+        assert len(lines) == 1 and lines[0].startswith(f"evaluate: {n} forms, {n} distinct, ")
 
     def test_empty_dictionary_is_unevaluable(self, corpus, trained, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,14 @@ class TestNgramTable:
         with pytest.raises(VecFormatError):
             load_ngram_table(path, dim=2)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        # A non-finite n-gram row would turn every composed vector that
+        # uses it into NaN, and a cosine argmax over NaN still picks a word.
+        path = write(tmp_path / "t.ngrams", f"<sa 1 {value}\n")
+        with pytest.raises(VecFormatError, match="line 1: non-finite"):
+            load_ngram_table(path, dim=2)
+
 
 class TestNearest:
     def test_exact_match(self):
@@ -298,6 +308,15 @@ class TestNearest:
     def test_zero_rows_never_win(self):
         space = EmbeddingSpace(("z", "w"), np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert nearest(space, np.array([0.0, 1.0]), 1)[0][0] == "w"
+
+    def test_row_norms_cached_and_rebuilt_by_replace(self):
+        space = EmbeddingSpace(("a", "z"), np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert space.row_norms is space.row_norms
+        np.testing.assert_array_equal(space.row_norms, [5.0, 0.0])
+        scaled = replace(space, vectors=2.0 * space.vectors)
+        np.testing.assert_array_equal(scaled.row_norms, [10.0, 0.0])
+        np.testing.assert_array_equal(space.with_composed([("b", np.ones(2))]).row_norms,
+                                      [5.0, 0.0, np.sqrt(2.0)])
 
 
 class TestPreprocess:

@@ -1,11 +1,21 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morphlex.embeddings import EmbeddingSpace
-from morphlex.morph import UniMorphEntry, parse_tag, learn_analyzer, learn_inflector
+from morphlex.baseline import procrustes_fit
+from morphlex.embeddings import EmbeddingSpace, ngrams
+from morphlex.morph import (
+    UniMorphEntry,
+    UnknownTagError,
+    learn_analyzer,
+    learn_inflector,
+    parse_tag,
+)
 from morphlex.pipeline import (
     MODE_BASE,
     MODE_DIRECT,
@@ -13,12 +23,16 @@ from morphlex.pipeline import (
     MODE_ORACLE,
     ROUTE_DIRECT,
     ROUTE_LEMMA,
+    TRANSLATION_ERRORS,
+    BatchStats,
     JointConfig,
     TranslationCandidate,
     UntranslatableError,
     joint_log_prob,
     translate,
+    translate_many,
 )
+from morphlex.synthetic import build_bilingual_task
 from morphlex.translator import TranslationModel
 
 TAG = parse_tag("V;PRS;1;SG")
@@ -303,3 +317,89 @@ class TestDirect:
         for word in config.source_space.words:
             translate(replace(config, mode=MODE_DIRECT), word)  # must not raise
             translate(config, word)  # must not raise either
+
+
+@functools.lru_cache(maxsize=None)
+def batch_world():
+    """A small synthetic world with an n-gram table, plus a pool of inputs:
+    vocabulary forms, composable OOV forms, an uncomposable form and
+    unanalyzable forms, each with gold analyses good and bad."""
+    task = build_bilingual_task(seed=2, n_lexemes=16, dim=6)
+    rng = np.random.default_rng(2)
+    grams = sorted({g for word in task.source_space.words for g in ngrams(word)})
+    table = {g: rng.normal(size=6) for g in grams}
+    config = JointConfig(
+        MODE_BASE,
+        procrustes_fit(task.seed_pairs, task.source_space, task.target_space),
+        task.source_space,
+        task.target_space,
+        learn_analyzer(task.source_unimorph),
+        learn_inflector(task.target_unimorph),
+        table,
+    )
+    vocabulary = list(task.source_space.words[::5])
+    forms = vocabulary + ["z" + w for w in vocabulary[:4]] + ["qqqq", "xq", "bax"]
+    some_gold = next(iter(task.gold_analyses.values()))
+    golds = [None, some_gold, ("qqqq", some_gold[1]), (some_gold[0], parse_tag("N;PL;XX"))]
+    golds += [task.gold_analyses[f] for f in forms if f in task.gold_analyses][:4]
+    return config, forms, golds
+
+
+@st.composite
+def batches(draw):
+    config, forms, golds = batch_world()
+    mode = draw(st.sampled_from([MODE_BASE, MODE_HYBRID, MODE_ORACLE, MODE_DIRECT]))
+    picks = draw(st.lists(st.tuples(st.sampled_from(forms), st.sampled_from(golds)), max_size=12))
+    picks += draw(st.lists(st.sampled_from(picks), max_size=4)) if picks else []
+    return replace(config, mode=mode), [f for f, _ in picks], [g for _, g in picks]
+
+
+class TestTranslateMany:
+    @settings(max_examples=150, deadline=None)
+    @given(batches())
+    def test_equals_one_translate_per_form(self, batch):
+        config, forms, golds = batch
+        results = translate_many(config, forms, golds)
+        assert len(results) == len(forms)
+        for form, gold, result in zip(forms, golds, results):
+            try:
+                expected = translate(config, form, gold)
+            except TRANSLATION_ERRORS as error:
+                assert type(result) is type(error) and result.args == error.args
+                continue
+            assert isinstance(result, TranslationCandidate)
+            # One query at a time and a batch of queries sum the same
+            # products in a different order, so log-probabilities may
+            # differ in the last bits.
+            assert replace(result, translator_log_prob=None) == replace(
+                expected, translator_log_prob=None
+            )
+            if expected.translator_log_prob is None:
+                assert result.translator_log_prob is None
+            else:
+                assert result.translator_log_prob == pytest.approx(
+                    expected.translator_log_prob, rel=0, abs=1e-12
+                )
+
+    def test_pool_covers_every_outcome(self):
+        # The property above is only as strong as its pool: every route,
+        # and every declared error, must occur.
+        config, forms, golds = batch_world()
+        seen = set()
+        for mode in (MODE_BASE, MODE_HYBRID, MODE_ORACLE, MODE_DIRECT):
+            pairs = [(f, g) for f in forms for g in golds]
+            results = translate_many(replace(config, mode=mode), *zip(*pairs))
+            seen.update(
+                r.route if isinstance(r, TranslationCandidate) else type(r) for r in results
+            )
+        assert {ROUTE_LEMMA, ROUTE_DIRECT, UntranslatableError, UnknownTagError} <= seen
+
+    def test_stats_count_distinct_forms_and_retrievals(self):
+        config = replace(tiny_setup(), mode=MODE_DIRECT)
+        stats = BatchStats()
+        translate_many(config, ["salto", "saltar", "salto", "nope"], stats=stats)
+        counts = (stats.forms, stats.distinct_forms, stats.retrievals, stats.score_blocks)
+        assert counts == (4, 3, 2, 1)
+        assert str(stats) == (
+            "4 forms, 3 distinct, 2 retrievals in 1 score blocks (0.5000 retrievals per form)"
+        )

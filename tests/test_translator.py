@@ -1,7 +1,14 @@
+import logging
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from morphlex import translator
 
 from morphlex.embeddings import EmbeddingSpace, WordNotFoundError, length_normalize
 from morphlex.translator import (
@@ -18,6 +25,7 @@ from morphlex.translator import (
     loss_and_gradient,
     orth_penalty,
     predict,
+    retrieve,
     save_model,
     train,
 )
@@ -254,6 +262,32 @@ class TestTrain:
         result = train(noisy, source, target, TrainConfig(max_epochs=1, seed=0))
         assert result.dropped_pairs == 2
 
+    def test_non_finite_dev_loss_stops_with_the_best_finite_snapshot(self, monkeypatch, caplog):
+        rng = np.random.default_rng(23)
+        source, target, pairs, _ = rotation_task(rng, 30, 6)
+        config = TrainConfig(alpha=1.0, max_epochs=10, seed=5)
+        one_epoch = train(pairs, source, target, replace(config, max_epochs=1))
+        real = translator._loss_and_grad_indexed
+        dev_evaluations = 0
+
+        def nan_after_first_epoch(*args, want_grad=True, **kwargs):
+            nonlocal dev_evaluations
+            if not want_grad:
+                dev_evaluations += 1
+                if dev_evaluations > 2:  # the initial loss, then epoch 1
+                    return float("nan"), None
+            return real(*args, want_grad=want_grad, **kwargs)
+
+        monkeypatch.setattr(translator, "_loss_and_grad_indexed", nan_after_first_epoch)
+        with caplog.at_level(logging.WARNING, logger="morphlex.translator"):
+            result = train(pairs, source, target, config)
+        assert result.epochs_run == 2
+        assert result.dev_losses[:2] == one_epoch.dev_losses
+        assert len(result.dev_losses) == 3 and math.isnan(result.dev_losses[2])
+        assert result.best_epoch == one_epoch.best_epoch
+        assert np.array_equal(result.model.omega, one_epoch.model.omega)
+        assert "not finite" in caplog.text
+
     def test_all_pairs_unresolvable(self):
         rng = np.random.default_rng(14)
         source, target, _, _ = rotation_task(rng, 5, 3)
@@ -334,6 +368,94 @@ class TestPredict:
         model = TranslationModel(np.eye(3), 4)
         with pytest.raises(WordNotFoundError):
             predict(model, "nope", space, space)
+
+
+def reference_retrieval(omega, sources, targets, support):
+    """Per-query cosine argmax (first maximum, zero rows at -inf) and the
+    log-softmax at the winner over the first ``support`` rows, by loops."""
+    out = []
+    for source in sources:
+        mapped = omega @ source
+        mapped_norm = math.sqrt(sum(x * x for x in mapped))
+        raw = [float(row @ mapped) for row in targets]
+        cosines = []
+        for row, score in zip(targets, raw):
+            row_norm = math.sqrt(sum(x * x for x in row))
+            cosines.append(-math.inf if row_norm == 0.0 else score / (mapped_norm * row_norm))
+        best = 0
+        for j, cosine in enumerate(cosines):
+            if cosine > cosines[best]:
+                best = j
+        top = max(raw[:support])
+        log_z = top + math.log(math.fsum(math.exp(r - top) for r in raw[:support]))
+        out.append((best, raw[best] - log_z if best < support else None))
+    return out
+
+
+def integer_matrices(rows, cols):
+    # Small integers keep every product and squared norm exact, so exact
+    # cosine ties (duplicate and parallel rows) are ties in float64 too.
+    return st.lists(
+        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda m: np.array(m, dtype=np.float64).reshape(rows, cols))
+
+
+@st.composite
+def retrieval_cases(draw):
+    n_t, n_s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_rows, n_queries = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    targets = draw(integer_matrices(n_rows, n_t))
+    duplicated = draw(st.lists(st.integers(0, n_rows - 1), max_size=3))
+    targets = np.vstack([targets, targets[duplicated]])
+    zeroed = draw(st.lists(st.integers(0, len(targets) - 1), max_size=2))
+    targets[zeroed] = 0.0
+    omega = draw(integer_matrices(n_t, n_s))
+    sources = draw(integer_matrices(n_queries, n_s))
+    support = draw(st.integers(1, len(targets)))
+    block_rows = draw(st.integers(1, 4))
+    return omega, sources, targets, support, block_rows
+
+
+class TestRetrieve:
+    @settings(max_examples=300, deadline=None)
+    @given(retrieval_cases())
+    def test_matches_per_query_reference(self, case):
+        omega, sources, targets, support, block_rows = case
+        space = EmbeddingSpace(tuple(f"t{i}" for i in range(len(targets))), targets)
+        model = TranslationModel(omega, support)
+        budget = block_rows * 8 * len(targets)
+        with mock.patch.object(translator, "SCORE_BLOCK_BYTES", budget):
+            if not np.all((sources @ omega.T).any(axis=1)):
+                with pytest.raises(ValueError, match="zero query"):
+                    retrieve(model, sources, space)
+                return
+            winners, log_probs = retrieve(model, sources, space)
+        expected = reference_retrieval(omega, sources, targets, support)
+        assert list(winners) == [best for best, _ in expected]
+        for got, (_, want) in zip(log_probs, expected):
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, abs=1e-9)
+
+    def test_blocks_of_two_rows_cover_the_batch(self):
+        # Seven queries over four blocks of two rows give the same answers
+        # as one query at a time.
+        rng = np.random.default_rng(24)
+        space = toy_space(rng, 6, 3, prefix="t")
+        model = TranslationModel(rng.normal(size=(3, 3)), 5)
+        sources = rng.normal(size=(7, 3))
+        with mock.patch.object(translator, "SCORE_BLOCK_BYTES", 2 * 8 * 6):
+            assert translator.score_block_rows(len(space)) == 2
+            winners, log_probs = retrieve(model, sources, space)
+        for source, winner, lp in zip(sources, winners, log_probs):
+            word = space.words[winner]
+            one = EmbeddingSpace(("s",), source[None, :])
+            assert predict(model, "s", one, space)[0][0] == word
+            if winner < 5:
+                assert lp == pytest.approx(log_prob(model, space, word, source), abs=1e-12)
+            else:
+                assert lp is None
 
 
 class TestModelFiles:
