@@ -7,11 +7,13 @@ frequency rank (row 0 = most frequent word).
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -175,44 +177,112 @@ def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> Embed
         if count < 0 or dim <= 0:
             raise VecFormatError(f"{path}: invalid header values in {header!r}")
         limit = count if max_words is None else min(count, max_words)
-        words: list[str] = []
-        seen: set[str] = set()
-        rows: list[np.ndarray] = []
-        lines_read = 0
-        for lineno, line in enumerate(handle, start=2):
-            if lines_read >= limit:
-                break
-            lines_read += 1
-            tokens = line.split()
-            if len(tokens) != dim + 1:
-                raise VecFormatError(
-                    f"{path}: line {lineno}: expected a word and {dim} values, "
-                    f"found {max(len(tokens) - 1, 0)} values"
-                )
-            word = tokens[0]
-            try:
-                vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise VecFormatError(f"{path}: line {lineno}: non-numeric value") from exc
-            if word in seen:
-                logger.warning(
-                    "%s: line %d: duplicate word %r, keeping the first occurrence",
-                    path, lineno, word,
-                )
-                continue
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
-    if lines_read < limit:
-        raise VecFormatError(
-            f"{path}: expected {limit} rows after the header, found {lines_read}"
-        )
-    vectors = np.vstack(rows) if rows else np.zeros((0, dim))
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        word = words[int(np.argmin(finite))]
-        raise VecFormatError(f"{path}: non-finite value in the vector of {word!r}")
+    words, vectors = _read_float_rows(path, dim, first_lineno=2, limit=limit, key="a word")
     return EmbeddingSpace(tuple(words), vectors)
+
+
+# The key of a row (its word or n-gram): everything up to the first ASCII
+# space or tab, after any leading ones. Other whitespace, such as U+00A0,
+# belongs to the key, as in the words fastText writes.
+_KEY = re.compile(r"[ \t]*([^ \t\n]*)")
+_LOADTXT = dict(dtype=np.float64, comments=None, quotechar=None, ndmin=2)
+
+
+def _read_float_rows(
+    path: str,
+    dim: int,
+    *,
+    first_lineno: int,
+    limit: int | None = None,
+    key: str | None = None,
+    error: type[ValueError] = VecFormatError,
+) -> tuple[list[str], np.ndarray]:
+    """The rows of ``dim`` floats in a text file, parsed by one streaming
+    ``np.loadtxt`` call; no line is kept in memory.
+
+    Rows start at line ``first_lineno``. With a ``limit`` (a .vec body),
+    exactly that many lines are read and a blank one is a malformed row;
+    without one, rows run to the end of the file and blank lines are
+    skipped. With ``key`` (the phrase naming it in messages, such as
+    "a word"), each row opens with a key that ends at the first ASCII
+    space or tab; a row whose key was seen before is dropped with a
+    warning. Returns the kept keys (empty without ``key``) and their rows.
+    A malformed or non-numeric row, then a short file, then a non-finite
+    value in a kept row raise ``error`` naming the first offending line;
+    a second, line-by-line pass finds the malformed or non-numeric one.
+    """
+    seen: dict[str, None] = {}  # the kept keys, in order
+    linenos: list[int] = []  # lines of the kept rows
+    dropped: list[int] = []  # positions of the rows dropped as repeats
+
+    def rows() -> Iterator[tuple[int, str | None, str]]:
+        """(line number, key, values text) of each row line."""
+        stop = None if limit is None else first_lineno - 1 + limit
+        with open(path, encoding="utf-8") as handle:
+            lines = itertools.islice(handle, first_lineno - 1, stop)
+            for lineno, line in enumerate(lines, start=first_lineno):
+                if limit is None and line.isspace():
+                    continue
+                if key is None:
+                    yield lineno, None, line
+                else:
+                    match = _KEY.match(line)
+                    yield lineno, match.group(1), line[match.end():]
+
+    def values() -> Iterator[str]:
+        for position, (lineno, row_key, text) in enumerate(rows()):
+            if not text or text.isspace():
+                raise ValueError("no values")  # loadtxt would skip the line
+            if row_key in seen:
+                logger.warning(
+                    "%s: line %d: duplicate %r, keeping the first occurrence",
+                    path, lineno, row_key,
+                )
+                dropped.append(position)
+            else:
+                if row_key is not None:
+                    seen[row_key] = None
+                linenos.append(lineno)
+            yield text
+
+    def first_fault(cause: ValueError | None) -> NoReturn:
+        """Parse the rows again one at a time, with the same parser, and
+        raise ``error`` for the first malformed or non-numeric one."""
+        expected = f"{dim} values" if key is None else f"{key} and {dim} values"
+        for lineno, _, text in rows():
+            found = len(text.split())
+            try:
+                row = np.loadtxt([text], **_LOADTXT) if found == dim else None
+            except ValueError as exc:
+                raise error(f"{path}: line {lineno}: non-numeric value") from exc
+            if row is None or row.shape != (1, dim):
+                raise error(f"{path}: line {lineno}: expected {expected}, found {found} values")
+        raise error(f"{path}: unreadable rows") from cause
+
+    stream = values()
+    try:
+        first = next(stream, None)  # loadtxt warns on an empty stream
+        matrix = (
+            np.zeros((0, dim))
+            if first is None
+            else np.loadtxt(itertools.chain([first], stream), **_LOADTXT)
+        )
+    except ValueError as exc:
+        first_fault(exc)
+    count = len(linenos) + len(dropped)
+    if matrix.shape != (count, dim):
+        first_fault(None)
+    if limit is not None and count < limit:
+        raise error(f"{path}: expected {limit} rows after the header, found {count}")
+    if dropped:
+        matrix = np.delete(matrix, dropped, axis=0)
+    keys = list(seen)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        where = f" in the vector of {keys[bad]!r}" if keys else ""
+        raise error(f"{path}: line {linenos[bad]}: non-finite value{where}")
+    return keys, matrix
 
 
 def save_vec_file(space: EmbeddingSpace, path: str) -> None:
@@ -349,28 +419,8 @@ def compose_oov(
 
 def load_ngram_table(path: str, dim: int) -> dict[str, np.ndarray]:
     """Read a header-less n-gram table; every row carries ``dim`` finite values."""
-    table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != dim + 1:
-                raise VecFormatError(
-                    f"{path}: line {lineno}: expected an n-gram and {dim} values"
-                )
-            gram = tokens[0]
-            if gram in table:
-                logger.warning("%s: line %d: duplicate n-gram %r", path, lineno, gram)
-                continue
-            try:
-                vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise VecFormatError(f"{path}: line {lineno}: non-numeric value") from exc
-            if not np.isfinite(vec).all():
-                raise VecFormatError(f"{path}: line {lineno}: non-finite value in {gram!r}")
-            table[gram] = vec
-    return table
+    grams, vectors = _read_float_rows(path, dim, first_lineno=1, key="an n-gram")
+    return dict(zip(grams, vectors))
 
 
 def top_by_cosine(

@@ -149,7 +149,7 @@ def _retrieve_many(
     winners, log_probs = retrieve(config.model, np.vstack(list(vectors.values())), target)
     if stats is not None:
         stats.retrievals += len(vectors)
-        stats.score_blocks += -(-len(vectors) // score_block_rows(len(target)))
+        stats.score_blocks += -(-len(vectors) // score_block_rows(target))
     return {
         word: (target.words[index], lp)
         for word, index, lp in zip(vectors, winners, log_probs)

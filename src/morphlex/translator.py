@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, nearest, top_by_cosine
+from .embeddings import EmbeddingSpace, _read_float_rows, nearest, top_by_cosine
 
 logger = logging.getLogger(__name__)
 
@@ -28,11 +28,14 @@ MODEL_VERSION = "v1"
 
 _PENALTY_NORM_FLOOR = 1e-12
 
-# Bytes of one block of target scores in ``retrieve``. A block has this
-# budget over the vocabulary size in rows (at least one), so memory stays
-# flat however many queries arrive. Its cosines take a second array of the
-# same size; the pair stays cache-sized, and larger blocks bought no speed
-# on a 16k x 300 target space, where even two rows stream the whole matrix.
+# Least bytes of one block of target scores in ``retrieve``; a block may
+# take a sixteenth of the target matrix instead when that is larger. The
+# budget over the vocabulary size gives the block's rows (at least one), so
+# memory stays flat however many queries arrive: with its second, cosine
+# array of the same size, a block adds at most twice this floor or an
+# eighth of the target matrix. The floor keeps small spaces' blocks
+# cache-sized; the share gives a 16k x 300 space blocks of 18 rows instead
+# of 1, and each block streams the target matrix once for all its rows.
 SCORE_BLOCK_BYTES = 1 << 16
 
 
@@ -356,9 +359,10 @@ def train(
     )
 
 
-def score_block_rows(vocab_size: int) -> int:
-    """Queries per block of ``retrieve``'s score matrix."""
-    return max(1, SCORE_BLOCK_BYTES // (8 * vocab_size))
+def score_block_rows(target_space: EmbeddingSpace) -> int:
+    """Queries per block of ``retrieve``'s score matrix over ``target_space``."""
+    budget = max(SCORE_BLOCK_BYTES, target_space.vectors.nbytes // 16)
+    return max(1, budget // (8 * len(target_space)))
 
 
 def retrieve(
@@ -381,7 +385,7 @@ def retrieve(
         raise ValueError("normalizer support exceeds the target space")
     projected = sources @ model.omega.T
     query_norms = np.linalg.norm(projected, axis=1)
-    step = score_block_rows(len(target_space))
+    step = score_block_rows(target_space)
     winners = np.empty(len(sources), dtype=np.intp)
     log_probs = np.empty(len(sources))
     for lo in range(0, len(sources), step):
@@ -451,20 +455,12 @@ def load_model(path: str) -> TranslationModel:
             n_t, n_s, support = int(header[2]), int(header[3]), int(header[4])
         except ValueError as exc:
             raise ModelFormatError(f"{path}: non-integer header field") from exc
-        rows = []
-        for lineno, line in enumerate(handle, start=2):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != n_s:
-                raise ModelFormatError(f"{path}: line {lineno}: expected {n_s} values")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise ModelFormatError(f"{path}: line {lineno}: non-numeric value") from exc
-    if len(rows) != n_t:
-        raise ModelFormatError(f"{path}: expected {n_t} rows, found {len(rows)}")
-    return TranslationModel(np.asarray(rows, dtype=np.float64), support)
+        if min(n_t, n_s, support) <= 0:
+            raise ModelFormatError(f"{path}: invalid header values")
+    _, omega = _read_float_rows(path, n_s, first_lineno=2, error=ModelFormatError)
+    if len(omega) != n_t:
+        raise ModelFormatError(f"{path}: expected {n_t} rows, found {len(omega)}")
+    return TranslationModel(omega, support)
 
 
 def load_model_metadata(path: str) -> dict | None:

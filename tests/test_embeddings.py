@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,39 @@ from morphlex.embeddings import (
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# Words as fastText writes them: no ASCII whitespace, but any other
+# character, including Unicode spaces such as U+00A0 and U+2003.
+vec_words = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters=" \t\n\r\x0b\x0c")
+    | st.sampled_from("\u00a0\u2003"),
+    min_size=1,
+    max_size=6,
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vec_spaces(draw):
+    words = draw(st.lists(vec_words, min_size=1, max_size=5, unique=True))
+    dim = draw(st.integers(1, 4))
+    values = draw(
+        st.lists(finite_floats | st.sampled_from([-0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
+                                                  -1.7976931348623157e308]),
+                 min_size=len(words) * dim, max_size=len(words) * dim)
+    )
+    return EmbeddingSpace(tuple(words), np.array(values).reshape(len(words), dim))
+
+
+def long_vec_text(bad_row, bad_lineno=1500, rows=2000, dim=3):
+    """A ``rows``-row .vec file whose line 11 repeats the word of line 2
+    and whose line ``bad_lineno`` is ``bad_row``."""
+    lines = [f"{rows} {dim}"]
+    for lineno in range(2, rows + 2):
+        word = "w2" if lineno == 11 else f"w{lineno}"
+        lines.append(bad_row if lineno == bad_lineno else f"{word} {lineno} 0.5 -1")
+    return "\n".join(lines) + "\n"
 
 
 class TestLoadVecFile:
@@ -85,6 +119,56 @@ class TestLoadVecFile:
         path = write(tmp_path / "a.vec", f"2 2\na 1 0\nb 0 {value}\n")
         with pytest.raises(VecFormatError, match="non-finite value in the vector of 'b'"):
             load_vec_file(path)
+
+    def test_word_with_no_break_space_loads(self, tmp_path):
+        # A word ends at the first ASCII space or tab; U+00A0 is part of it.
+        path = write(tmp_path / "a.vec", "2 2\na\u00a0b 1 0\nc 0 1\n")
+        space = load_vec_file(path)
+        assert space.words == ("a\u00a0b", "c")
+        np.testing.assert_array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_tab_after_word_and_trailing_space_load(self, tmp_path):
+        path = write(tmp_path / "a.vec", "2 2\na\t1 0\nc 0 1 \n")
+        space = load_vec_file(path)
+        assert space.words == ("a", "c")
+        np.testing.assert_array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("w1500 1 0.5", "expected a word and 3 values, found 2 values"),
+            ("w1500 1 0.5 -1 7", "expected a word and 3 values, found 4 values"),
+            ("w1500 1 x -1", "non-numeric value"),
+            ("", "expected a word and 3 values, found 0 values"),
+            ("w1500", "expected a word and 3 values, found 0 values"),
+            ("w1500 1 nan -1", "non-finite value in the vector of 'w1500'"),
+        ],
+    )
+    def test_late_fault_names_its_line(self, tmp_path, caplog, bad_row, message):
+        path = write(tmp_path / "a.vec", long_vec_text(bad_row))
+        with caplog.at_level("WARNING"), pytest.raises(VecFormatError) as info:
+            load_vec_file(path)
+        assert str(info.value) == f"{path}: line 1500: {message}"
+        assert any(
+            "line 11: duplicate" in rec.message and "'w2'" in rec.message for rec in caplog.records
+        )
+
+    def test_long_file_with_a_duplicate_loads_in_order(self, tmp_path):
+        path = write(tmp_path / "a.vec", long_vec_text("w1500 1500 0.5 -1"))
+        space = load_vec_file(path)
+        assert len(space) == 1999
+        assert space.words[:10] == tuple(f"w{n}" for n in range(2, 11)) + ("w12",)
+        np.testing.assert_array_equal(space.vector("w2"), [2.0, 0.5, -1.0])
+        np.testing.assert_array_equal(space.vectors[:, 0], [n for n in range(2, 2002) if n != 11])
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=vec_spaces())
+    def test_round_trip_property_is_bit_exact(self, tmp_path_factory, space):
+        out = tmp_path_factory.mktemp("vec") / "out.vec"
+        save_vec_file(space, str(out))
+        reloaded = load_vec_file(str(out), max_words=None)
+        assert reloaded.words == space.words
+        assert reloaded.vectors.tobytes() == space.vectors.tobytes()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -251,6 +335,17 @@ class TestNgramTable:
         path = write(tmp_path / "t.ngrams", f"<sa 1 {value}\n")
         with pytest.raises(VecFormatError, match="line 1: non-finite"):
             load_ngram_table(path, dim=2)
+
+    def test_non_finite_value_after_blank_lines_names_its_line(self, tmp_path):
+        path = write(tmp_path / "t.ngrams", "<ab 1 0\n\n  \nab> 0 1\n\n\t\n<sa 1 nan\nsal 0 0\n")
+        with pytest.raises(VecFormatError, match=re.escape(": line 7: non-finite value")):
+            load_ngram_table(path, dim=2)
+
+    def test_blank_lines_are_skipped_and_repeats_keep_the_first_row(self, tmp_path):
+        path = write(tmp_path / "t.ngrams", "\n<ab 1 0\n\n<ab 5 5\nb\u00a0c> 0 1\n")
+        table = load_ngram_table(path, dim=2)
+        assert list(table) == ["<ab", "b\u00a0c>"]
+        np.testing.assert_array_equal(table["<ab"], [1.0, 0.0])
 
 
 class TestNearest:

@@ -417,6 +417,14 @@ def retrieval_cases(draw):
 
 
 class TestRetrieve:
+    def test_block_rows_take_a_sixteenth_of_a_large_target(self):
+        # A 16k x 300 target gets blocks of 18 rows from a sixteenth of its
+        # 38.4 MB; a 960 x 24 target keeps the 64 KB floor's 8 rows.
+        large = EmbeddingSpace(tuple(map(str, range(16_000))), np.zeros((16_000, 300)))
+        small = EmbeddingSpace(tuple(map(str, range(960))), np.zeros((960, 24)))
+        assert translator.score_block_rows(large) == 18
+        assert translator.score_block_rows(small) == translator.SCORE_BLOCK_BYTES // (8 * 960) == 8
+
     @settings(max_examples=300, deadline=None)
     @given(retrieval_cases())
     def test_matches_per_query_reference(self, case):
@@ -446,7 +454,7 @@ class TestRetrieve:
         model = TranslationModel(rng.normal(size=(3, 3)), 5)
         sources = rng.normal(size=(7, 3))
         with mock.patch.object(translator, "SCORE_BLOCK_BYTES", 2 * 8 * 6):
-            assert translator.score_block_rows(len(space)) == 2
+            assert translator.score_block_rows(space) == 2
             winners, log_probs = retrieve(model, sources, space)
         for source, winner, lp in zip(sources, winners, log_probs):
             word = space.words[winner]
@@ -468,6 +476,48 @@ class TestModelFiles:
         assert np.array_equal(reloaded.omega, model.omega)
         assert reloaded.normalizer_vocab_size == 99
         assert load_model_metadata(path) == {"source_center": [0.0, 0.1, 0.2]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        data=st.data(),
+        support=st.integers(1, 10**6),
+    )
+    def test_round_trip_property_is_bit_exact(self, tmp_path_factory, shape, data, support):
+        special = st.sampled_from([-0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
+                                   -1.7976931348623157e308])
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | special,
+                                    min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        model = TranslationModel(np.array(values).reshape(shape), support)
+        path = str(tmp_path_factory.mktemp("model") / "m.omega")
+        save_model(model, path)
+        reloaded = load_model(path)
+        assert reloaded.omega.tobytes() == model.omega.tobytes()
+        assert reloaded.normalizer_vocab_size == support
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 0\n\n0 1 1\n", "line 4: expected 2 values, found 3 values"),
+            ("1 0\n0 x\n", "line 3: non-numeric value"),
+            ("1 0\n0 nan\n", "line 3: non-finite value"),
+            ("1 0\n", "expected 2 rows, found 1"),
+            ("1 0\n0 1\n1 1\n", "expected 2 rows, found 3"),
+        ],
+    )
+    def test_bad_rows_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "m.omega"
+        path.write_text("MORPHLEX-OMEGA v1 2 2 1\n" + body)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("sizes", ["2 -1 1", "0 2 1", "2 2 0"])
+    def test_non_positive_header_value_rejected(self, tmp_path, sizes):
+        path = tmp_path / "m.omega"
+        path.write_text(f"MORPHLEX-OMEGA v1 {sizes}\n1 0\n0 1\n")
+        with pytest.raises(ModelFormatError, match="invalid header values"):
+            load_model(str(path))
 
     def test_missing_metadata_is_none(self, tmp_path):
         model = TranslationModel(np.eye(2), 1)
