@@ -27,7 +27,6 @@ from .embeddings import (
     VecFormatError,
     apply_preprocessing,
     compose_oov,
-    ensure_preprocessed,
     load_ngram_table,
     load_space,
     save_space,
@@ -128,6 +127,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _train_config_value(field):
+    """The argparse type of a ``TrainConfig`` field: ``TrainConfig`` checks
+    the value, with every other field at its default."""
+    convert = type(field.default)
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            TrainConfig(**{field.name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _echo_overrides(args: argparse.Namespace) -> None:
     stock = {**asdict(TrainConfig()), "max_words": DEFAULT_MAX_WORDS}
     for name in _ECHOED_FLAGS:
@@ -160,18 +182,10 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
         handle.write("\n")
 
 
-def _load_preprocessed_space(path: str, max_words: int):
-    space = load_space(path, max_words=max_words)
-    space, zero_words = ensure_preprocessed(space)
-    if zero_words:
-        logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
-    return space
-
-
 def cmd_train_translator(args: argparse.Namespace) -> int:
     _echo_overrides(args)
-    source_space = _load_preprocessed_space(args.src, args.max_words)
-    target_space = _load_preprocessed_space(args.tgt, args.max_words)
+    source_space = load_space(args.src, args.max_words, preprocessed=True)
+    target_space = load_space(args.tgt, args.max_words, preprocessed=True)
     seed_pairs = read_seed_dictionary(args.seed_dict)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     result = train(seed_pairs, source_space, target_space, config)
@@ -230,8 +244,8 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
 
 def _build_joint_config(args: argparse.Namespace) -> JointConfig:
     model = load_model(args.model)
-    source_space = _load_preprocessed_space(args.src, args.max_words)
-    target_space = _load_preprocessed_space(args.tgt, args.max_words)
+    source_space = load_space(args.src, args.max_words, preprocessed=True)
+    target_space = load_space(args.tgt, args.max_words, preprocessed=True)
     analyzer = load_rule_table(args.analyzer) if args.analyzer else None
     inflector = load_rule_table(args.inflector) if args.inflector else None
     ngram_table = load_ngram_table(args.ngrams, source_space.dim) if args.ngrams else None
@@ -402,7 +416,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_max_words(p):
-        p.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS,
+        p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
                        help="vocabulary cap per space (default %(default)s)")
 
     p = commands.add_parser("train-translator", help="fit the log-bilinear mapping")
@@ -411,7 +425,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed-dict", required=True, help="seed dictionary TSV")
     p.add_argument("--out", required=True, help="output model file")
     for f in fields(TrainConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default,
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=_train_config_value(f), default=f.default,
                        help="(default %(default)s)")
     add_max_words(p)
     p.set_defaults(func=cmd_train_translator)
@@ -447,8 +461,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dict", required=True, help="evaluation dictionary TSV")
     p.add_argument("--out-prefix", required=True, help="prefix for report files")
     p.add_argument("--oracle-analyses", help="form<TAB>lemma<TAB>tag file for oracle mode")
-    p.add_argument("--bin-width", type=int, default=10_000)
-    p.add_argument("--num-bins", type=int, default=10)
+    p.add_argument("--bin-width", type=_positive_int, default=10_000)
+    p.add_argument("--num-bins", type=_positive_int, default=10)
     p.add_argument("--min-tag-count", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)

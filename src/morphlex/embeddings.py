@@ -12,8 +12,8 @@ import json
 import logging
 import os
 import re
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, NoReturn
+from dataclasses import InitVar, dataclass, replace
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class EmbeddingSpace:
     ``composed_flags``; they never displace the ranks of file-loaded
     words. Instances are treated as immutable once built: preprocessing
     returns new spaces, so concurrent reads are safe.
+
+    The constructor stores a read-only copy of ``vectors``, so the
+    caller's array is never touched. ``_adopt=True`` stores the array
+    itself: only for a fresh float64 matrix this module has just made.
     """
 
     words: tuple[str, ...]
@@ -52,10 +56,11 @@ class EmbeddingSpace:
     composed_flags: np.ndarray | None = None
     unit_normalized: bool = False
     center: np.ndarray | None = None
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _adopt: bool) -> None:
         self.words = tuple(self.words)
-        vectors = np.array(self.vectors, dtype=np.float64)
+        vectors = self.vectors if _adopt else np.array(self.vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-d matrix")
         if vectors.shape[0] != len(self.words):
@@ -155,6 +160,7 @@ class EmbeddingSpace:
             words=tuple(new_words),
             vectors=np.vstack(new_rows),
             composed_flags=flags,
+            _adopt=True,
         )
 
 
@@ -165,6 +171,12 @@ def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> Embed
     with a warning); malformed rows, non-finite values and a file shorter
     than its header promises raise VecFormatError.
     """
+    words, vectors = _read_vec_file(path, max_words)
+    return EmbeddingSpace(tuple(words), vectors, _adopt=True)
+
+
+def _read_vec_file(path: str, max_words: int | None) -> tuple[list[str], np.ndarray]:
+    """The words and a fresh matrix of the rows ``load_vec_file`` keeps."""
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         fields = header.split()
@@ -177,8 +189,7 @@ def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> Embed
         if count < 0 or dim <= 0:
             raise VecFormatError(f"{path}: invalid header values in {header!r}")
         limit = count if max_words is None else min(count, max_words)
-    words, vectors = _read_float_rows(path, dim, first_lineno=2, limit=limit, key="a word")
-    return EmbeddingSpace(tuple(words), vectors)
+    return _read_float_rows(path, dim, first_lineno=2, limit=limit, key="a word")
 
 
 # The key of a row (its word or n-gram): everything up to the first ASCII
@@ -212,8 +223,8 @@ def _read_float_rows(
     a second, line-by-line pass finds the malformed or non-numeric one.
     """
     seen: dict[str, None] = {}  # the kept keys, in order
-    linenos: list[int] = []  # lines of the kept rows
     dropped: list[int] = []  # positions of the rows dropped as repeats
+    count = 0  # rows read
 
     def rows() -> Iterator[tuple[int, str | None, str]]:
         """(line number, key, values text) of each row line."""
@@ -230,6 +241,7 @@ def _read_float_rows(
                     yield lineno, match.group(1), line[match.end():]
 
     def values() -> Iterator[str]:
+        nonlocal count
         for position, (lineno, row_key, text) in enumerate(rows()):
             if not text or text.isspace():
                 raise ValueError("no values")  # loadtxt would skip the line
@@ -239,10 +251,9 @@ def _read_float_rows(
                     path, lineno, row_key,
                 )
                 dropped.append(position)
-            else:
-                if row_key is not None:
-                    seen[row_key] = None
-                linenos.append(lineno)
+            elif row_key is not None:
+                seen[row_key] = None
+            count += 1
             yield text
 
     def first_fault(cause: ValueError | None) -> NoReturn:
@@ -269,7 +280,6 @@ def _read_float_rows(
         )
     except ValueError as exc:
         first_fault(exc)
-    count = len(linenos) + len(dropped)
     if matrix.shape != (count, dim):
         first_fault(None)
     if limit is not None and count < limit:
@@ -281,7 +291,9 @@ def _read_float_rows(
     if not finite.all():
         bad = int(np.argmin(finite))
         where = f" in the vector of {keys[bad]!r}" if keys else ""
-        raise error(f"{path}: line {linenos[bad]}: non-finite value{where}")
+        position = int(np.delete(np.arange(count), dropped)[bad])
+        lineno = next(itertools.islice(rows(), position, None))[0]
+        raise error(f"{path}: line {lineno}: non-finite value{where}")
     return keys, matrix
 
 
@@ -314,63 +326,76 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
         handle.write("\n")
 
 
-def load_space(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> EmbeddingSpace:
-    """Load a .vec file, restoring sidecar metadata when present."""
-    space = load_vec_file(path, max_words=max_words)
-    meta_file = metadata_path(path)
-    if not os.path.exists(meta_file):
-        return space
-    with open(meta_file, encoding="utf-8") as handle:
-        meta = json.load(handle)
-    composed = set(meta.get("composed", []))
-    flags = np.array([w in composed for w in space.words], dtype=bool)
-    center = meta.get("center")
-    return replace(
-        space,
-        composed_flags=flags,
-        unit_normalized=bool(meta.get("unit_normalized", False)),
-        center=None if center is None else np.asarray(center, dtype=np.float64),
-    )
+def load_space(
+    path: str, max_words: int | None = DEFAULT_MAX_WORDS, *, preprocessed: bool = False
+) -> EmbeddingSpace:
+    """Load a .vec file, restoring sidecar metadata when present.
 
-
-def length_normalize(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
-    """Scale every row to unit Euclidean norm.
-
-    Zero rows cannot be normalized; they are left unchanged and returned
-    in the warning list.
+    With ``preprocessed``, the space is then given whichever preprocessing
+    step it has not had (see ``preprocess``), in place on the one parsed
+    matrix, and its zero rows draw one warning naming the file.
     """
-    norms = np.linalg.norm(space.vectors, axis=1)
-    zero = norms == 0.0
-    scaled = space.vectors / np.where(zero, 1.0, norms)[:, None]
-    zero_words = [space.words[i] for i in np.flatnonzero(zero)]
-    if zero_words:
-        logger.warning("length_normalize: %d zero rows left unchanged", len(zero_words))
-    return replace(space, vectors=scaled, unit_normalized=True), zero_words
+    words, vectors = _read_vec_file(path, max_words)
+    flags, unit_normalized, center = None, False, None
+    meta_file = metadata_path(path)
+    if os.path.exists(meta_file):
+        with open(meta_file, encoding="utf-8") as handle:
+            meta = json.load(handle)
+        composed = set(meta.get("composed", []))
+        flags = np.array([w in composed for w in words], dtype=bool)
+        unit_normalized = bool(meta.get("unit_normalized", False))
+        center = meta.get("center")
+        center = None if center is None else np.asarray(center, dtype=np.float64)
+    if preprocessed:
+        zero_words, center = _preprocess_in_place(words, vectors, unit_normalized, center)
+        if zero_words:
+            logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
+        unit_normalized = True
+    return EmbeddingSpace(tuple(words), vectors, flags, unit_normalized, center, _adopt=True)
 
 
-def mean_center(space: EmbeddingSpace) -> EmbeddingSpace:
-    """Subtract the per-coordinate mean of all rows from every row."""
-    if len(space) == 0:
-        raise ValueError("cannot mean-center an empty space")
-    mean = space.vectors.mean(axis=0)
-    total = mean if space.center is None else space.center + mean
-    return replace(space, vectors=space.vectors - mean, center=total)
+# Rows per np.linalg.norm call when normalizing: the call squares its
+# input, so one call over the whole matrix would need a second matrix.
+_NORM_BLOCK_ROWS = 1024
+
+
+def _preprocess_in_place(
+    words: Sequence[str],
+    vectors: np.ndarray,
+    unit_normalized: bool,
+    center: np.ndarray | None,
+) -> tuple[list[str], np.ndarray]:
+    """``preprocess`` on a matrix this module owns, in place. Returns the
+    words of the zero rows and the center."""
+    zero_words: list[str] = []
+    if not unit_normalized:
+        for start in range(0, len(vectors), _NORM_BLOCK_ROWS):
+            block = vectors[start : start + _NORM_BLOCK_ROWS]
+            norms = np.linalg.norm(block, axis=1)
+            zero = norms == 0.0
+            norms[zero] = 1.0
+            block /= norms[:, None]
+            zero_words.extend(words[start + i] for i in np.flatnonzero(zero))
+    if center is None:
+        if len(vectors) == 0:
+            raise ValueError("cannot mean-center an empty space")
+        center = vectors.mean(axis=0)
+        vectors -= center
+    return zero_words, center
 
 
 def preprocess(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
-    """Length-normalize, then mean-center, in that order."""
-    normalized, zero_words = length_normalize(space)
-    return mean_center(normalized), zero_words
-
-
-def ensure_preprocessed(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
-    """Apply whichever of the two preprocessing steps has not run yet."""
-    zero_words: list[str] = []
-    if not space.unit_normalized:
-        space, zero_words = length_normalize(space)
-    if space.center is None:
-        space = mean_center(space)
-    return space, zero_words
+    """Length-normalize unless ``unit_normalized`` is set, then subtract
+    the mean of all rows and store it as ``center`` unless a center is
+    set. Zero rows stay unchanged and are returned in the warning list; an
+    empty space cannot be centered (ValueError). The input is not changed.
+    """
+    vectors = np.array(space.vectors)
+    zero_words, center = _preprocess_in_place(
+        space.words, vectors, space.unit_normalized, space.center
+    )
+    processed = replace(space, vectors=vectors, unit_normalized=True, center=center, _adopt=True)
+    return processed, zero_words
 
 
 def apply_preprocessing(space: EmbeddingSpace, vec: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 import json
 import logging
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import pytest
 from morphlex.cli import EXIT_DATA, EXIT_OK, EXIT_UNTRAINABLE, EXIT_USAGE, main
 from morphlex.embeddings import load_space, save_vec_file
 from morphlex.synthetic import build_bilingual_task
+
+SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +338,23 @@ class TestTranslate:
             lines[0],
         )
 
+    def test_zero_rows_warn_once_naming_the_file(self, corpus, trained, tmp_path, caplog):
+        lines = pathlib.Path(corpus["src"]).read_text().splitlines()
+        dim = int(lines[0].split()[1])
+        for i in (3, 5):
+            lines[i] = lines[i].split()[0] + " 0.0" * dim
+        src = tmp_path / "src.vec"
+        src.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING):
+            code = main([
+                "translate", "--model", trained["model"], "--src", str(src),
+                "--tgt", corpus["tgt"], "--mode", "direct",
+                "--input", corpus["forms"], "--output", str(tmp_path / "preds.tsv"),
+            ])
+        assert code == EXIT_OK
+        zero = [r.getMessage() for r in caplog.records if "zero" in r.getMessage()]
+        assert zero == [f"{src}: 2 zero vectors could not be normalized"]
+
 
 class TestEvaluate:
     def test_report_files_written(self, corpus, trained, tmp_path, capsys):
@@ -480,3 +502,40 @@ class TestDeterminism:
         first = run(tmp_path / "run1")
         second = run(tmp_path / "run2")
         assert first == second
+
+
+class TestBadFlagValues:
+    """Out-of-range flag values end at parse time, in a usage error."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("translate", "--max-words", "0"),
+            ("translate", "--max-words", "-5"),
+            ("evaluate", "--bin-width", "0"),
+            ("evaluate", "--num-bins", "-1"),
+            ("train-translator", "--batch-size", "0"),
+            ("train-translator", "--dev-fraction", "1.5"),
+        ],
+    )
+    def test_usage_error_without_traceback(self, corpus, trained, tmp_path, command, flag, value):
+        spaces = ["--src", corpus["src"], "--tgt", corpus["tgt"]]
+        pipeline = ["--model", trained["model"], *spaces, "--mode", "direct"]
+        argv = {
+            "translate": [*pipeline, "--input", corpus["forms"], "--output", str(tmp_path / "p")],
+            "evaluate": [*pipeline, "--dict", corpus["eval"], "--out-prefix", str(tmp_path / "r")],
+            "train-translator": [*spaces, "--seed-dict", corpus["seed"],
+                                 "--out", str(tmp_path / "m"), "--max-epochs", "1"],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [SRC_DIR] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-m", "morphlex.cli", command, *argv, flag, value],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == EXIT_USAGE
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("usage: morphlex " + command)
+        assert f"error: argument {flag}:" in result.stderr
+        assert not list(tmp_path.iterdir())

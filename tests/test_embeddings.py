@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +13,13 @@ from morphlex.embeddings import (
     VecFormatError,
     WordNotFoundError,
     compose_oov,
-    length_normalize,
     load_ngram_table,
+    load_space,
     load_vec_file,
-    mean_center,
     nearest,
     ngrams,
     preprocess,
+    save_space,
     save_vec_file,
 )
 
@@ -211,28 +212,39 @@ class TestSpaceInvariants:
             space.with_composed([("a", np.zeros(2))])
 
 
+def normalize_only(space):
+    """``preprocess`` of a space marked centered (at the origin) only
+    length-normalizes."""
+    return preprocess(replace(space, center=np.zeros(space.dim)))
+
+
+def center_only(space):
+    """``preprocess`` of a space marked unit-normalized only centers."""
+    return preprocess(replace(space, unit_normalized=True))[0]
+
+
 class TestLengthNormalize:
     def test_three_four_five(self):
         space = EmbeddingSpace(("w",), np.array([[3.0, 4.0]]))
-        normalized, warnings = length_normalize(space)
+        normalized, warnings = normalize_only(space)
         np.testing.assert_allclose(normalized.vectors[0], [0.6, 0.8])
         assert warnings == []
 
     def test_zero_row_warned_and_unchanged(self):
         space = EmbeddingSpace(("z", "w"), np.array([[0.0, 0.0], [1.0, 0.0]]))
-        normalized, warnings = length_normalize(space)
+        normalized, warnings = normalize_only(space)
         np.testing.assert_array_equal(normalized.vectors[0], [0.0, 0.0])
         assert warnings == ["z"]
 
     def test_unit_row_unchanged(self):
         space = EmbeddingSpace(("w",), np.array([[1.0, 0.0]]))
-        normalized, _ = length_normalize(space)
+        normalized, _ = normalize_only(space)
         np.testing.assert_allclose(normalized.vectors[0], [1.0, 0.0])
 
     def test_all_rows_unit_norm(self):
         rng = np.random.default_rng(0)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(20)), rng.normal(size=(20, 7)))
-        normalized, _ = length_normalize(space)
+        normalized, _ = normalize_only(space)
         norms = np.linalg.norm(normalized.vectors, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
@@ -240,12 +252,12 @@ class TestLengthNormalize:
 class TestMeanCenter:
     def test_two_point_symmetry(self):
         space = EmbeddingSpace(("a", "b"), np.array([[1.0, 1.0], [3.0, 3.0]]))
-        centered = mean_center(space)
+        centered = center_only(space)
         np.testing.assert_allclose(centered.vectors, [[-1.0, -1.0], [1.0, 1.0]])
 
     def test_single_row_goes_to_zero(self):
         space = EmbeddingSpace(("a",), np.array([[5.0, 7.0]]))
-        centered = mean_center(space)
+        centered = center_only(space)
         np.testing.assert_allclose(centered.vectors, [[0.0, 0.0]])
 
     def test_idempotent_on_centered_data(self):
@@ -253,20 +265,103 @@ class TestMeanCenter:
         rows = rng.normal(size=(6, 3))
         rows -= rows.mean(axis=0)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(6)), rows)
-        centered = mean_center(space)
+        centered = center_only(space)
         np.testing.assert_allclose(centered.vectors, rows, atol=1e-12)
 
     def test_empty_space_errors(self):
         space = EmbeddingSpace((), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            mean_center(space)
+            center_only(space)
 
     def test_mean_is_zero_after(self):
         rng = np.random.default_rng(2)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(9)), rng.normal(size=(9, 4)))
-        centered = mean_center(space)
+        centered = center_only(space)
         np.testing.assert_allclose(centered.vectors.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(centered.center, space.vectors.mean(axis=0))
+
+
+def reference_preprocess(vectors, unit_normalized=False, center=None):
+    """Preprocessing with whole-matrix arithmetic: norms of every row in
+    one ``np.linalg.norm`` call, division by the norms with zero norms
+    replaced by 1, then subtraction of the mean of all rows."""
+    if not unit_normalized:
+        norms = np.linalg.norm(vectors, axis=1)
+        vectors = vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
+    if center is None:
+        center = vectors.mean(axis=0)
+        vectors = vectors - center
+    return vectors, center
+
+
+@st.composite
+def stored_spaces(draw):
+    """A space with zero rows, a row count that is often not a multiple of
+    the normalization block, composed rows or none, and a sidecar that
+    marks it raw, normalized only or fully preprocessed, or no sidecar."""
+    rows = draw(st.integers(1, 2600) | st.sampled_from([1023, 1024, 1025, 2048]))
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(rows, dim))
+    vectors[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0.0
+    composed = np.zeros(rows, dtype=bool)
+    composed[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = True
+    state = draw(st.sampled_from(["no sidecar", "raw", "normalized", "preprocessed"]))
+    center = rng.normal(size=dim) if state == "preprocessed" else None
+    space = EmbeddingSpace(
+        tuple(f"w{i}" for i in range(rows)), vectors, composed,
+        unit_normalized=state in ("normalized", "preprocessed"), center=center,
+    )
+    return space, state
+
+
+class TestPreprocessBits:
+    @settings(max_examples=40, deadline=None)
+    @given(stored=stored_spaces())
+    def test_load_and_preprocess_match_the_reference_bit_for_bit(self, tmp_path_factory, stored):
+        space, state = stored
+        path = str(tmp_path_factory.mktemp("vec") / "s.vec")
+        if state == "no sidecar":
+            save_vec_file(space, path)
+        else:
+            save_space(space, path)
+        expected, expected_center = reference_preprocess(
+            space.vectors, space.unit_normalized, space.center
+        )
+        before = space.vectors.tobytes()
+        loaded = load_space(path, max_words=None, preprocessed=True)
+        processed, _ = preprocess(space)
+        assert space.vectors.tobytes() == before
+        loaded_flags = np.zeros(len(space), bool) if state == "no sidecar" else space.composed_flags
+        for result, flags in ((loaded, loaded_flags), (processed, space.composed_flags)):
+            assert result.vectors.tobytes() == expected.tobytes()
+            assert result.center.tobytes() == expected_center.tobytes()
+            assert result.unit_normalized and not result.vectors.flags.writeable
+            np.testing.assert_array_equal(result.composed_flags, flags)
+
+    def test_constructor_copies_the_callers_array(self):
+        array = np.arange(6.0).reshape(3, 2)
+        space = EmbeddingSpace(("a", "b", "c"), array)
+        preprocess(space)
+        assert array.flags.writeable and not space.vectors.flags.writeable
+        np.testing.assert_array_equal(array, np.arange(6.0).reshape(3, 2))
+        assert not np.shares_memory(array, space.vectors)
+
+    def test_load_and_preprocess_peak_memory_is_one_matrix(self, tmp_path):
+        # Parsing, normalizing and centering hold one matrix, plus the
+        # parser's growth slack and the words: not a copy per step.
+        rng = np.random.default_rng(12)
+        path = str(tmp_path / "big.vec")
+        save_vec_file(EmbeddingSpace(tuple(f"w{i}" for i in range(4000)),
+                                     rng.normal(size=(4000, 50))), path)
+        tracemalloc.start()
+        try:
+            space = load_space(path, preprocessed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.vectors.shape == (4000, 50)
+        assert peak <= 1.5 * space.vectors.nbytes
 
 
 class TestComposeOov:
@@ -393,7 +488,7 @@ class TestNearest:
     def test_cosine_equals_dot_after_normalize(self):
         rng = np.random.default_rng(4)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(30)), rng.normal(size=(30, 5)))
-        normalized, _ = length_normalize(space)
+        normalized, _ = normalize_only(space)
         query = rng.normal(size=5)
         query /= np.linalg.norm(query)
         for word, score in nearest(normalized, query, 30):
@@ -419,7 +514,7 @@ class TestPreprocess:
         rng = np.random.default_rng(8)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(12)), rng.normal(size=(12, 4)))
         processed, _ = preprocess(space)
-        normalized, _ = length_normalize(space)
+        normalized, _ = normalize_only(space)
         np.testing.assert_allclose(
             processed.vectors, normalized.vectors - normalized.vectors.mean(axis=0)
         )

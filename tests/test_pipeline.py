@@ -394,6 +394,25 @@ class TestTranslateMany:
             )
         assert {ROUTE_LEMMA, ROUTE_DIRECT, UntranslatableError, UnknownTagError} <= seen
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mode=st.sampled_from([MODE_BASE, MODE_HYBRID, MODE_ORACLE, MODE_DIRECT]),
+        pairs=st.lists(st.tuples(st.text(max_size=10), st.integers(0, 2**16)), max_size=8),
+        lemmas=st.lists(st.text(max_size=10), min_size=1, max_size=3),
+    )
+    def test_every_slot_is_a_candidate_or_a_declared_error(self, mode, pairs, lemmas):
+        # Arbitrary text, not only the pool's forms: whatever the form or
+        # gold, a slot holds a result or a declared error, never a stray one.
+        config, _, pool_golds = batch_world()
+        tags = sorted({g[1] for g in pool_golds if g}, key=str)
+        golds = pool_golds + [(lemma, tag) for lemma in lemmas for tag in tags]
+        forms = [form for form, _ in pairs]
+        slot_golds = [golds[i % len(golds)] for _, i in pairs]
+        results = translate_many(replace(config, mode=mode), forms, slot_golds)
+        assert len(results) == len(forms)
+        for result in results:
+            assert isinstance(result, (TranslationCandidate, *TRANSLATION_ERRORS))
+
     def test_stats_count_distinct_forms_and_retrievals(self):
         config = replace(tiny_setup(), mode=MODE_DIRECT)
         stats = BatchStats()
