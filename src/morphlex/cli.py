@@ -16,6 +16,7 @@ import json
 import logging
 import platform
 import sys
+from collections import OrderedDict
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -90,9 +91,15 @@ EXIT_UNTRAINABLE = 3
 NONE_FIELD = "<NONE>"
 
 # translate reads its input in blocks of this many lines, one batched
-# translate_many call each: large enough to share the retrievals of repeated
-# forms, small enough to keep memory flat on a long stream.
+# translate_many call each for the lines it has not translated before:
+# large enough to share the retrievals of new forms, small enough to keep
+# memory flat on a long stream.
 INPUT_BLOCK_LINES = 1024
+
+# The most (form, gold) keys whose output lines translate keeps across
+# blocks, evicting the oldest first: a few MB at worst, so memory stays
+# flat on an unbounded stream while repeated forms are translated once.
+LINE_CACHE_KEYS = 16 * INPUT_BLOCK_LINES
 
 # Flags whose overrides of the stock value get echoed for provenance.
 _ECHOED_FLAGS = ("alpha", "learning_rate", "min_learning_rate", "batch_size", "max_words")
@@ -292,19 +299,34 @@ def cmd_translate(args: argparse.Namespace) -> int:
     config = _build_joint_config(args)
     in_handle = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     out_handle = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    oracle = config.mode == MODE_ORACLE
     stats = BatchStats()
+    # (form, gold) -> output line; gold is None outside oracle mode, as in
+    # translate_many's own deduplication.
+    cache: OrderedDict[tuple, str] = OrderedDict()
     try:
         lines = (raw.rstrip("\n") for raw in in_handle if raw.strip())
         for block in iter(lambda: list(itertools.islice(lines, INPUT_BLOCK_LINES)), []):
-            forms = [line.partition("\t")[0] for line in block]
-            golds = [_oracle_gold(line) for line in block] if config.mode == MODE_ORACLE else None
-            for form, result in zip(forms, translate_many(config, forms, golds, stats)):
+            keys = [(line.partition("\t")[0], _oracle_gold(line) if oracle else None)
+                    for line in block]
+            # The block's own lines, kept apart from the cache, which may
+            # evict some of them before the block is written.
+            block_lines = {key: cache.get(key) for key in keys}
+            fresh = [key for key, line in block_lines.items() if line is None]
+            results = translate_many(
+                config, [form for form, _ in fresh], [gold for _, gold in fresh], stats
+            )
+            for (form, gold), result in zip(fresh, results):
                 if isinstance(result, TranslationCandidate):
-                    out_handle.write(
-                        f"{form}\t{result.form}\t{result.route}\t{joint_log_prob(result):.6f}\n"
-                    )
+                    line = f"{form}\t{result.form}\t{result.route}\t{joint_log_prob(result):.6f}\n"
                 else:
-                    out_handle.write(f"{form}\t{NONE_FIELD}\t-\t-\n")
+                    line = f"{form}\t{NONE_FIELD}\t-\t-\n"
+                block_lines[form, gold] = line
+                if len(cache) >= LINE_CACHE_KEYS:
+                    cache.popitem(last=False)
+                cache[form, gold] = line
+            stats.forms += len(keys) - len(fresh)
+            out_handle.write("".join(block_lines[key] for key in keys))
     finally:
         if in_handle is not sys.stdin:
             in_handle.close()

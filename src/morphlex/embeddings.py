@@ -333,9 +333,12 @@ def load_space(
 
     With ``preprocessed``, the space is then given whichever preprocessing
     step it has not had (see ``preprocess``), in place on the one parsed
-    matrix, and its zero rows draw one warning naming the file.
+    matrix, and its zero rows draw one warning naming the file; a file
+    with no rows is a ``VecFormatError``, as there is nothing to preprocess.
     """
     words, vectors = _read_vec_file(path, max_words)
+    if preprocessed and not words:
+        raise VecFormatError(f"{path}: no vectors to preprocess")
     flags, unit_normalized, center = None, False, None
     meta_file = metadata_path(path)
     if os.path.exists(meta_file):

@@ -71,8 +71,9 @@ class TranslationCandidate:
 
 @dataclass
 class BatchStats:
-    """Work counts summed over ``translate_many`` calls: forms asked,
-    distinct forms within each call, retrieved rows and score blocks."""
+    """Work counts summed over ``translate_many`` calls: forms asked (the
+    CLI's ``translate`` adds the lines its cache answered), distinct forms
+    within each call, retrieved rows and score blocks."""
 
     forms: int = 0
     distinct_forms: int = 0

@@ -1,3 +1,6 @@
+import functools
+import io
+import itertools
 import json
 import logging
 import os
@@ -5,15 +8,44 @@ import pathlib
 import re
 import subprocess
 import sys
+from collections import OrderedDict
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morphlex import cli
+from morphlex.baseline import procrustes_fit
 from morphlex.cli import EXIT_DATA, EXIT_OK, EXIT_UNTRAINABLE, EXIT_USAGE, main
-from morphlex.embeddings import load_space, save_vec_file
+from morphlex.embeddings import load_space, ngrams, save_vec_file
+from morphlex.morph import learn_analyzer, learn_inflector
+from morphlex.pipeline import (
+    MODE_DIRECT,
+    MODE_HYBRID,
+    MODE_ORACLE,
+    JointConfig,
+    TranslationCandidate,
+    joint_log_prob,
+    translate_many,
+)
 from morphlex.synthetic import build_bilingual_task
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m morphlex.cli`` with this checkout's sources, in a child
+    process, so that a traceback shows on its stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC_DIR] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    )}
+    return subprocess.run(
+        [sys.executable, "-m", "morphlex.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +387,161 @@ class TestTranslate:
         zero = [r.getMessage() for r in caplog.records if "zero" in r.getMessage()]
         assert zero == [f"{src}: 2 zero vectors could not be normalized"]
 
+    def test_verbose_counts_each_distinct_line_once_across_blocks(
+        self, corpus, trained, tmp_path, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "INPUT_BLOCK_LINES", 2)
+        distinct = pathlib.Path(corpus["forms"]).read_text().split()
+        forms = tmp_path / "forms.txt"
+        forms.write_text("".join(f"{form}\n" * 4 for form in distinct))
+        with caplog.at_level(logging.INFO, logger="morphlex.cli"):
+            assert main([
+                "--verbose", "translate", "--model", trained["model"], "--src", corpus["src"],
+                "--tgt", corpus["tgt"], "--mode", "direct",
+                "--input", str(forms), "--output", str(tmp_path / "preds.tsv"),
+            ]) == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphlex.cli"]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"translate: 12 forms, 3 distinct, 3 retrievals in 3 score blocks "
+            r"\(0\.2500 retrievals per form\)",
+            lines[0],
+        )
+        assert len((tmp_path / "preds.tsv").read_text().splitlines()) == 12
+
+
+@functools.lru_cache(maxsize=None)
+def stream_world():
+    """An in-memory config and a pool of ``translate`` input lines:
+    vocabulary forms, composable and uncomposable OOV forms, unanalyzable
+    forms, and oracle lines whose tags list the same features in another
+    order, lack a column or do not parse."""
+    task = build_bilingual_task(seed=4, n_lexemes=16, dim=6)
+    rng = np.random.default_rng(4)
+    grams = sorted({g for word in task.source_space.words for g in ngrams(word)})
+    config = JointConfig(
+        MODE_HYBRID,
+        procrustes_fit(task.seed_pairs, task.source_space, task.target_space),
+        task.source_space,
+        task.target_space,
+        learn_analyzer(task.source_unimorph),
+        learn_inflector(task.target_unimorph),
+        {g: rng.normal(size=6) for g in grams},
+    )
+    vocabulary = list(task.source_space.words[::4])
+    lines = vocabulary + ["z" + w for w in vocabulary[:3]] + ["qqqq", "xq"]
+    for form, (lemma, tag) in sorted(task.gold_analyses.items())[:4]:
+        lines.append(form)
+        lines.append(f"{form}\t{lemma}\t{tag.canonical}")
+        lines.append(f"{form}\t{lemma}\t{';'.join(reversed(tag.features)).lower()}")
+    lines += [f"{vocabulary[0]}\tno-tag", "qqqq\tqq\tV;PRS", f"{vocabulary[1]}\tx\tN;;PL"]
+    return config, lines
+
+
+def translate_stream(mode: str, text: str, block_lines: int, cache_keys: int):
+    """stdout and stderr of ``translate`` reading ``text`` on stdin, with
+    ``stream_world``'s config, in blocks of ``block_lines`` lines and a
+    cache of at most ``cache_keys`` keys."""
+    config, _ = stream_world()
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.multiple(
+        cli,
+        INPUT_BLOCK_LINES=block_lines,
+        LINE_CACHE_KEYS=cache_keys,
+        _build_joint_config=lambda args: replace(config, mode=mode),
+    ), mock.patch.multiple(sys, stdin=io.StringIO(text), stdout=out, stderr=err):
+        argv = ["translate", "--model", "m", "--src", "s", "--tgt", "t", "--mode", mode,
+                "--analyzer", "a", "--inflector", "i"]
+        assert main(argv) == EXIT_OK
+    return out.getvalue(), err.getvalue()
+
+
+def uncached_translation(mode: str, text: str) -> str:
+    """The output of one ``translate_many`` call over every line of
+    ``text``, formatted as ``translate`` writes it."""
+    config, _ = stream_world()
+    lines = [line for line in text.splitlines() if line.strip()]
+    forms = [line.partition("\t")[0] for line in lines]
+    with mock.patch.object(sys, "stderr", io.StringIO()):
+        golds = [cli._oracle_gold(line) for line in lines]
+    results = translate_many(replace(config, mode=mode), forms, golds)
+    return "".join(
+        f"{form}\t{r.form}\t{r.route}\t{joint_log_prob(r):.6f}\n"
+        if isinstance(r, TranslationCandidate) else f"{form}\t<NONE>\t-\t-\n"
+        for form, r in zip(forms, results)
+    )
+
+
+def assert_same_translations(output: str, expected: str) -> None:
+    """Equal outputs, but for the last printed digit of a log-probability:
+    batches of other sizes sum the same products in another order."""
+    rows = [line.split("\t") for line in output.splitlines()]
+    expected_rows = [line.split("\t") for line in expected.splitlines()]
+    assert [row[:3] for row in rows] == [row[:3] for row in expected_rows]
+    for row, expected_row in zip(rows, expected_rows):
+        if expected_row[3] == "-":
+            assert row[3] == "-"
+        else:
+            assert float(row[3]) == pytest.approx(float(expected_row[3]), rel=0, abs=1.5e-6)
+
+
+class TestTranslateLineCache:
+    """``translate`` translates each distinct (form, gold) once per stream,
+    up to ``LINE_CACHE_KEYS`` keys, whatever the block size."""
+
+    def test_pool_covers_every_outcome(self):
+        # The property below is only as strong as its pool.
+        _, pool = stream_world()
+        text = "\n".join(pool) + "\n"
+        hybrid, _ = translate_stream(MODE_HYBRID, text, 1024, 1024)
+        oracle, warnings = translate_stream(MODE_ORACLE, text, 1024, 1024)
+        routes = {line.split("\t")[2] for line in (hybrid + oracle).splitlines()}
+        assert {"lemma-route", "direct-route", "-"} <= routes
+        assert "oracle input needs" in warnings
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from([MODE_HYBRID, MODE_ORACLE, MODE_DIRECT]),
+        picks=st.lists(st.integers(0, 10**6), max_size=24),
+        repeats=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_output_is_independent_of_block_size_and_cap(self, mode, picks, repeats):
+        _, pool = stream_world()
+        stream = [pool[i % len(pool)] for i in picks]
+        stream += [stream[i % len(stream)] for i in repeats] if stream else []
+        text = "".join(f"{line}\n" for line in stream)
+        expected = uncached_translation(mode, text)
+        warnings = set()
+        for block_lines, cache_keys in itertools.product((1, 2, 1024), (1, 2, sys.maxsize)):
+            out, err = translate_stream(mode, text, block_lines, cache_keys)
+            assert_same_translations(out, expected)
+            warnings.add(err)
+        # Per-line warnings are written whatever the cache holds.
+        assert len(warnings) == 1
+
+    def test_a_warning_per_line_without_three_columns(self):
+        text = "no-tag-here\n" * 5
+        out, err = translate_stream(MODE_ORACLE, text, 2, sys.maxsize)
+        assert out == "no-tag-here\t<NONE>\t-\t-\n" * 5
+        assert err.count("oracle input needs form<TAB>lemma<TAB>tag") == 5
+
+    def test_cache_holds_at_most_its_cap(self, monkeypatch):
+        sizes = []
+
+        class RecordingDict(OrderedDict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(cli, "OrderedDict", RecordingDict)
+        _, pool = stream_world()
+        text = "".join(f"{line}\n" for line in pool[:6] * 3)
+        out, _ = translate_stream(MODE_DIRECT, text, 4, 2)
+        assert max(sizes) == 2
+        # Six distinct lines cycling through a cache of two miss every time.
+        assert len(sizes) == 18
+        assert out == translate_stream(MODE_DIRECT, text, 4, sys.maxsize)[0]
+
 
 class TestEvaluate:
     def test_report_files_written(self, corpus, trained, tmp_path, capsys):
@@ -504,6 +691,27 @@ class TestDeterminism:
         assert first == second
 
 
+class TestEmptyVecFile:
+    """A .vec file with no rows has nothing to preprocess: a data error."""
+
+    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate"])
+    def test_data_error_without_traceback(self, corpus, trained, tmp_path, command):
+        empty = tmp_path / "empty.vec"
+        empty.write_text("0 10\n")
+        spaces = ["--src", str(empty), "--tgt", corpus["tgt"]]
+        pipeline = ["--model", trained["model"], *spaces, "--mode", "direct"]
+        argv = {
+            "translate": [*pipeline, "--input", corpus["forms"], "--output", str(tmp_path / "p")],
+            "evaluate": [*pipeline, "--dict", corpus["eval"], "--out-prefix", str(tmp_path / "r")],
+            "train-translator": [*spaces, "--seed-dict", corpus["seed"],
+                                 "--out", str(tmp_path / "m"), "--max-epochs", "1"],
+        }[command]
+        result = run_cli_process(command, *argv)
+        assert result.returncode == EXIT_DATA
+        assert "Traceback" not in result.stderr
+        assert f"error: {empty}: no vectors to preprocess" in result.stderr
+
+
 class TestBadFlagValues:
     """Out-of-range flag values end at parse time, in a usage error."""
 
@@ -527,13 +735,7 @@ class TestBadFlagValues:
             "train-translator": [*spaces, "--seed-dict", corpus["seed"],
                                  "--out", str(tmp_path / "m"), "--max-epochs", "1"],
         }[command]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [SRC_DIR] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-        )}
-        result = subprocess.run(
-            [sys.executable, "-m", "morphlex.cli", command, *argv, flag, value],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_cli_process(command, *argv, flag, value)
         assert result.returncode == EXIT_USAGE
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("usage: morphlex " + command)
