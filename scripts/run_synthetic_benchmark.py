@@ -4,7 +4,9 @@
 Builds a bilingual suffix-grammar world with rank-dependent embedding
 noise, trains every system on the same seed dictionary, and reports
 precision@1 on the non-lemma forms of held-out lexemes, overall and per
-frequency bin. Writes one TSV per system plus a combined summary.
+frequency bin. Writes each system's report files (summary, bins and tags
+TSVs and report.json, as `morphlex evaluate` does) plus a combined summary
+table on stdout.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from morphlex.baseline import procrustes_fit
-from morphlex.evaluation import precision_at_1, write_bins_tsv, write_summary_tsv, write_tags_tsv
+from morphlex.evaluation import precision_at_1, write_report
 from morphlex.morph import learn_analyzer, learn_inflector
 from morphlex.pipeline import JointConfig, translate_many, unwrap
 from morphlex.synthetic import build_bilingual_task
@@ -79,10 +81,7 @@ def main() -> int:
             bin_width=args.bin_width,
             num_bins=args.num_bins,
         )
-        prefix = os.path.join(args.out_dir, name)
-        write_summary_tsv(report, f"{prefix}.summary.tsv")
-        write_bins_tsv(report, f"{prefix}.bins.tsv")
-        write_tags_tsv(report, f"{prefix}.tags.tsv")
+        write_report(report, os.path.join(args.out_dir, name))
         print(
             f"{name:18s}\t{report.voc_precision:.3f}\t{report.all_precision:.3f}"
             f"\t{report.untranslatable}"

@@ -8,7 +8,7 @@ straight through the translator (hybrid mode).
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingSpace, load_vec_file, nearest, compose_oov
+from .embeddings import EmbeddingSpace, nearest, compose_oov
 from .morph import MorphTag, UniMorphEntry, parse_tag, tag_translate
 from .translator import TranslationModel, TrainConfig, train, predict
 from .baseline import procrustes_fit
@@ -27,7 +27,6 @@ __all__ = [
     "UniMorphEntry",
     "compose_oov",
     "extract_identical_seed",
-    "load_vec_file",
     "nearest",
     "parse_tag",
     "precision_at_1",

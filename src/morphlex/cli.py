@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import logging
 import platform
 import sys
@@ -41,10 +40,7 @@ from .evaluation import (
     precision_at_1,
     read_eval_dictionary,
     read_seed_dictionary,
-    report_as_dict,
-    write_bins_tsv,
-    write_summary_tsv,
-    write_tags_tsv,
+    write_report,
 )
 from .morph import (
     MorphFormatError,
@@ -72,6 +68,7 @@ from .pipeline import (
     translate_many,
     unwrap,
 )
+from .textio import read_tsv, write_json, write_tsv
 from .translator import (
     ModelFormatError,
     NoTrainablePairsError,
@@ -115,7 +112,6 @@ _DATA_ERRORS = (
     IsADirectoryError,
     PermissionError,
     UnicodeDecodeError,
-    json.JSONDecodeError,
 )
 
 _UNTRAINABLE_ERRORS = (
@@ -184,9 +180,7 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
             "python": platform.python_version(),
         },
     }
-    with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(f"{output_path}.manifest.json", manifest)
 
 
 def cmd_train_translator(args: argparse.Namespace) -> int:
@@ -200,8 +194,8 @@ def cmd_train_translator(args: argparse.Namespace) -> int:
         "source_path": args.src,
         "target_path": args.tgt,
         "unit_normalized": True,
-        "source_center": [float(x) for x in source_space.center],
-        "target_center": [float(x) for x in target_space.center],
+        "source_center": source_space.center.tolist(),
+        "target_center": target_space.center.tolist(),
         "dropped_pairs": result.dropped_pairs,
     }
     save_model(result.model, args.out, metadata=metadata)
@@ -276,6 +270,17 @@ def _require_components(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _oracle_row(row: list[str]) -> tuple[str, tuple[str, MorphTag]]:
+    """A form<TAB>lemma<TAB>tag row as (form, (lemma, tag))."""
+    return row[0], (row[1], parse_tag(row[2]))
+
+
+def _read_oracle_analyses(path: str) -> dict[str, tuple[str, MorphTag]]:
+    """The --oracle-analyses file: form -> (lemma, tag); a later row of a
+    form replaces an earlier one."""
+    return dict(read_tsv(path, 3, DictionaryFormatError, _oracle_row))
+
+
 def _oracle_gold(line: str) -> tuple[str, MorphTag] | None:
     """The (lemma, tag) of an oracle input line, or None, which makes the
     line untranslatable: a line without three columns draws a warning, a
@@ -285,7 +290,7 @@ def _oracle_gold(line: str) -> tuple[str, MorphTag] | None:
         print(f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}", file=sys.stderr)
         return None
     try:
-        return columns[1], parse_tag(columns[2])
+        return _oracle_row(columns)[1]
     except TagParseError:
         return None
 
@@ -349,19 +354,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     config = _build_joint_config(args)
     dictionary = read_eval_dictionary(args.dict)
-    gold: dict[str, tuple[str, object]] = {}
-    if args.mode == MODE_ORACLE:
-        with open(args.oracle_analyses, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                columns = line.split("\t")
-                if len(columns) != 3:
-                    raise DictionaryFormatError(
-                        f"{args.oracle_analyses}: line {lineno}: expected 3 columns"
-                    )
-                gold[columns[0]] = (columns[1], parse_tag(columns[2]))
+    gold = _read_oracle_analyses(args.oracle_analyses) if args.mode == MODE_ORACLE else {}
 
     forms = [entry.source for entry in dictionary.entries]
     stats = BatchStats()
@@ -376,14 +369,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         num_bins=args.num_bins,
         min_tag_count=args.min_tag_count,
     )
-    prefix = args.out_prefix
-    write_summary_tsv(report, f"{prefix}.summary.tsv")
-    write_bins_tsv(report, f"{prefix}.bins.tsv")
-    write_tags_tsv(report, f"{prefix}.tags.tsv")
-    with open(f"{prefix}.report.json", "w", encoding="utf-8") as handle:
-        json.dump(report_as_dict(report), handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    _write_manifest(f"{prefix}.summary.tsv", args)
+    write_report(report, args.out_prefix)
+    _write_manifest(f"{args.out_prefix}.summary.tsv", args)
     print(
         f"precision@1: voc {report.voc_precision:.4f} ({report.voc_total}), "
         f"all {report.all_precision:.4f} ({report.all_total}), "
@@ -396,9 +383,7 @@ def cmd_extract_seed(args: argparse.Namespace) -> int:
     source_space = load_space(args.src, max_words=args.max_words)
     target_space = load_space(args.tgt, max_words=args.max_words)
     pairs = extract_identical_seed(source_space, target_space)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for source_word, target_word in pairs:
-            handle.write(f"{source_word}\t{target_word}\n")
+    write_tsv(args.out, None, pairs)
     _write_manifest(args.out, args)
     print(f"{len(pairs)} identical strings written to {args.out}")
     return EXIT_OK

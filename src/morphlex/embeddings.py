@@ -7,15 +7,15 @@ frequency rank (row 0 = most frequent word).
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import os
-import re
 from dataclasses import InitVar, dataclass, replace
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .textio import read_float_rows, sidecar_path, write_float_rows, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -41,10 +41,10 @@ class EmbeddingSpace:
     """An ordered vocabulary with one dense vector per word.
 
     ``words[i]`` has frequency rank ``i``. Vectors composed for OOV forms
-    are appended after every file-loaded row and marked in
-    ``composed_flags``; they never displace the ranks of file-loaded
-    words. Instances are treated as immutable once built: preprocessing
-    returns new spaces, so concurrent reads are safe.
+    come after every file-loaded row and are marked in ``composed_flags``;
+    they never displace the ranks of file-loaded words. ``center`` is None
+    or ``dim`` finite floats. Instances are treated as immutable once
+    built: preprocessing returns new spaces, so concurrent reads are safe.
 
     The constructor stores a read-only copy of ``vectors``, so the
     caller's array is never touched. ``_adopt=True`` stores the array
@@ -73,6 +73,18 @@ class EmbeddingSpace:
             flags = np.array(self.composed_flags, dtype=bool)
             if flags.shape != (len(self.words),):
                 raise ValueError("composed_flags must have one entry per word")
+            if np.any(flags[:-1] > flags[1:]):
+                raise ValueError("composed rows must come after every file-loaded row")
+        if self.center is not None:
+            try:
+                center = np.array(self.center, dtype=np.float64)
+            except (TypeError, ValueError):
+                center = None
+            dim = vectors.shape[1]
+            if center is None or center.shape != (dim,) or not np.isfinite(center).all():
+                raise ValueError(f"center must be None or {dim} finite floats")
+            center.setflags(write=False)
+            self.center = center
         vectors.setflags(write=False)
         flags.setflags(write=False)
         self.vectors = vectors
@@ -164,19 +176,10 @@ class EmbeddingSpace:
         )
 
 
-def load_vec_file(path: str, max_words: int | None = DEFAULT_MAX_WORDS) -> EmbeddingSpace:
-    """Read the leading ``min(count, max_words)`` entries of a .vec file.
-
-    Duplicate words keep their first occurrence (later ones are dropped
-    with a warning); malformed rows, non-finite values and a file shorter
-    than its header promises raise VecFormatError.
-    """
-    words, vectors = _read_vec_file(path, max_words)
-    return EmbeddingSpace(tuple(words), vectors, _adopt=True)
-
-
 def _read_vec_file(path: str, max_words: int | None) -> tuple[list[str], np.ndarray]:
-    """The words and a fresh matrix of the rows ``load_vec_file`` keeps."""
+    """The words and a fresh matrix of a .vec file's first ``min(count,
+    max_words)`` rows. A repeated word keeps its first row (with a warning);
+    malformed rows, non-finite values and a short file raise VecFormatError."""
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         fields = header.split()
@@ -189,112 +192,9 @@ def _read_vec_file(path: str, max_words: int | None) -> tuple[list[str], np.ndar
         if count < 0 or dim <= 0:
             raise VecFormatError(f"{path}: invalid header values in {header!r}")
         limit = count if max_words is None else min(count, max_words)
-    return _read_float_rows(path, dim, first_lineno=2, limit=limit, key="a word")
-
-
-# The key of a row (its word or n-gram): everything up to the first ASCII
-# space or tab, after any leading ones. Other whitespace, such as U+00A0,
-# belongs to the key, as in the words fastText writes.
-_KEY = re.compile(r"[ \t]*([^ \t\n]*)")
-_LOADTXT = dict(dtype=np.float64, comments=None, quotechar=None, ndmin=2)
-
-
-def _read_float_rows(
-    path: str,
-    dim: int,
-    *,
-    first_lineno: int,
-    limit: int | None = None,
-    key: str | None = None,
-    error: type[ValueError] = VecFormatError,
-) -> tuple[list[str], np.ndarray]:
-    """The rows of ``dim`` floats in a text file, parsed by one streaming
-    ``np.loadtxt`` call; no line is kept in memory.
-
-    Rows start at line ``first_lineno``. With a ``limit`` (a .vec body),
-    exactly that many lines are read and a blank one is a malformed row;
-    without one, rows run to the end of the file and blank lines are
-    skipped. With ``key`` (the phrase naming it in messages, such as
-    "a word"), each row opens with a key that ends at the first ASCII
-    space or tab; a row whose key was seen before is dropped with a
-    warning. Returns the kept keys (empty without ``key``) and their rows.
-    A malformed or non-numeric row, then a short file, then a non-finite
-    value in a kept row raise ``error`` naming the first offending line;
-    a second, line-by-line pass finds the malformed or non-numeric one.
-    """
-    seen: dict[str, None] = {}  # the kept keys, in order
-    dropped: list[int] = []  # positions of the rows dropped as repeats
-    count = 0  # rows read
-
-    def rows() -> Iterator[tuple[int, str | None, str]]:
-        """(line number, key, values text) of each row line."""
-        stop = None if limit is None else first_lineno - 1 + limit
-        with open(path, encoding="utf-8") as handle:
-            lines = itertools.islice(handle, first_lineno - 1, stop)
-            for lineno, line in enumerate(lines, start=first_lineno):
-                if limit is None and line.isspace():
-                    continue
-                if key is None:
-                    yield lineno, None, line
-                else:
-                    match = _KEY.match(line)
-                    yield lineno, match.group(1), line[match.end():]
-
-    def values() -> Iterator[str]:
-        nonlocal count
-        for position, (lineno, row_key, text) in enumerate(rows()):
-            if not text or text.isspace():
-                raise ValueError("no values")  # loadtxt would skip the line
-            if row_key in seen:
-                logger.warning(
-                    "%s: line %d: duplicate %r, keeping the first occurrence",
-                    path, lineno, row_key,
-                )
-                dropped.append(position)
-            elif row_key is not None:
-                seen[row_key] = None
-            count += 1
-            yield text
-
-    def first_fault(cause: ValueError | None) -> NoReturn:
-        """Parse the rows again one at a time, with the same parser, and
-        raise ``error`` for the first malformed or non-numeric one."""
-        expected = f"{dim} values" if key is None else f"{key} and {dim} values"
-        for lineno, _, text in rows():
-            found = len(text.split())
-            try:
-                row = np.loadtxt([text], **_LOADTXT) if found == dim else None
-            except ValueError as exc:
-                raise error(f"{path}: line {lineno}: non-numeric value") from exc
-            if row is None or row.shape != (1, dim):
-                raise error(f"{path}: line {lineno}: expected {expected}, found {found} values")
-        raise error(f"{path}: unreadable rows") from cause
-
-    stream = values()
-    try:
-        first = next(stream, None)  # loadtxt warns on an empty stream
-        matrix = (
-            np.zeros((0, dim))
-            if first is None
-            else np.loadtxt(itertools.chain([first], stream), **_LOADTXT)
-        )
-    except ValueError as exc:
-        first_fault(exc)
-    if matrix.shape != (count, dim):
-        first_fault(None)
-    if limit is not None and count < limit:
-        raise error(f"{path}: expected {limit} rows after the header, found {count}")
-    if dropped:
-        matrix = np.delete(matrix, dropped, axis=0)
-    keys = list(seen)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        where = f" in the vector of {keys[bad]!r}" if keys else ""
-        position = int(np.delete(np.arange(count), dropped)[bad])
-        lineno = next(itertools.islice(rows(), position, None))[0]
-        raise error(f"{path}: line {lineno}: non-finite value{where}")
-    return keys, matrix
+    return read_float_rows(
+        path, dim, first_lineno=2, error=VecFormatError, limit=limit, key="a word"
+    )
 
 
 def save_vec_file(space: EmbeddingSpace, path: str) -> None:
@@ -303,14 +203,7 @@ def save_vec_file(space: EmbeddingSpace, path: str) -> None:
     Floats are rendered with repr, so reloading reproduces them
     bit-exactly.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{len(space)} {space.dim}\n")
-        for word, row in zip(space.words, space.vectors):
-            handle.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
-
-
-def metadata_path(vec_path: str) -> str:
-    return f"{vec_path}.meta.json"
+    write_float_rows(path, f"{len(space)} {space.dim}", space.vectors, space.words)
 
 
 def save_space(space: EmbeddingSpace, path: str) -> None:
@@ -319,11 +212,9 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
     meta = {
         "composed": [w for w, f in zip(space.words, space.composed_flags) if f],
         "unit_normalized": space.unit_normalized,
-        "center": None if space.center is None else [float(x) for x in space.center],
+        "center": None if space.center is None else space.center.tolist(),
     }
-    with open(metadata_path(path), "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(sidecar_path(path), meta)
 
 
 def load_space(
@@ -331,30 +222,42 @@ def load_space(
 ) -> EmbeddingSpace:
     """Load a .vec file, restoring sidecar metadata when present.
 
-    With ``preprocessed``, the space is then given whichever preprocessing
-    step it has not had (see ``preprocess``), in place on the one parsed
-    matrix, and its zero rows draw one warning naming the file; a file
-    with no rows is a ``VecFormatError``, as there is nothing to preprocess.
+    A sidecar that is not a JSON object, or that the space's own checks
+    reject (a center that is not ``dim`` finite floats, a composed row
+    before a file-loaded one), is a ``VecFormatError`` naming the sidecar.
+    With ``preprocessed``, the
+    space is then given whichever preprocessing step it has not had (see
+    ``preprocess``), in place on the one parsed matrix, and its zero rows
+    draw one warning naming the file; a file with no rows is a
+    ``VecFormatError``, as there is nothing to preprocess.
     """
     words, vectors = _read_vec_file(path, max_words)
     if preprocessed and not words:
         raise VecFormatError(f"{path}: no vectors to preprocess")
-    flags, unit_normalized, center = None, False, None
-    meta_file = metadata_path(path)
-    if os.path.exists(meta_file):
-        with open(meta_file, encoding="utf-8") as handle:
-            meta = json.load(handle)
+    meta_file = sidecar_path(path)
+    try:
+        meta = {}
+        if os.path.exists(meta_file):
+            with open(meta_file, encoding="utf-8") as handle:
+                meta = json.load(handle)
+        if not isinstance(meta, dict):
+            raise ValueError("expected a JSON object")
         composed = set(meta.get("composed", []))
-        flags = np.array([w in composed for w in words], dtype=bool)
-        unit_normalized = bool(meta.get("unit_normalized", False))
-        center = meta.get("center")
-        center = None if center is None else np.asarray(center, dtype=np.float64)
-    if preprocessed:
-        zero_words, center = _preprocess_in_place(words, vectors, unit_normalized, center)
-        if zero_words:
-            logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
-        unit_normalized = True
-    return EmbeddingSpace(tuple(words), vectors, flags, unit_normalized, center, _adopt=True)
+        space = EmbeddingSpace(
+            tuple(words), vectors, [w in composed for w in words] if composed else None,
+            bool(meta.get("unit_normalized", False)), meta.get("center"), _adopt=True,
+        )
+    except (TypeError, ValueError) as exc:
+        raise VecFormatError(f"{meta_file}: {exc}") from exc
+    if not preprocessed:
+        return space
+    flags, unit_normalized, center = space.composed_flags, space.unit_normalized, space.center
+    del space  # and its word index, before preprocessing and the final space's index
+    vectors.setflags(write=True)  # still this function's own matrix
+    zero_words, center = _preprocess_in_place(words, vectors, unit_normalized, center)
+    if zero_words:
+        logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
+    return EmbeddingSpace(tuple(words), vectors, flags, True, center, _adopt=True)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its
@@ -447,7 +350,9 @@ def compose_oov(
 
 def load_ngram_table(path: str, dim: int) -> dict[str, np.ndarray]:
     """Read a header-less n-gram table; every row carries ``dim`` finite values."""
-    grams, vectors = _read_float_rows(path, dim, first_lineno=1, key="an n-gram")
+    grams, vectors = read_float_rows(
+        path, dim, first_lineno=1, error=VecFormatError, key="an n-gram"
+    )
     return dict(zip(grams, vectors))
 
 

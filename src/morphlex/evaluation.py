@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .embeddings import EmbeddingSpace
-from .morph import MorphTag, TagParseError, parse_tag
+from .morph import MorphTag, parse_tag
 from .pipeline import TRANSLATION_ERRORS
+from .textio import read_tsv, write_json, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -113,60 +114,27 @@ class EvalReport:
 
 def read_eval_dictionary(path: str) -> EvalDictionary:
     """Read source<TAB>target[<TAB>source_tag] rows, merging gold targets
-    of repeated source forms into one set."""
-    order: list[str] = []
+    of repeated source forms into one set; a source's tag is the first
+    non-empty one among its rows."""
+
+    def parse_row(row: list[str]) -> tuple[str, str, MorphTag | None]:
+        if not row[0] or not row[1]:
+            raise ValueError("empty field")
+        return row[0], row[1], parse_tag(row[2]) if len(row) == 3 and row[2] else None
+
     golds: dict[str, set[str]] = {}
     tags: dict[str, MorphTag | None] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            columns = line.split("\t")
-            if len(columns) not in (2, 3):
-                raise DictionaryFormatError(
-                    f"{path}: line {lineno}: expected 2 or 3 tab-separated columns"
-                )
-            source, target = columns[0], columns[1]
-            if not source or not target:
-                raise DictionaryFormatError(f"{path}: line {lineno}: empty field")
-            tag = None
-            if len(columns) == 3 and columns[2]:
-                try:
-                    tag = parse_tag(columns[2])
-                except TagParseError as exc:
-                    raise DictionaryFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if source not in golds:
-                order.append(source)
-                golds[source] = set()
-                tags[source] = tag
-            elif tags[source] is None:
-                tags[source] = tag
-            golds[source].add(target)
-    entries = [EvalEntry(s, frozenset(golds[s]), tags[s]) for s in order]
+    for source, target, tag in read_tsv(path, (2, 3), DictionaryFormatError, parse_row):
+        golds.setdefault(source, set()).add(target)
+        if tags.get(source) is None:
+            tags[source] = tag
+    entries = [EvalEntry(s, frozenset(g), tags[s]) for s, g in golds.items()]
     return EvalDictionary(entries, provenance=path)
 
 
 def read_seed_dictionary(path: str) -> list[tuple[str, str]]:
     """Read source<TAB>target pairs; duplicate pairs are kept once."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise DictionaryFormatError(
-                    f"{path}: line {lineno}: expected 2 tab-separated columns"
-                )
-            pair = (columns[0], columns[1])
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pairs.append(pair)
-    return pairs
+    return list(dict.fromkeys(read_tsv(path, 2, DictionaryFormatError, tuple)))
 
 
 def score_entries(
@@ -295,39 +263,25 @@ def extract_identical_seed(
     return pairs
 
 
-def summary_rows(report: EvalReport) -> list[tuple[str, str, str, str]]:
-    return [
-        ("voc", str(report.voc_correct), str(report.voc_total), f"{report.voc_precision:.6f}"),
-        ("all", str(report.all_correct), str(report.all_total), f"{report.all_precision:.6f}"),
-        ("untranslatable", "-", str(report.untranslatable), "-"),
-    ]
+def write_report(report: EvalReport, prefix: str) -> None:
+    """Write ``<prefix>.summary.tsv``, ``.bins.tsv``, ``.tags.tsv`` and
+    ``.report.json``."""
+    columns = ("correct", "total", "precision_at_1")
+    write_tsv(f"{prefix}.summary.tsv", ("population", *columns), [
+        ("voc", report.voc_correct, report.voc_total, f"{report.voc_precision:.6f}"),
+        ("all", report.all_correct, report.all_total, f"{report.all_precision:.6f}"),
+        ("untranslatable", "-", report.untranslatable, "-"),
+    ])
+    write_tsv(f"{prefix}.bins.tsv", ("bin", *columns), [
+        (s.label, s.correct, s.total, f"{s.accuracy:.6f}") for s in report.bins
+    ])
+    write_tsv(f"{prefix}.tags.tsv", ("tag", *columns, "low_support"), [
+        (s.tag, s.correct, s.total, f"{s.accuracy:.6f}", int(s.low_support)) for s in report.tags
+    ])
+    write_json(f"{prefix}.report.json", _report_as_dict(report))
 
 
-def write_summary_tsv(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("population\tcorrect\ttotal\tprecision_at_1\n")
-        for row in summary_rows(report):
-            handle.write("\t".join(row) + "\n")
-
-
-def write_bins_tsv(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("bin\tcorrect\ttotal\tprecision_at_1\n")
-        for stat in report.bins:
-            handle.write(f"{stat.label}\t{stat.correct}\t{stat.total}\t{stat.accuracy:.6f}\n")
-
-
-def write_tags_tsv(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("tag\tcorrect\ttotal\tprecision_at_1\tlow_support\n")
-        for stat in report.tags:
-            handle.write(
-                f"{stat.tag}\t{stat.correct}\t{stat.total}\t"
-                f"{stat.accuracy:.6f}\t{int(stat.low_support)}\n"
-            )
-
-
-def report_as_dict(report: EvalReport) -> dict:
+def _report_as_dict(report: EvalReport) -> dict:
     """Machine-readable mirror of the report, for the JSON output."""
     return {
         "voc": {

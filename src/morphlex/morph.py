@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .textio import read_tsv, write_tsv
+
 DIRECTION_INFLECT = "inflect"
 DIRECTION_ANALYZE = "analyze"
 
@@ -279,81 +281,55 @@ def analyze(table: SuffixRuleTable, form: str) -> Analysis:
 
 def read_unimorph(path: str) -> list[UniMorphEntry]:
     """Read lemma<TAB>form<TAB>tag triples; blank lines are skipped."""
-    entries: list[UniMorphEntry] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            columns = line.split("\t")
-            if len(columns) != 3:
-                raise MorphFormatError(
-                    f"{path}: line {lineno}: expected 3 tab-separated columns"
-                )
-            lemma, form, raw_tag = columns
-            try:
-                entries.append(UniMorphEntry(lemma, form, parse_tag(raw_tag)))
-            except (TagParseError, ValueError) as exc:
-                raise MorphFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return entries
+    return read_tsv(
+        path, 3, MorphFormatError, lambda row: UniMorphEntry(row[0], row[1], parse_tag(row[2]))
+    )
 
 
 def save_rule_table(table: SuffixRuleTable, path: str) -> None:
     """Write the versioned text format, one rule per line, sorted."""
-    lines: list[str] = [f"{RULES_MAGIC} {RULES_VERSION} {table.direction}"]
     if table.direction == DIRECTION_INFLECT:
-        for tag in sorted(table.rules, key=lambda t: t.canonical):
-            by_suffix = table.rules[tag]
-            for matched in sorted(by_suffix):
-                for replacement in sorted(by_suffix[matched]):
-                    count = by_suffix[matched][replacement]
-                    lines.append(f"{tag.canonical}\t{matched}\t{replacement}\t{count}")
+        rows = [
+            (tag.canonical, matched, replacement, count)
+            for tag in sorted(table.rules, key=lambda t: t.canonical)
+            for matched, outputs in sorted(table.rules[tag].items())
+            for replacement, count in sorted(outputs.items())
+        ]
     else:
-        for matched in sorted(table.rules):
-            outputs = table.rules[matched]
-            for lemma_suffix, tag in sorted(
-                outputs, key=lambda key: (key[0], key[1].canonical)
-            ):
-                count = outputs[(lemma_suffix, tag)]
-                lines.append(f"{matched}\t{lemma_suffix}\t{tag.canonical}\t{count}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        rows = [
+            (matched, lemma_suffix, tag.canonical, outputs[lemma_suffix, tag])
+            for matched, outputs in sorted(table.rules.items())
+            for lemma_suffix, tag in sorted(outputs, key=lambda key: (key[0], key[1].canonical))
+        ]
+    write_tsv(path, [f"{RULES_MAGIC} {RULES_VERSION} {table.direction}"], rows)
 
 
 def load_rule_table(path: str) -> SuffixRuleTable:
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().split()
-        if len(header) != 3 or header[0] != RULES_MAGIC or header[1] != RULES_VERSION:
-            raise MorphFormatError(f"{path}: bad rule-table header")
-        direction = header[2]
-        if direction not in (DIRECTION_INFLECT, DIRECTION_ANALYZE):
-            raise MorphFormatError(f"{path}: unknown direction {direction!r}")
-        rules: dict = {}
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            columns = line.split("\t")
-            if len(columns) != 4:
-                raise MorphFormatError(f"{path}: line {lineno}: expected 4 columns")
-            try:
-                count = int(columns[3])
-            except ValueError as exc:
-                raise MorphFormatError(f"{path}: line {lineno}: bad count") from exc
-            if count <= 0:
-                raise MorphFormatError(f"{path}: line {lineno}: count must be positive")
-            try:
-                if direction == DIRECTION_INFLECT:
-                    tag = parse_tag(columns[0])
-                    outputs = rules.setdefault(tag, {}).setdefault(columns[1], {})
-                    outputs[columns[2]] = outputs.get(columns[2], 0) + count
-                else:
-                    tag = parse_tag(columns[2])
-                    outputs = rules.setdefault(columns[0], {})
-                    key = (columns[1], tag)
-                    outputs[key] = outputs.get(key, 0) + count
-            except TagParseError as exc:
-                raise MorphFormatError(f"{path}: line {lineno}: {exc}") from exc
+    if len(header) != 3 or header[0] != RULES_MAGIC or header[1] != RULES_VERSION:
+        raise MorphFormatError(f"{path}: bad rule-table header")
+    direction = header[2]
+    if direction not in (DIRECTION_INFLECT, DIRECTION_ANALYZE):
+        raise MorphFormatError(f"{path}: unknown direction {direction!r}")
+    inflect_rows = direction == DIRECTION_INFLECT
+
+    def parse_row(row: list[str]) -> tuple[list[str], MorphTag, int]:
+        try:
+            count = int(row[3])
+        except ValueError:
+            raise ValueError("bad count") from None
+        if count <= 0:
+            raise ValueError("count must be positive")
+        return row, parse_tag(row[0] if inflect_rows else row[2]), count
+
+    rules: dict = {}
+    for row, tag, count in read_tsv(path, 4, MorphFormatError, parse_row, first_lineno=2):
+        if inflect_rows:
+            outputs, key = rules.setdefault(tag, {}).setdefault(row[1], {}), row[2]
+        else:
+            outputs, key = rules.setdefault(row[0], {}), (row[1], tag)
+        outputs[key] = outputs.get(key, 0) + count
     return SuffixRuleTable(direction, rules)
 
 

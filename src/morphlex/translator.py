@@ -12,14 +12,13 @@ once on a non-finite development loss.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _read_float_rows, nearest, top_by_cosine
+from .embeddings import EmbeddingSpace, nearest, top_by_cosine
+from .textio import read_float_rows, sidecar_path, write_float_rows, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -424,26 +423,15 @@ def predict(
     return nearest(target_space, model.omega @ source_space.vector(source_word), k)
 
 
-def model_metadata_path(path: str) -> str:
-    return f"{path}.meta.json"
-
-
 def save_model(model: TranslationModel, path: str, metadata: dict | None = None) -> None:
     """Write the omega text format, plus an optional metadata sidecar.
 
     Floats use repr, so a reload reproduces the matrix bit-exactly.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            f"{MODEL_MAGIC} {MODEL_VERSION} {model.target_dim} "
-            f"{model.source_dim} {model.normalizer_vocab_size}\n"
-        )
-        for row in model.omega:
-            handle.write(" ".join(repr(float(x)) for x in row) + "\n")
+    header = f"{MODEL_MAGIC} {MODEL_VERSION} {model.target_dim} {model.source_dim}"
+    write_float_rows(path, f"{header} {model.normalizer_vocab_size}", model.omega)
     if metadata is not None:
-        with open(model_metadata_path(path), "w", encoding="utf-8") as handle:
-            json.dump(metadata, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        write_json(sidecar_path(path), metadata)
 
 
 def load_model(path: str) -> TranslationModel:
@@ -457,15 +445,8 @@ def load_model(path: str) -> TranslationModel:
             raise ModelFormatError(f"{path}: non-integer header field") from exc
         if min(n_t, n_s, support) <= 0:
             raise ModelFormatError(f"{path}: invalid header values")
-    _, omega = _read_float_rows(path, n_s, first_lineno=2, error=ModelFormatError)
+    _, omega = read_float_rows(path, n_s, first_lineno=2, error=ModelFormatError)
     if len(omega) != n_t:
         raise ModelFormatError(f"{path}: expected {n_t} rows, found {len(omega)}")
     return TranslationModel(omega, support)
 
-
-def load_model_metadata(path: str) -> dict | None:
-    meta_file = model_metadata_path(path)
-    if not os.path.exists(meta_file):
-        return None
-    with open(meta_file, encoding="utf-8") as handle:
-        return json.load(handle)

@@ -574,6 +574,20 @@ class TestEvaluate:
         ])
         assert code == EXIT_OK
 
+    def test_bad_oracle_analysis_names_file_and_line(self, corpus, trained, tmp_path, capsys):
+        analyses = tmp_path / "oracle.tsv"
+        with open(corpus["oracle"], encoding="utf-8") as handle:
+            good = handle.readline()
+        analyses.write_text(good + "\n" + good + "x\ty\tV;;SG\n", encoding="utf-8")
+        code = main([
+            "evaluate", "--model", trained["model"], "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--inflector", trained["inflector"],
+            "--mode", "oracle", "--dict", corpus["eval"], "--out-prefix", str(tmp_path / "o"),
+            "--oracle-analyses", str(analyses),
+        ])
+        assert code == EXIT_DATA
+        assert f"error: {analyses}: line 4: empty feature in tag 'V;;SG'" in capsys.readouterr().err
+
     def test_verbose_logs_batch_counts_and_leaves_reports_unchanged(
         self, corpus, trained, tmp_path, caplog
     ):
@@ -710,6 +724,31 @@ class TestEmptyVecFile:
         assert result.returncode == EXIT_DATA
         assert "Traceback" not in result.stderr
         assert f"error: {empty}: no vectors to preprocess" in result.stderr
+
+
+class TestBadSidecar:
+    """A .meta.json sidecar the space rejects is a data error naming it."""
+
+    def test_data_error_without_traceback(self, corpus, trained, tmp_path):
+        with open(corpus["src"], encoding="utf-8") as handle:
+            _, dim = map(int, handle.readline().split())
+            first_word = handle.readline().split(" ")[0]
+        space = tmp_path / "src.vec"
+        space.write_text(pathlib.Path(corpus["src"]).read_text(encoding="utf-8"), encoding="utf-8")
+        sidecar = tmp_path / "src.vec.meta.json"
+        for meta, message in (
+            ({"center": [0.5]}, f"center must be None or {dim} finite floats"),
+            ({"composed": [first_word]}, "composed rows must come after every file-loaded row"),
+        ):
+            sidecar.write_text(json.dumps(meta), encoding="utf-8")
+            result = run_cli_process(
+                "translate", "--model", trained["model"], "--src", str(space),
+                "--tgt", corpus["tgt"], "--mode", "direct",
+                "--input", corpus["forms"], "--output", str(tmp_path / "p"),
+            )
+            assert result.returncode == EXIT_DATA
+            assert "Traceback" not in result.stderr
+            assert f"error: {sidecar}: {message}" in result.stderr
 
 
 class TestBadFlagValues:

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from dataclasses import replace
@@ -15,7 +16,6 @@ from morphlex.embeddings import (
     compose_oov,
     load_ngram_table,
     load_space,
-    load_vec_file,
     nearest,
     ngrams,
     preprocess,
@@ -63,9 +63,11 @@ def long_vec_text(bad_row, bad_lineno=1500, rows=2000, dim=3):
 
 
 class TestLoadVecFile:
+    """Loading a .vec file without a sidecar."""
+
     def test_basic_file(self, tmp_path):
         path = write(tmp_path / "a.vec", "3 2\na 1 0\nb 0 1\nc 1 1\n")
-        space = load_vec_file(path)
+        space = load_space(path)
         assert space.words == ("a", "b", "c")
         assert space.dim == 2
         assert space.frequency_rank("a") == 0
@@ -73,28 +75,28 @@ class TestLoadVecFile:
 
     def test_max_words_truncates(self, tmp_path):
         path = write(tmp_path / "a.vec", "3 2\na 1 0\nb 0 1\nc 1 1\n")
-        space = load_vec_file(path, max_words=2)
+        space = load_space(path, max_words=2)
         assert space.words == ("a", "b")
 
     def test_wrong_float_count_names_line(self, tmp_path):
         path = write(tmp_path / "a.vec", "2 3\na 1 0\nb 0 1 0\n")
         with pytest.raises(VecFormatError, match="line 2"):
-            load_vec_file(path)
+            load_space(path)
 
     def test_missing_header(self, tmp_path):
         path = write(tmp_path / "a.vec", "a 1 0\n")
         with pytest.raises(VecFormatError):
-            load_vec_file(path)
+            load_space(path)
 
     def test_short_header(self, tmp_path):
         path = write(tmp_path / "a.vec", "3\na 1 0\n")
         with pytest.raises(VecFormatError):
-            load_vec_file(path)
+            load_space(path)
 
     def test_duplicate_word_keeps_first(self, tmp_path, caplog):
         path = write(tmp_path / "a.vec", "3 2\na 1 0\na 9 9\nb 0 1\n")
         with caplog.at_level("WARNING"):
-            space = load_vec_file(path)
+            space = load_space(path)
         assert space.words == ("a", "b")
         np.testing.assert_array_equal(space.vector("a"), [1.0, 0.0])
         assert any("duplicate" in rec.message for rec in caplog.records)
@@ -102,7 +104,7 @@ class TestLoadVecFile:
     def test_non_numeric_value(self, tmp_path):
         path = write(tmp_path / "a.vec", "1 2\na 1 x\n")
         with pytest.raises(VecFormatError, match="line 2"):
-            load_vec_file(path)
+            load_space(path)
 
     @pytest.mark.parametrize(
         "text, kept", [("3 2\na 1 0\nb 0 1\n", 2), ("3 2\na 1 0\na 0 1\n", 1)]
@@ -112,25 +114,25 @@ class TestLoadVecFile:
         # file is still short, and two lines satisfy max_words=2.
         path = write(tmp_path / "a.vec", text)
         with pytest.raises(VecFormatError, match="expected 3 rows after the header, found 2"):
-            load_vec_file(path)
-        assert len(load_vec_file(path, max_words=2)) == kept
+            load_space(path)
+        assert len(load_space(path, max_words=2)) == kept
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         path = write(tmp_path / "a.vec", f"2 2\na 1 0\nb 0 {value}\n")
         with pytest.raises(VecFormatError, match="non-finite value in the vector of 'b'"):
-            load_vec_file(path)
+            load_space(path)
 
     def test_word_with_no_break_space_loads(self, tmp_path):
         # A word ends at the first ASCII space or tab; U+00A0 is part of it.
         path = write(tmp_path / "a.vec", "2 2\na\u00a0b 1 0\nc 0 1\n")
-        space = load_vec_file(path)
+        space = load_space(path)
         assert space.words == ("a\u00a0b", "c")
         np.testing.assert_array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0]])
 
     def test_tab_after_word_and_trailing_space_load(self, tmp_path):
         path = write(tmp_path / "a.vec", "2 2\na\t1 0\nc 0 1 \n")
-        space = load_vec_file(path)
+        space = load_space(path)
         assert space.words == ("a", "c")
         np.testing.assert_array_equal(space.vectors, [[1.0, 0.0], [0.0, 1.0]])
 
@@ -148,7 +150,7 @@ class TestLoadVecFile:
     def test_late_fault_names_its_line(self, tmp_path, caplog, bad_row, message):
         path = write(tmp_path / "a.vec", long_vec_text(bad_row))
         with caplog.at_level("WARNING"), pytest.raises(VecFormatError) as info:
-            load_vec_file(path)
+            load_space(path)
         assert str(info.value) == f"{path}: line 1500: {message}"
         assert any(
             "line 11: duplicate" in rec.message and "'w2'" in rec.message for rec in caplog.records
@@ -156,7 +158,7 @@ class TestLoadVecFile:
 
     def test_long_file_with_a_duplicate_loads_in_order(self, tmp_path):
         path = write(tmp_path / "a.vec", long_vec_text("w1500 1500 0.5 -1"))
-        space = load_vec_file(path)
+        space = load_space(path)
         assert len(space) == 1999
         assert space.words[:10] == tuple(f"w{n}" for n in range(2, 11)) + ("w12",)
         np.testing.assert_array_equal(space.vector("w2"), [2.0, 0.5, -1.0])
@@ -167,7 +169,7 @@ class TestLoadVecFile:
     def test_round_trip_property_is_bit_exact(self, tmp_path_factory, space):
         out = tmp_path_factory.mktemp("vec") / "out.vec"
         save_vec_file(space, str(out))
-        reloaded = load_vec_file(str(out), max_words=None)
+        reloaded = load_space(str(out), max_words=None)
         assert reloaded.words == space.words
         assert reloaded.vectors.tobytes() == space.vectors.tobytes()
 
@@ -176,7 +178,7 @@ class TestLoadVecFile:
         space = EmbeddingSpace(("w1", "w2", "w3"), rng.normal(size=(3, 5)))
         out = tmp_path / "out.vec"
         save_vec_file(space, str(out))
-        reloaded = load_vec_file(str(out), max_words=None)
+        reloaded = load_space(str(out), max_words=None)
         assert reloaded.words == space.words
         assert np.array_equal(reloaded.vectors, space.vectors)
         # and a second round trip stays identical
@@ -210,6 +212,47 @@ class TestSpaceInvariants:
         space = EmbeddingSpace(("a",), np.ones((1, 2)))
         with pytest.raises(ValueError):
             space.with_composed([("a", np.zeros(2))])
+
+
+class TestSidecarChecks:
+    """``center`` is None or ``dim`` finite floats, and composed rows come
+    after every file-loaded row: checked by the constructor, so a
+    ``load_space`` sidecar that breaks either is a VecFormatError."""
+
+    @pytest.mark.parametrize("center", [[0.5], [0.5, 1.0, 2.0], [0.5, float("nan")], "ab"])
+    def test_center_must_be_dim_finite_floats(self, center):
+        with pytest.raises(ValueError, match="center must be None or 2 finite floats"):
+            EmbeddingSpace(("a", "b", "c"), np.eye(3, 2), center=center)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flags=st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_composed_rows_must_follow_file_rows(self, flags):
+        words = tuple(f"w{i}" for i in range(len(flags)))
+        if flags == sorted(flags):
+            space = EmbeddingSpace(words, np.ones((len(flags), 2)), flags)
+            assert space.n_file_loaded == flags.count(False)
+            ranks = [space.frequency_rank(word) for word in words]
+            assert ranks == [i if not f else None for i, f in enumerate(flags)]
+        else:
+            with pytest.raises(ValueError, match="composed rows must come after"):
+                EmbeddingSpace(words, np.ones((len(flags), 2)), flags)
+
+    @pytest.mark.parametrize("preprocessed", [False, True])
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"center": [0.5]}, "center must be None or 2 finite floats"),
+            ({"center": [0.5, 1.0, 2.0]}, "center must be None or 2 finite floats"),
+            ({"composed": ["x"]}, "composed rows must come after every file-loaded row"),
+            ([0.5, 0.5], "expected a JSON object"),
+        ],
+    )
+    def test_bad_sidecar_is_a_format_error_naming_it(self, tmp_path, meta, message, preprocessed):
+        path = write(tmp_path / "s.vec", "3 2\nx 3 4\ny 1 0\nz 0 1\n")
+        (tmp_path / "s.vec.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(VecFormatError) as info:
+            load_space(path, preprocessed=preprocessed)
+        assert str(info.value) == f"{path}.meta.json: {message}"
 
 
 def normalize_only(space):
@@ -305,7 +348,7 @@ def stored_spaces(draw):
     vectors = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(rows, dim))
     vectors[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0.0
     composed = np.zeros(rows, dtype=bool)
-    composed[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = True
+    composed[rows - draw(st.integers(0, min(3, rows))):] = True
     state = draw(st.sampled_from(["no sidecar", "raw", "normalized", "preprocessed"]))
     center = rng.normal(size=dim) if state == "preprocessed" else None
     space = EmbeddingSpace(

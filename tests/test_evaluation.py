@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,8 @@ from morphlex.evaluation import (
     precision_at_1,
     read_eval_dictionary,
     read_seed_dictionary,
-    report_as_dict,
     tag_breakdown,
-    write_bins_tsv,
-    write_summary_tsv,
-    write_tags_tsv,
+    write_report,
 )
 from morphlex.morph import parse_tag
 from morphlex.pipeline import UntranslatableError
@@ -261,13 +260,11 @@ class TestDictionaryFiles:
         space = space_of(["a", "b"])
         gold = dictionary([("a", {"A"}), ("b", {"B"})], tags=[parse_tag("N;SG"), parse_tag("N;PL")])
         report = precision_at_1(lambda f: f.upper(), gold, space)
-        write_summary_tsv(report, str(tmp_path / "summary.tsv"))
-        write_bins_tsv(report, str(tmp_path / "bins.tsv"))
-        write_tags_tsv(report, str(tmp_path / "tags.tsv"))
-        summary = (tmp_path / "summary.tsv").read_text()
+        write_report(report, str(tmp_path / "run"))
+        summary = (tmp_path / "run.summary.tsv").read_text()
         assert "voc\t2\t2\t1.000000" in summary
-        assert "bin\tcorrect" in (tmp_path / "bins.tsv").read_text()
-        assert "N;PL\t1\t1" in (tmp_path / "tags.tsv").read_text()
-        payload = report_as_dict(report)
+        assert "bin\tcorrect" in (tmp_path / "run.bins.tsv").read_text()
+        assert "N;PL\t1\t1" in (tmp_path / "run.tags.tsv").read_text()
+        payload = json.loads((tmp_path / "run.report.json").read_text())
         assert payload["all"]["precision_at_1"] == 1.0
         assert payload["tags"][0]["low_support"] is True

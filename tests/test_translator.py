@@ -1,5 +1,7 @@
+import json
 import logging
 import math
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +21,6 @@ from morphlex.translator import (
     TranslationModel,
     bilinear_score,
     load_model,
-    load_model_metadata,
     log_prob,
     log_softmax,
     loss_and_gradient,
@@ -476,7 +477,8 @@ class TestModelFiles:
         reloaded = load_model(path)
         assert np.array_equal(reloaded.omega, model.omega)
         assert reloaded.normalizer_vocab_size == 99
-        assert load_model_metadata(path) == {"source_center": [0.0, 0.1, 0.2]}
+        with open(f"{path}.meta.json", encoding="utf-8") as handle:
+            assert json.load(handle) == {"source_center": [0.0, 0.1, 0.2]}
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -524,7 +526,7 @@ class TestModelFiles:
         model = TranslationModel(np.eye(2), 1)
         path = str(tmp_path / "m.omega")
         save_model(model, path)
-        assert load_model_metadata(path) is None
+        assert not os.path.exists(f"{path}.meta.json")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.omega"
