@@ -8,9 +8,9 @@ straight through the translator (hybrid mode).
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingSpace, nearest, compose_oov
+from .embeddings import EmbeddingSpace, compose_oov
 from .morph import MorphTag, UniMorphEntry, parse_tag, tag_translate
-from .translator import TranslationModel, TrainConfig, train, predict
+from .translator import TranslationModel, TrainConfig, train
 from .baseline import procrustes_fit
 from .pipeline import JointConfig, TranslationCandidate, translate, translate_many
 from .evaluation import EvalDictionary, EvalReport, precision_at_1, extract_identical_seed
@@ -27,10 +27,8 @@ __all__ = [
     "UniMorphEntry",
     "compose_oov",
     "extract_identical_seed",
-    "nearest",
     "parse_tag",
     "precision_at_1",
-    "predict",
     "procrustes_fit",
     "tag_translate",
     "train",

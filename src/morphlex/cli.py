@@ -57,7 +57,7 @@ from .morph import (
 )
 from .pipeline import (
     MODE_BASE,
-    MODE_HYBRID,
+    MODE_COMPONENTS,
     MODE_ORACLE,
     MODES,
     BatchStats,
@@ -262,12 +262,12 @@ def _build_joint_config(args: argparse.Namespace) -> JointConfig:
 
 
 def _require_components(args: argparse.Namespace) -> str | None:
-    mode = args.mode
-    if mode in (MODE_BASE, MODE_HYBRID) and (not args.analyzer or not args.inflector):
-        return f"mode {mode!r} needs --analyzer and --inflector"
-    if mode == MODE_ORACLE and not args.inflector:
-        return "mode 'oracle' needs --inflector"
-    return None
+    """The usage error of a mode without its components, checked before any
+    file is read; each component's flag is named after its field."""
+    needed = MODE_COMPONENTS[args.mode]
+    if all(getattr(args, name) for name in needed):
+        return None
+    return f"mode {args.mode!r} needs " + " and ".join(f"--{name}" for name in needed)
 
 
 def _oracle_row(row: list[str]) -> tuple[str, tuple[str, MorphTag]]:
@@ -401,7 +401,7 @@ def cmd_compose_oov(args: argparse.Namespace) -> int:
             logger.warning("compose-oov: %r already in the vocabulary, skipped", form)
             continue
         try:
-            vec = compose_oov(form, table, min_n=args.min_ngram, max_n=args.max_ngram)
+            vec = compose_oov(form, table)
         except CompositionError:
             failures += 1
             logger.warning("compose-oov: no n-gram coverage for %r", form)
@@ -443,7 +443,6 @@ def build_parser() -> _Parser:
     p.add_argument("--inflector-out", help="output inflector rule table")
     p.add_argument("--exclude", help="evaluation dictionary whose forms are excluded")
     p.add_argument("--dev", help="UniMorph TSV for held-out accuracy reporting")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_morph)
 
     def add_pipeline_flags(p):
@@ -460,7 +459,6 @@ def build_parser() -> _Parser:
     add_pipeline_flags(p)
     p.add_argument("--input", default="-", help="input file, '-' for stdin")
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_translate)
 
     p = commands.add_parser("evaluate", help="precision@1 with breakdowns")
@@ -471,7 +469,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bin-width", type=_positive_int, default=10_000)
     p.add_argument("--num-bins", type=_positive_int, default=10)
     p.add_argument("--min-tag-count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("extract-seed", help="identical-string weak supervision")
@@ -486,8 +483,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ngrams", required=True, help="n-gram table file")
     p.add_argument("--forms", required=True, help="file with one OOV form per line")
     p.add_argument("--out", required=True, help="output .vec file")
-    p.add_argument("--min-ngram", type=int, default=3)
-    p.add_argument("--max-ngram", type=int, default=6)
     add_max_words(p)
     p.set_defaults(func=cmd_compose_oov)
 

@@ -1,4 +1,4 @@
-"""Monolingual word-embedding spaces: loading, preprocessing, retrieval.
+"""Monolingual word-embedding spaces: loading, preprocessing, OOV composition.
 
 The text format is the usual one: a ``<count> <dim>`` header line, then
 one word and its coordinates per line. Row order doubles as the
@@ -228,8 +228,9 @@ def load_space(
     With ``preprocessed``, the
     space is then given whichever preprocessing step it has not had (see
     ``preprocess``), in place on the one parsed matrix, and its zero rows
-    draw one warning naming the file; a file with no rows is a
-    ``VecFormatError``, as there is nothing to preprocess.
+    draw one warning naming the file; a file with no rows, or whose rows
+    are all composed and have no stored center, is a ``VecFormatError``,
+    as there is nothing to preprocess or no training mean to center on.
     """
     words, vectors = _read_vec_file(path, max_words)
     if preprocessed and not words:
@@ -252,9 +253,14 @@ def load_space(
     if not preprocessed:
         return space
     flags, unit_normalized, center = space.composed_flags, space.unit_normalized, space.center
+    n_file_loaded = space.n_file_loaded
+    if center is None and not n_file_loaded:
+        raise VecFormatError(f"{path}: no file-loaded rows to mean-center")
     del space  # and its word index, before preprocessing and the final space's index
     vectors.setflags(write=True)  # still this function's own matrix
-    zero_words, center = _preprocess_in_place(words, vectors, unit_normalized, center)
+    zero_words, center = _preprocess_in_place(
+        words, vectors, n_file_loaded, unit_normalized, center
+    )
     if zero_words:
         logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
     return EmbeddingSpace(tuple(words), vectors, flags, True, center, _adopt=True)
@@ -268,11 +274,14 @@ _NORM_BLOCK_ROWS = 1024
 def _preprocess_in_place(
     words: Sequence[str],
     vectors: np.ndarray,
+    n_file_loaded: int,
     unit_normalized: bool,
     center: np.ndarray | None,
 ) -> tuple[list[str], np.ndarray]:
     """``preprocess`` on a matrix this module owns, in place. Returns the
-    words of the zero rows and the center."""
+    words of the zero rows and the center. The center is the mean of the
+    first ``n_file_loaded`` rows: composed rows come last and are centered
+    on the training mean without moving it."""
     zero_words: list[str] = []
     if not unit_normalized:
         for start in range(0, len(vectors), _NORM_BLOCK_ROWS):
@@ -283,22 +292,23 @@ def _preprocess_in_place(
             block /= norms[:, None]
             zero_words.extend(words[start + i] for i in np.flatnonzero(zero))
     if center is None:
-        if len(vectors) == 0:
-            raise ValueError("cannot mean-center an empty space")
-        center = vectors.mean(axis=0)
+        if n_file_loaded == 0:
+            raise ValueError("cannot mean-center a space with no file-loaded rows")
+        center = vectors[:n_file_loaded].mean(axis=0)
         vectors -= center
     return zero_words, center
 
 
 def preprocess(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
     """Length-normalize unless ``unit_normalized`` is set, then subtract
-    the mean of all rows and store it as ``center`` unless a center is
-    set. Zero rows stay unchanged and are returned in the warning list; an
-    empty space cannot be centered (ValueError). The input is not changed.
+    the mean of the file-loaded rows from every row and store it as
+    ``center`` unless a center is set. Zero rows stay unchanged and are
+    returned in the warning list; a space with no file-loaded rows cannot
+    be centered (ValueError). The input is not changed.
     """
     vectors = np.array(space.vectors)
     zero_words, center = _preprocess_in_place(
-        space.words, vectors, space.unit_normalized, space.center
+        space.words, vectors, space.n_file_loaded, space.unit_normalized, space.center
     )
     processed = replace(space, vectors=vectors, unit_normalized=True, center=center, _adopt=True)
     return processed, zero_words
@@ -317,28 +327,24 @@ def apply_preprocessing(space: EmbeddingSpace, vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def ngrams(form: str, min_n: int = NGRAM_MIN, max_n: int = NGRAM_MAX) -> list[str]:
-    """Boundary-wrapped character n-grams of a form, one per occurrence."""
+def ngrams(form: str) -> list[str]:
+    """Boundary-wrapped character ``NGRAM_MIN``..``NGRAM_MAX``-grams of a
+    form, one per occurrence."""
     wrapped = "<" + form + ">"
     out: list[str] = []
-    for n in range(min_n, max_n + 1):
+    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
         out.extend(wrapped[i : i + n] for i in range(len(wrapped) - n + 1))
     return out
 
 
-def compose_oov(
-    form: str,
-    ngram_table: Mapping[str, np.ndarray],
-    min_n: int = NGRAM_MIN,
-    max_n: int = NGRAM_MAX,
-) -> np.ndarray:
+def compose_oov(form: str, ngram_table: Mapping[str, np.ndarray]) -> np.ndarray:
     """Sum the table vectors of every wrapped n-gram occurrence of ``form``.
 
     N-grams absent from the table contribute nothing; if none is found
     at all the form cannot be composed and CompositionError is raised.
     """
     total: np.ndarray | None = None
-    for gram in ngrams(form, min_n, max_n):
+    for gram in ngrams(form):
         vec = ngram_table.get(gram)
         if vec is None:
             continue
@@ -354,42 +360,3 @@ def load_ngram_table(path: str, dim: int) -> dict[str, np.ndarray]:
         path, dim, first_lineno=1, error=VecFormatError, key="an n-gram"
     )
     return dict(zip(grams, vectors))
-
-
-def top_by_cosine(
-    space: EmbeddingSpace, products: np.ndarray, query_norms: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``k`` best rows of the space for each query, from raw products.
-
-    ``products[i, j]`` is the dot product of query i with row j and
-    ``query_norms[i]`` the norm of query i. Cosine divides by the cached
-    row norms times the query norm. Exact ties go to the lower (more
-    frequent) rank, and zero rows score -inf, so they never beat a
-    non-zero row. Returns the (queries, k) row indices and their cosines.
-    """
-    if not np.all(query_norms > 0.0):
-        raise ValueError("cannot rank neighbours of a zero query vector")
-    scores = np.multiply.outer(query_norms, space.row_norms)
-    zero = scores == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(products, scores, out=scores)
-    scores[zero] = -np.inf
-    if k == 1:
-        order = np.argmax(scores, axis=1)[:, None]
-    else:
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(scores, order, axis=1)
-
-
-def nearest(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """The ``k`` words most cosine-similar to ``query``, best first,
-    under the tie and zero-row rules of ``top_by_cosine``."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (space.dim,):
-        raise ValueError(f"query has shape {q.shape}, expected ({space.dim},)")
-    order, scores = top_by_cosine(
-        space, (space.vectors @ q)[None, :], np.array([np.linalg.norm(q)]), min(k, len(space))
-    )
-    return [(space.words[i], float(score)) for i, score in zip(order[0], scores[0])]

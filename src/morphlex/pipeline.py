@@ -36,6 +36,14 @@ MODE_ORACLE = "oracle"
 MODE_DIRECT = "direct"
 MODES = (MODE_BASE, MODE_HYBRID, MODE_ORACLE, MODE_DIRECT)
 
+# The morphology components each mode reads, by ``JointConfig`` field name.
+MODE_COMPONENTS = {
+    MODE_BASE: ("analyzer", "inflector"),
+    MODE_HYBRID: ("analyzer", "inflector"),
+    MODE_ORACLE: ("inflector",),
+    MODE_DIRECT: (),
+}
+
 ROUTE_LEMMA = "lemma-route"
 ROUTE_DIRECT = "direct-route"
 
@@ -91,7 +99,8 @@ class BatchStats:
 
 @dataclass
 class JointConfig:
-    """Component bundle for one translation direction."""
+    """Component bundle for one translation direction. A mode without
+    the components ``MODE_COMPONENTS`` lists for it is a ValueError."""
 
     mode: str
     model: TranslationModel
@@ -104,8 +113,9 @@ class JointConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_ORACLE and self.inflector is None:
-            raise ValueError("oracle mode needs an inflector")
+        needed = MODE_COMPONENTS[self.mode]
+        if any(getattr(self, name) is None for name in needed):
+            raise ValueError(f"mode {self.mode!r} needs " + " and ".join(needed))
         support = self.model.normalizer_vocab_size
         rows = self.target_space.n_file_loaded
         if support > rows:
@@ -170,9 +180,9 @@ def _lemma_outranks_form(config: JointConfig, lemma: str, source_form: str) -> b
 
 def _lemma_route_analysis(config: JointConfig, source_form: str) -> Analysis | None:
     """The analysis a base or hybrid form takes the lemma route with, or
-    None when it goes direct: no morphology, no analysis, or (hybrid) a
+    None when it goes direct: direct mode, no analysis, or (hybrid) a
     lemma that does not outrank the form."""
-    if config.mode == MODE_DIRECT or config.analyzer is None or config.inflector is None:
+    if config.mode == MODE_DIRECT:
         return None
     try:
         analysis = analyze(config.analyzer, source_form)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, nearest, top_by_cosine
+from .embeddings import EmbeddingSpace
 from .textio import read_float_rows, sidecar_path, write_float_rows, write_json
 
 logger = logging.getLogger(__name__)
@@ -370,7 +370,7 @@ def retrieve(
     """The 1-best target row for each source vector, with its log-probability.
 
     One product P = S Omega^T maps the sources; each row block of
-    R = P V^T then gives both the cosine winner (``top_by_cosine``: ties
+    R = P V^T then gives both the cosine winner (``_cosine_winners``: ties
     to the lower rank, zero rows never win, a zero mapped query raises)
     and the log-softmax at the winner over the first
     ``normalizer_vocab_size`` columns, which is None when the winner lies
@@ -395,6 +395,27 @@ def retrieve(
     return winners, [float(lp) if i < size else None for i, lp in zip(winners, log_probs)]
 
 
+def _cosine_winners(
+    target_space: EmbeddingSpace, products: np.ndarray, query_norms: np.ndarray
+) -> np.ndarray:
+    """The row of the space with the highest cosine for each query.
+
+    ``products[i, j]`` is the dot product of query i with row j and
+    ``query_norms[i]`` the norm of query i. Cosine divides by the cached
+    row norms times the query norm. Exact ties go to the lower (more
+    frequent) rank, and zero rows score -inf, so they never beat a
+    non-zero row; a zero query raises ValueError.
+    """
+    if not np.all(query_norms > 0.0):
+        raise ValueError("cannot rank neighbours of a zero query vector")
+    scores = np.multiply.outer(query_norms, target_space.row_norms)
+    zero = scores == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(products, scores, out=scores)
+    scores[zero] = -np.inf
+    return np.argmax(scores, axis=1)
+
+
 def _retrieve_block(
     projected: np.ndarray, query_norms: np.ndarray, target_space: EmbeddingSpace, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -403,24 +424,13 @@ def _retrieve_block(
     scores once the winners' scores are read, so the block costs two
     score-sized arrays at most."""
     scores = projected @ target_space.vectors.T
-    best = top_by_cosine(target_space, scores, query_norms, 1)[0][:, 0]
+    best = _cosine_winners(target_space, scores, query_norms)
     at_best = scores[np.arange(len(best)), best]
     support = scores[:, :size]
     shift = support.max(axis=1)
     support -= shift[:, None]
     log_z = np.log(np.exp(support, out=support).sum(axis=1))
     return best, at_best - shift - log_z
-
-
-def predict(
-    model: TranslationModel,
-    source_word: str,
-    source_space: EmbeddingSpace,
-    target_space: EmbeddingSpace,
-    k: int = 1,
-) -> list[tuple[str, float]]:
-    """Top-k target words by cosine for a source word already present in the space."""
-    return nearest(target_space, model.omega @ source_space.vector(source_word), k)
 
 
 def save_model(model: TranslationModel, path: str, metadata: dict | None = None) -> None:

@@ -34,7 +34,7 @@ from morphlex.translator import (
     TranslationModel,
     log_prob,
     loss_and_gradient,
-    predict,
+    retrieve,
     train,
 )
 
@@ -136,9 +136,9 @@ def test_criterion_3_procrustes_exact_recovery():
     pairs = [(f"s{i}", f"t{i}") for i in range(n_seed)]
     model = procrustes_fit(pairs, source, target)
     deviation = float(np.linalg.norm(model.omega - q, "fro"))
+    winners, _ = retrieve(model, source.vectors[n_seed:], target)
     hits = sum(
-        predict(model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
-        for i in range(n_seed, n_words)
+        target.words[winner] == f"t{i}" for i, winner in zip(range(n_seed, n_words), winners)
     )
     precision = hits / (n_words - n_seed)
     elapsed = time.perf_counter() - started
@@ -215,6 +215,7 @@ def test_criterion_6_joint_beats_direct_on_rare_forms(bilingual_world):
     task, config = bilingual_world
     proc = procrustes_fit(task.seed_pairs, task.source_space, task.target_space)
     oracle_config = replace(config, mode="oracle")
+    procrustes_config = replace(config, mode="direct", model=proc)
 
     def base_system(form):
         return translate(config, form).form
@@ -223,10 +224,7 @@ def test_criterion_6_joint_beats_direct_on_rare_forms(bilingual_world):
         return translate(oracle_config, form, task.gold_analyses[form]).form
 
     def procrustes_system(form):
-        try:
-            return predict(proc, form, task.source_space, task.target_space, 1)[0][0]
-        except KeyError:
-            return None
+        return translate(procrustes_config, form).form
 
     base = precision_at_1(base_system, task.eval_dictionary, task.source_space).all_precision
     oracle = precision_at_1(oracle_system, task.eval_dictionary, task.source_space).all_precision

@@ -3,7 +3,7 @@ import pytest
 
 from morphlex.baseline import procrustes_fit
 from morphlex.embeddings import EmbeddingSpace
-from morphlex.translator import NoTrainablePairsError, predict
+from morphlex.translator import NoTrainablePairsError, retrieve
 
 
 def random_orthogonal(rng, dim):
@@ -88,14 +88,16 @@ class TestBaselinePredict:
         rng = np.random.default_rng(8)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(10)), rng.normal(size=(10, 4)))
         model = procrustes_fit([(w, w) for w in space.words], space, space)
-        assert predict(model, "w7", space, space, k=1)[0][0] == "w7"
+        winners, _ = retrieve(model, space.vectors[[7]], space)
+        assert space.words[winners[0]] == "w7"
 
     def test_rotated_counterpart_retrieved(self):
         rng = np.random.default_rng(9)
         source, target, pairs, _ = rotated_spaces(rng, 50, 10)
         model = procrustes_fit(pairs[:40], source, target)
-        for i in range(40, 50):
-            assert predict(model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
+        winners, _ = retrieve(model, source.vectors[40:50], target)
+        for i, winner in zip(range(40, 50), winners):
+            assert target.words[winner] == f"t{i}"
 
     def test_tie_broken_by_rank(self):
         source = EmbeddingSpace(("s",), np.array([[1.0, 0.0]]))
@@ -103,14 +105,13 @@ class TestBaselinePredict:
             ("first", "second"), np.array([[1.0, 0.0], [2.0, 0.0]])
         )
         model = procrustes_fit([("s", "first")], source, target)
-        assert predict(model, "s", source, target, k=1)[0][0] == "first"
+        winners, _ = retrieve(model, source.vectors, target)
+        assert target.words[winners[0]] == "first"
 
     def test_exact_recovery_precision_is_total(self):
         rng = np.random.default_rng(10)
         source, target, pairs, _ = rotated_spaces(rng, 80, 12)
         model = procrustes_fit(pairs[:40], source, target)
-        hits = sum(
-            predict(model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
-            for i in range(80)
-        )
+        winners, _ = retrieve(model, source.vectors, target)
+        hits = sum(target.words[winner] == f"t{i}" for i, winner in enumerate(winners))
         assert hits == 80

@@ -244,7 +244,8 @@ class TestTranslate:
             assert route in ("lemma-route", "direct-route")
             if prediction != "<NONE>":
                 assert float(log_prob) <= 0.0
-        assert (tmp_path / "preds.tsv.manifest.json").exists()
+        manifest = json.loads((tmp_path / "preds.tsv.manifest.json").read_text())
+        assert manifest["seed"] is None and "seed" not in manifest["arguments"]
 
     def test_untranslatable_line_yields_none_and_zero_exit(self, corpus, trained, tmp_path):
         forms = tmp_path / "forms.txt"
@@ -276,12 +277,13 @@ class TestTranslate:
         assert "oracle input needs" in capsys.readouterr().err
         assert lines[1].split("\t")[1] != "<NONE>"
 
-    def test_base_mode_without_analyzer_is_usage_error(self, corpus, trained):
+    def test_base_mode_without_analyzer_is_usage_error(self, corpus, trained, capsys):
         code = main([
             "translate", "--model", trained["model"], "--src", corpus["src"],
             "--tgt", corpus["tgt"], "--mode", "base",
         ])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: mode 'base' needs --analyzer and --inflector\n"
 
     def test_hybrid_routing_field_varies(self, corpus, trained, tmp_path):
         # Evaluation forms are rare: base mode sends them through the
@@ -667,6 +669,37 @@ class TestComposeOov:
             "--forms", str(forms), "--out", str(tmp_path / "o.vec"),
         ])
         assert code == EXIT_UNTRAINABLE
+
+    def test_grown_space_translates_as_ngrams_on_the_raw_space(self, corpus, trained, tmp_path):
+        # Composed rows are centred on the training mean without moving it,
+        # so every line, in-vocabulary ones included, is the same either way.
+        task = corpus["task"]
+        rng = np.random.default_rng(9)
+        vocabulary = list(task.source_space.words)
+        oov = ["z" + word for word in vocabulary[::8]]
+        table = tmp_path / "src.ngrams"
+        grams = sorted({g for word in vocabulary + oov for g in ngrams(word)})
+        table.write_text("".join(
+            f"{g} {' '.join(map(repr, rng.normal(size=10).tolist()))}\n" for g in grams
+        ))
+        (tmp_path / "oov.txt").write_text("\n".join(oov) + "\n")
+        (tmp_path / "input.txt").write_text("\n".join(vocabulary + oov) + "\n")
+        grown = str(tmp_path / "grown.vec")
+        assert main([
+            "compose-oov", "--space", corpus["src"], "--ngrams", str(table),
+            "--forms", str(tmp_path / "oov.txt"), "--out", grown,
+        ]) == EXIT_OK
+
+        def predictions(source, *extra):
+            out = tmp_path / f"preds{len(extra)}.tsv"
+            assert main([
+                "translate", "--model", trained["model"], "--src", source,
+                "--tgt", corpus["tgt"], "--mode", "direct", *extra,
+                "--input", str(tmp_path / "input.txt"), "--output", str(out),
+            ]) == EXIT_OK
+            return out.read_bytes()
+
+        assert predictions(grown) == predictions(corpus["src"], "--ngrams", str(table))
 
 
 class TestDeterminism:

@@ -127,6 +127,21 @@ class TestTranslateBase:
         with pytest.raises(ValueError, match="unknown mode"):
             replace(tiny_setup(), mode="lemma")
 
+    @pytest.mark.parametrize(
+        "mode, component",
+        [(MODE_BASE, "analyzer"), (MODE_BASE, "inflector"), (MODE_HYBRID, "analyzer"),
+         (MODE_HYBRID, "inflector"), (MODE_ORACLE, "inflector")],
+    )
+    def test_missing_component_rejected(self, mode, component):
+        # Base or hybrid without morphology would send every form direct.
+        with pytest.raises(ValueError, match=f"mode '{mode}' needs"):
+            replace(tiny_setup(), mode=mode, **{component: None})
+
+    def test_direct_and_oracle_modes_take_no_analyzer(self):
+        replace(tiny_setup(), mode=MODE_ORACLE, analyzer=None)
+        config = replace(tiny_setup(), mode=MODE_DIRECT, analyzer=None, inflector=None)
+        assert translate(config, "salto").route == ROUTE_DIRECT
+
     def test_oov_lemma_composed_from_ngrams(self):
         config = tiny_setup()
         # Remove the lemma from the space; supply an n-gram table that

@@ -25,7 +25,6 @@ from morphlex.translator import (
     log_softmax,
     loss_and_gradient,
     orth_penalty,
-    predict,
     retrieve,
     save_model,
     train,
@@ -34,6 +33,12 @@ from morphlex.translator import (
 
 def toy_space(rng, n, dim, prefix="w"):
     return EmbeddingSpace(tuple(f"{prefix}{i}" for i in range(n)), rng.normal(size=(n, dim)))
+
+
+def top_words(model, source, target, words):
+    """The 1-best target word of each source word, from one ``retrieve``."""
+    winners, _ = retrieve(model, source.vectors[[source.index(w) for w in words]], target)
+    return [target.words[i] for i in winners]
 
 
 def random_orthogonal(rng, dim):
@@ -234,10 +239,8 @@ class TestTrain:
         source, target, pairs, _ = rotation_task(rng, 70, 10)
         config = TrainConfig(alpha=1.0, max_epochs=60, seed=0)
         result = train(pairs[:50], source, target, config)
-        hits = sum(
-            predict(result.model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
-            for i in range(50, 70)
-        )
+        found = top_words(result.model, source, target, [f"s{i}" for i in range(50, 70)])
+        hits = sum(word == f"t{i}" for i, word in zip(range(50, 70), found))
         assert hits / 20 >= 0.95
 
     def test_max_epochs_zero_returns_initialization(self):
@@ -316,14 +319,14 @@ class TestPredict:
         rng = np.random.default_rng(16)
         space = toy_space(rng, 12, 5)
         model = TranslationModel(np.eye(5), 12)
-        assert predict(model, "w3", space, space, k=1)[0][0] == "w3"
+        assert top_words(model, space, space, ["w3"])[0] == "w3"
 
     def test_rotation_construction(self):
         rng = np.random.default_rng(17)
         source, target, _, q = rotation_task(rng, 15, 5)
         model = TranslationModel(q, 15)
-        for i in range(15):
-            assert predict(model, f"s{i}", source, target, k=1)[0][0] == f"t{i}"
+        for i, word in enumerate(top_words(model, source, target, source.words)):
+            assert word == f"t{i}"
 
     def test_cosine_argmax_equals_bilinear_argmax_for_unit_rows(self):
         rng = np.random.default_rng(18)
@@ -331,8 +334,7 @@ class TestPredict:
         target, _ = preprocess(replace(toy_space(rng, 20, 5, prefix="t"), center=np.zeros(5)))
         source = toy_space(rng, 3, 5, prefix="s")
         model = TranslationModel(rng.normal(size=(5, 5)), 20)
-        for word in source.words:
-            top = predict(model, word, source, target, k=1)[0][0]
+        for word, top in zip(source.words, top_words(model, source, target, source.words)):
             scores = [
                 bilinear_score(model, target.vector(t), source.vector(word))
                 for t in target.words
@@ -347,29 +349,25 @@ class TestPredict:
         shuffled = EmbeddingSpace(
             tuple(target.words[i] for i in order), target.vectors[order]
         )
-        for i in range(12):
-            assert (
-                predict(model, f"s{i}", source, target, 1)[0][0]
-                == predict(model, f"s{i}", source, shuffled, 1)[0][0]
-            )
+        assert top_words(model, source, target, source.words) == top_words(
+            model, source, shuffled, source.words
+        )
 
     def test_argmax_invariant_to_query_rescaling(self):
         rng = np.random.default_rng(19)
         source, target, _, q = rotation_task(rng, 15, 4)
         model_scaled = TranslationModel(3.7 * q, 15)
         model_plain = TranslationModel(q, 15)
-        for i in range(15):
-            assert (
-                predict(model_plain, f"s{i}", source, target, 1)[0][0]
-                == predict(model_scaled, f"s{i}", source, target, 1)[0][0]
-            )
+        assert top_words(model_plain, source, target, source.words) == top_words(
+            model_scaled, source, target, source.words
+        )
 
     def test_unresolvable_word(self):
         rng = np.random.default_rng(20)
         space = toy_space(rng, 4, 3)
         model = TranslationModel(np.eye(3), 4)
         with pytest.raises(WordNotFoundError):
-            predict(model, "nope", space, space)
+            top_words(model, space, space, ["nope"])
 
 
 def reference_retrieval(omega, sources, targets, support):
@@ -450,7 +448,7 @@ class TestRetrieve:
 
     def test_blocks_of_two_rows_cover_the_batch(self):
         # Seven queries over four blocks of two rows give the same answers
-        # as one query at a time.
+        # as the per-query reference.
         rng = np.random.default_rng(24)
         space = toy_space(rng, 6, 3, prefix="t")
         model = TranslationModel(rng.normal(size=(3, 3)), 5)
@@ -458,10 +456,10 @@ class TestRetrieve:
         with mock.patch.object(translator, "SCORE_BLOCK_BYTES", 2 * 8 * 6):
             assert translator.score_block_rows(space) == 2
             winners, log_probs = retrieve(model, sources, space)
-        for source, winner, lp in zip(sources, winners, log_probs):
+        expected = reference_retrieval(model.omega, sources, space.vectors, 5)
+        for source, winner, lp, (best, _) in zip(sources, winners, log_probs, expected):
             word = space.words[winner]
-            one = EmbeddingSpace(("s",), source[None, :])
-            assert predict(model, "s", one, space)[0][0] == word
+            assert winner == best
             if winner < 5:
                 assert lp == pytest.approx(log_prob(model, space, word, source), abs=1e-12)
             else:
