@@ -17,7 +17,7 @@ from dataclasses import replace
 from morphlex.baseline import procrustes_fit
 from morphlex.evaluation import precision_at_1, write_report
 from morphlex.morph import learn_analyzer, learn_inflector
-from morphlex.pipeline import JointConfig, translate_many, unwrap
+from morphlex.pipeline import JointConfig, translate_many
 from morphlex.synthetic import build_bilingual_task
 from morphlex.translator import TrainConfig, train
 
@@ -73,9 +73,8 @@ def main() -> int:
     forms = [entry.source for entry in task.eval_dictionary.entries]
     golds = [task.gold_analyses.get(form) for form in forms]
     for name, config in configs.items():
-        by_form = dict(zip(forms, translate_many(config, forms, golds)))
         report = precision_at_1(
-            lambda form: unwrap(by_form[form]).form,
+            translate_many(config, forms, golds),
             task.eval_dictionary,
             task.source_space,
             bin_width=args.bin_width,

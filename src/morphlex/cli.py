@@ -25,13 +25,15 @@ from .embeddings import (
     CompositionError,
     DEFAULT_MAX_WORDS,
     VecFormatError,
-    apply_preprocessing,
     compose_oov,
     load_ngram_table,
     load_space,
     save_space,
 )
 from .evaluation import (
+    DEFAULT_BIN_WIDTH,
+    DEFAULT_MIN_TAG_COUNT,
+    DEFAULT_NUM_BINS,
     DictionaryFormatError,
     EmptyDictionaryError,
     NoOverlapError,
@@ -66,7 +68,6 @@ from .pipeline import (
     TranslationCandidate,
     joint_log_prob,
     translate_many,
-    unwrap,
 )
 from .textio import read_tsv, write_json, write_tsv
 from .translator import (
@@ -130,10 +131,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """The argparse type of a decimal integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _train_config_value(field):
@@ -358,11 +364,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     forms = [entry.source for entry in dictionary.entries]
     stats = BatchStats()
-    results = translate_many(config, forms, [gold.get(form) for form in forms], stats)
+    slots = translate_many(config, forms, [gold.get(form) for form in forms], stats)
     logger.info("evaluate: %s", stats)
-    by_form = dict(zip(forms, results))
     report = precision_at_1(
-        lambda form: unwrap(by_form[form]).form,
+        slots,
         dictionary,
         config.source_space,
         bin_width=args.bin_width,
@@ -393,27 +398,26 @@ def cmd_compose_oov(args: argparse.Namespace) -> int:
     space = load_space(args.space, max_words=args.max_words)
     table = load_ngram_table(args.ngrams, space.dim)
     with open(args.forms, encoding="utf-8") as handle:
-        forms = [line.strip() for line in handle if line.strip()]
-    additions = []
+        forms = list(dict.fromkeys(line.strip() for line in handle if line.strip()))
+    composed = {}
     failures = 0
     for form in forms:
         if form in space:
             logger.warning("compose-oov: %r already in the vocabulary, skipped", form)
             continue
         try:
-            vec = compose_oov(form, table)
+            composed[form] = compose_oov(form, table)
         except CompositionError:
             failures += 1
             logger.warning("compose-oov: no n-gram coverage for %r", form)
-            continue
-        additions.append((form, apply_preprocessing(space, vec)))
-    if not additions and forms:
+    if not composed and forms:
         print("error: no form could be composed", file=sys.stderr)
         return EXIT_UNTRAINABLE
-    grown = space.with_composed(additions)
+    rows = space.preprocessed_rows(list(composed.values())) if composed else []
+    grown = space.with_composed(zip(composed, rows))
     save_space(grown, args.out)
     _write_manifest(args.out, args)
-    print(f"composed {len(additions)} vectors ({failures} failures); wrote {args.out}")
+    print(f"composed {len(composed)} vectors ({failures} failures); wrote {args.out}")
     return EXIT_OK
 
 
@@ -423,7 +427,7 @@ def build_parser() -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_max_words(p):
-        p.add_argument("--max-words", type=_positive_int, default=DEFAULT_MAX_WORDS,
+        p.add_argument("--max-words", type=_int_at_least(1), default=DEFAULT_MAX_WORDS,
                        help="vocabulary cap per space (default %(default)s)")
 
     p = commands.add_parser("train-translator", help="fit the log-bilinear mapping")
@@ -466,9 +470,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dict", required=True, help="evaluation dictionary TSV")
     p.add_argument("--out-prefix", required=True, help="prefix for report files")
     p.add_argument("--oracle-analyses", help="form<TAB>lemma<TAB>tag file for oracle mode")
-    p.add_argument("--bin-width", type=_positive_int, default=10_000)
-    p.add_argument("--num-bins", type=_positive_int, default=10)
-    p.add_argument("--min-tag-count", type=int, default=5)
+    p.add_argument("--bin-width", type=_int_at_least(1), default=DEFAULT_BIN_WIDTH)
+    p.add_argument("--num-bins", type=_int_at_least(1), default=DEFAULT_NUM_BINS)
+    p.add_argument("--min-tag-count", type=_int_at_least(0), default=DEFAULT_MIN_TAG_COUNT)
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("extract-seed", help="identical-string weak supervision")

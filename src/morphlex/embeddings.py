@@ -175,6 +175,18 @@ class EmbeddingSpace:
             _adopt=True,
         )
 
+    def preprocessed_rows(self, rows: np.ndarray) -> np.ndarray:
+        """A fresh copy of rows from outside the space (composed OOV
+        vectors) given the preprocessing the space has received, by the
+        kernel a reload gives the space's own rows: row-wise unit
+        normalization, then subtraction of the stored training mean."""
+        rows = np.array(rows, dtype=np.float64, ndmin=2)
+        if self.unit_normalized:
+            _normalize_rows_in_place(rows)
+        if self.center is not None:
+            rows -= self.center
+        return rows
+
 
 def _read_vec_file(path: str, max_words: int | None) -> tuple[list[str], np.ndarray]:
     """The words and a fresh matrix of a .vec file's first ``min(count,
@@ -271,6 +283,20 @@ def load_space(
 _NORM_BLOCK_ROWS = 1024
 
 
+def _normalize_rows_in_place(vectors: np.ndarray) -> list[int]:
+    """Divide every row by its Euclidean norm, ``_NORM_BLOCK_ROWS`` rows per
+    norm call; zero rows stay unchanged and their indices are returned."""
+    zero_rows: list[int] = []
+    for start in range(0, len(vectors), _NORM_BLOCK_ROWS):
+        block = vectors[start : start + _NORM_BLOCK_ROWS]
+        norms = np.linalg.norm(block, axis=1)
+        zero = norms == 0.0
+        norms[zero] = 1.0
+        block /= norms[:, None]
+        zero_rows.extend(start + int(i) for i in np.flatnonzero(zero))
+    return zero_rows
+
+
 def _preprocess_in_place(
     words: Sequence[str],
     vectors: np.ndarray,
@@ -282,15 +308,7 @@ def _preprocess_in_place(
     words of the zero rows and the center. The center is the mean of the
     first ``n_file_loaded`` rows: composed rows come last and are centered
     on the training mean without moving it."""
-    zero_words: list[str] = []
-    if not unit_normalized:
-        for start in range(0, len(vectors), _NORM_BLOCK_ROWS):
-            block = vectors[start : start + _NORM_BLOCK_ROWS]
-            norms = np.linalg.norm(block, axis=1)
-            zero = norms == 0.0
-            norms[zero] = 1.0
-            block /= norms[:, None]
-            zero_words.extend(words[start + i] for i in np.flatnonzero(zero))
+    zero_words = [] if unit_normalized else [words[i] for i in _normalize_rows_in_place(vectors)]
     if center is None:
         if n_file_loaded == 0:
             raise ValueError("cannot mean-center a space with no file-loaded rows")
@@ -312,19 +330,6 @@ def preprocess(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
     )
     processed = replace(space, vectors=vectors, unit_normalized=True, center=center, _adopt=True)
     return processed, zero_words
-
-
-def apply_preprocessing(space: EmbeddingSpace, vec: np.ndarray) -> np.ndarray:
-    """Give a vector from outside the space (a composed OOV vector) the
-    preprocessing the space has received: unit normalization, then
-    subtraction of the stored training mean."""
-    if space.unit_normalized:
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec = vec / norm
-    if space.center is not None:
-        vec = vec - space.center
-    return vec
 
 
 def ngrams(form: str) -> list[str]:

@@ -2,20 +2,19 @@
 
 VOC restricts the population to source forms that are file-loaded words
 of the source space; ALL covers every dictionary entry, composed OOV
-vectors included. An entry the system cannot translate counts as
-incorrect, so both precisions are over the full population, never
-coverage-adjusted.
+vectors included. An entry whose ``translate_many`` slot holds an error
+counts as untranslatable and incorrect, so both precisions are over the
+full population, never coverage-adjusted.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .embeddings import EmbeddingSpace
 from .morph import MorphTag, parse_tag
-from .pipeline import TRANSLATION_ERRORS
 from .textio import read_tsv, write_json, write_tsv
 
 logger = logging.getLogger(__name__)
@@ -137,31 +136,6 @@ def read_seed_dictionary(path: str) -> list[tuple[str, str]]:
     return list(dict.fromkeys(read_tsv(path, 2, DictionaryFormatError, tuple)))
 
 
-def score_entries(
-    system: Callable[[str], str | None],
-    dictionary: EvalDictionary,
-    source_space: EmbeddingSpace,
-) -> list[EntryOutcome]:
-    """Run the system over every entry; a declared translation failure
-    (``pipeline.TRANSLATION_ERRORS``) counts as a miss."""
-    outcomes = []
-    for entry in dictionary.entries:
-        try:
-            prediction = system(entry.source)
-        except TRANSLATION_ERRORS:
-            prediction = None
-        outcomes.append(
-            EntryOutcome(
-                source=entry.source,
-                rank=source_space.frequency_rank(entry.source),
-                tag=entry.tag,
-                prediction=prediction,
-                correct=prediction is not None and prediction in entry.golds,
-            )
-        )
-    return outcomes
-
-
 def frequency_bins(
     outcomes: Sequence[EntryOutcome],
     bin_width: int = DEFAULT_BIN_WIDTH,
@@ -216,20 +190,29 @@ def tag_breakdown(
 
 
 def precision_at_1(
-    system: Callable[[str], str | None],
+    slots: Sequence,
     dictionary: EvalDictionary,
     source_space: EmbeddingSpace,
     bin_width: int = DEFAULT_BIN_WIDTH,
     num_bins: int = DEFAULT_NUM_BINS,
     min_tag_count: int = DEFAULT_MIN_TAG_COUNT,
 ) -> EvalReport:
-    """Score the dictionary and assemble the full report.
+    """Score one ``translate_many`` slot per dictionary entry, in entry
+    order, and assemble the full report.
 
-    A prediction is correct iff it is a member of the entry's gold set.
+    A slot that is an exception is a miss and counts as untranslatable;
+    any other slot's ``.form`` is correct iff it is a member of the
+    entry's gold set. A slot list of another length is a ValueError.
     """
     if not dictionary.entries:
         raise EmptyDictionaryError(dictionary.provenance or "empty dictionary")
-    outcomes = score_entries(system, dictionary, source_space)
+    outcomes = []
+    for entry, slot in zip(dictionary.entries, slots, strict=True):
+        prediction = None if isinstance(slot, Exception) else slot.form
+        outcomes.append(EntryOutcome(
+            entry.source, source_space.frequency_rank(entry.source), entry.tag,
+            prediction, prediction in entry.golds,
+        ))
     voc = [o for o in outcomes if o.rank is not None]
     has_tags = any(o.tag is not None for o in outcomes)
     return EvalReport(

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import CompositionError, EmbeddingSpace, apply_preprocessing, compose_oov
+from .embeddings import CompositionError, EmbeddingSpace, compose_oov
 from .morph import (
     Analysis,
     MorphTag,
@@ -134,9 +134,10 @@ def _resolve_source_vector(config: JointConfig, word: str) -> np.ndarray | None:
     if config.ngram_table is None:
         return None
     try:
-        return apply_preprocessing(config.source_space, compose_oov(word, config.ngram_table))
+        composed = compose_oov(word, config.ngram_table)
     except CompositionError:
         return None
+    return config.source_space.preprocessed_rows(composed)[0]
 
 
 def _retrieve_many(
@@ -270,13 +271,6 @@ def translate_many(
     return [results[key] for key in keys]
 
 
-def unwrap(result: TranslationCandidate | Exception) -> TranslationCandidate:
-    """The candidate of a ``translate_many`` slot; a slot's error is raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def translate(
     config: JointConfig,
     source_form: str,
@@ -284,7 +278,10 @@ def translate(
 ) -> TranslationCandidate:
     """Translate one source form: ``translate_many`` of one item, with the
     slot's declared error raised."""
-    return unwrap(translate_many(config, [source_form], [gold])[0])
+    result = translate_many(config, [source_form], [gold])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def joint_log_prob(candidate: TranslationCandidate) -> float:

@@ -27,7 +27,7 @@ from morphlex.morph import (
     learn_inflector,
     tag_translate,
 )
-from morphlex.pipeline import JointConfig, translate
+from morphlex.pipeline import JointConfig, translate, translate_many
 from morphlex.synthetic import build_bilingual_task, make_language, split_lexemes
 from morphlex.translator import (
     TrainConfig,
@@ -214,21 +214,15 @@ def test_criterion_6_joint_beats_direct_on_rare_forms(bilingual_world):
     started = time.perf_counter()
     task, config = bilingual_world
     proc = procrustes_fit(task.seed_pairs, task.source_space, task.target_space)
-    oracle_config = replace(config, mode="oracle")
-    procrustes_config = replace(config, mode="direct", model=proc)
+    forms = [entry.source for entry in task.eval_dictionary.entries]
+    golds = [task.gold_analyses[form] for form in forms]
+    base_slots = translate_many(config, forms)
+    oracle_slots = translate_many(replace(config, mode="oracle"), forms, golds)
+    procrustes_slots = translate_many(replace(config, mode="direct", model=proc), forms)
 
-    def base_system(form):
-        return translate(config, form).form
-
-    def oracle_system(form):
-        return translate(oracle_config, form, task.gold_analyses[form]).form
-
-    def procrustes_system(form):
-        return translate(procrustes_config, form).form
-
-    base = precision_at_1(base_system, task.eval_dictionary, task.source_space).all_precision
-    oracle = precision_at_1(oracle_system, task.eval_dictionary, task.source_space).all_precision
-    direct = precision_at_1(procrustes_system, task.eval_dictionary, task.source_space).all_precision
+    base = precision_at_1(base_slots, task.eval_dictionary, task.source_space).all_precision
+    oracle = precision_at_1(oracle_slots, task.eval_dictionary, task.source_space).all_precision
+    direct = precision_at_1(procrustes_slots, task.eval_dictionary, task.source_space).all_precision
     elapsed = time.perf_counter() - started
     ok = (base - direct) >= 0.20 and oracle >= base and elapsed < 120.0
     report(6, "joint model beats the direct baseline on rare held-out forms", ok,
@@ -265,24 +259,22 @@ def test_criterion_7_hybrid_routing_exactness(bilingual_world):
 
 def test_criterion_8_frequency_bin_bookkeeping(bilingual_world):
     task, config = bilingual_world
-
-    def base_system(form):
-        return translate(config, form).form
+    base_slots = translate_many(config, [entry.source for entry in task.eval_dictionary.entries])
 
     width, nbins = 60, 8
     report_obj = precision_at_1(
-        base_system, task.eval_dictionary, task.source_space,
+        base_slots, task.eval_dictionary, task.source_space,
         bin_width=width, num_bins=nbins,
     )
     # Oracle: brute-force histogram over the same outcomes.
     expected: dict[str, list[int]] = {}
-    for entry in task.eval_dictionary.entries:
+    for entry, slot in zip(task.eval_dictionary.entries, base_slots):
         rank = task.source_space.index(entry.source)
         bucket = rank // width
         label = f"{bucket * width}-{(bucket + 1) * width}" if bucket < nbins else f"{nbins * width}+"
         cell = expected.setdefault(label, [0, 0])
         cell[1] += 1
-        cell[0] += base_system(entry.source) in entry.golds
+        cell[0] += slot.form in entry.golds
     got = {b.label: [b.correct, b.total] for b in report_obj.bins}
     counts_match = got == expected
     weighted = sum(b.accuracy * b.total for b in report_obj.bins)

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 from collections import OrderedDict
 from dataclasses import replace
 from unittest import mock
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from morphlex import cli
 from morphlex.baseline import procrustes_fit
 from morphlex.cli import EXIT_DATA, EXIT_OK, EXIT_UNTRAINABLE, EXIT_USAGE, main
-from morphlex.embeddings import load_space, ngrams, save_vec_file
+from morphlex.embeddings import EmbeddingSpace, load_ngram_table, load_space, ngrams, save_vec_file
 from morphlex.morph import learn_analyzer, learn_inflector
 from morphlex.pipeline import (
     MODE_DIRECT,
@@ -28,10 +29,12 @@ from morphlex.pipeline import (
     MODE_ORACLE,
     JointConfig,
     TranslationCandidate,
+    _resolve_source_vector,
     joint_log_prob,
     translate_many,
 )
 from morphlex.synthetic import build_bilingual_task
+from morphlex.translator import TranslationModel
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -670,6 +673,52 @@ class TestComposeOov:
         ])
         assert code == EXIT_UNTRAINABLE
 
+    def test_repeated_form_is_composed_once(self, tmp_path):
+        space = tmp_path / "s.vec"
+        space.write_text("2 2\nab 1 0\ncd 0 1\n")
+        ngrams = tmp_path / "t.ngrams"
+        ngrams.write_text("<xy 1 1\nxy> 2 0\n")
+        forms = tmp_path / "forms.txt"
+        forms.write_text("xy\nxy\n")
+        out = tmp_path / "grown.vec"
+        code = main([
+            "compose-oov", "--space", str(space), "--ngrams", str(ngrams),
+            "--forms", str(forms), "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert load_space(str(out)).words == ("ab", "cd", "xy")
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        form=st.text(alphabet="abc", min_size=1, max_size=10),
+        dim=st.sampled_from([8, 64, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ngrams_vector_is_the_reloaded_grown_row(self, form, dim, seed):
+        # The --ngrams route and a reload of a compose-oov-grown space give a
+        # composed vector the same preprocessing, bit for bit.
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as root:
+            raw, table, grown = (os.path.join(root, name) for name in ("s.vec", "t.ngrams", "g.vec"))
+            words = ("x", "yy", "zzz")
+            save_vec_file(EmbeddingSpace(words, rng.normal(size=(len(words), dim))), raw)
+            with open(table, "w") as handle:
+                for gram in sorted(set(ngrams(form))):
+                    handle.write(f"{gram} {' '.join(map(repr, rng.normal(size=dim).tolist()))}\n")
+            with open(os.path.join(root, "forms.txt"), "w") as handle:
+                handle.write(form + "\n")
+            assert main([
+                "compose-oov", "--space", raw, "--ngrams", table,
+                "--forms", os.path.join(root, "forms.txt"), "--out", grown,
+            ]) == EXIT_OK
+            source = load_space(raw, preprocessed=True)
+            config = JointConfig(
+                MODE_DIRECT, TranslationModel(np.eye(dim), len(words)), source, source,
+                ngram_table=load_ngram_table(table, dim),
+            )
+            expected = load_space(grown, preprocessed=True).vector(form)
+            assert _resolve_source_vector(config, form).tobytes() == expected.tobytes()
+
     def test_grown_space_translates_as_ngrams_on_the_raw_space(self, corpus, trained, tmp_path):
         # Composed rows are centred on the training mean without moving it,
         # so every line, in-vocabulary ones included, is the same either way.
@@ -794,6 +843,7 @@ class TestBadFlagValues:
             ("translate", "--max-words", "-5"),
             ("evaluate", "--bin-width", "0"),
             ("evaluate", "--num-bins", "-1"),
+            ("evaluate", "--min-tag-count", "-1"),
             ("train-translator", "--batch-size", "0"),
             ("train-translator", "--dev-fraction", "1.5"),
         ],

@@ -21,7 +21,7 @@ from morphlex.evaluation import (
     write_report,
 )
 from morphlex.morph import parse_tag
-from morphlex.pipeline import UntranslatableError
+from morphlex.pipeline import ROUTE_DIRECT, TranslationCandidate, UntranslatableError
 
 
 def space_of(words, dim=2, composed=()):
@@ -38,45 +38,58 @@ def dictionary(pairs, tags=None):
     return EvalDictionary(entries, provenance="test")
 
 
+def slots(system, gold):
+    """The ``translate_many`` slot list of a form -> answer system over the
+    dictionary's entries: a None answer is an UntranslatableError slot."""
+    out = []
+    for entry in gold.entries:
+        answer = system(entry.source)
+        out.append(
+            UntranslatableError(entry.source) if answer is None
+            else TranslationCandidate(answer, None, ROUTE_DIRECT, None, None, None)
+        )
+    return out
+
+
 class TestPrecisionAt1:
     def test_simple_counting(self):
         space = space_of(["a", "b", "c", "d"])
         answers = {"a": "A", "b": "B", "c": "C", "d": "WRONG"}
         gold = dictionary([("a", {"A"}), ("b", {"B"}), ("c", {"C"}), ("d", {"D"})])
-        report = precision_at_1(answers.get, gold, space)
+        report = precision_at_1(slots(answers.get, gold), gold, space)
         assert report.all_precision == 0.75
         assert report.voc_precision == 0.75
 
     def test_gold_set_membership(self):
         space = space_of(["w"])
         gold = dictionary([("w", {"a", "b"})])
-        report = precision_at_1(lambda _: "b", gold, space)
+        report = precision_at_1(slots(lambda _: "b", gold), gold, space)
         assert report.all_correct == 1
 
     def test_untranslatable_counts_as_incorrect(self):
         space = space_of(["a", "b"])
         gold = dictionary([("a", {"A"}), ("b", {"B"})])
 
-        def system(form):
-            if form == "a":
-                raise UntranslatableError(form)
-            return "B"
-
-        report = precision_at_1(system, gold, space)
+        report = precision_at_1(slots({"b": "B"}.get, gold), gold, space)
         assert report.untranslatable == 1
         assert report.all_precision == 0.5
 
     def test_voc_excludes_composed_and_missing_sources(self):
         space = space_of(["a", "b", "c"], composed={"c"})
         gold = dictionary([("a", {"A"}), ("c", {"C"}), ("zz", {"ZZ"})])
-        report = precision_at_1(lambda f: f.upper(), gold, space)
+        report = precision_at_1(slots(str.upper, gold), gold, space)
         assert report.voc_total == 1  # only "a" is file-loaded
         assert report.all_total == 3
         assert report.all_correct == 3
 
     def test_empty_dictionary_is_an_error(self):
         with pytest.raises(EmptyDictionaryError):
-            precision_at_1(lambda f: f, EvalDictionary([], "x"), space_of(["a"]))
+            precision_at_1([], EvalDictionary([], "x"), space_of(["a"]))
+
+    def test_slot_count_must_match_the_entries(self):
+        gold = dictionary([("a", {"A"}), ("b", {"B"})])
+        with pytest.raises(ValueError):
+            precision_at_1(slots(str.upper, gold)[:1], gold, space_of(["a", "b"]))
 
     def test_matches_hand_scored_table(self):
         # Oracle: ten entries scored by hand against a fixed system.
@@ -87,7 +100,7 @@ class TestPrecisionAt1:
             "w5": "g5", "w6": "bad", "w7": "g7", "w8": "bad", "w9": "g9",
         }
         gold = dictionary([(w, {f"g{i}"}) for i, w in enumerate(words)])
-        report = precision_at_1(lambda f: system_output[f], gold, space)
+        report = precision_at_1(slots(system_output.get, gold), gold, space)
         # hand count: w0,w2,w3,w5,w7,w9 correct = 6 of 10; one untranslatable.
         assert report.all_correct == 6
         assert report.all_total == 10
@@ -259,7 +272,7 @@ class TestDictionaryFiles:
     def test_report_writers(self, tmp_path):
         space = space_of(["a", "b"])
         gold = dictionary([("a", {"A"}), ("b", {"B"})], tags=[parse_tag("N;SG"), parse_tag("N;PL")])
-        report = precision_at_1(lambda f: f.upper(), gold, space)
+        report = precision_at_1(slots(str.upper, gold), gold, space)
         write_report(report, str(tmp_path / "run"))
         summary = (tmp_path / "run.summary.tsv").read_text()
         assert "voc\t2\t2\t1.000000" in summary
