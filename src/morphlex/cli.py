@@ -230,21 +230,19 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
         print("error: no training entries remain after exclusion", file=sys.stderr)
         return EXIT_UNTRAINABLE
     dev_entries = read_unimorph(args.dev) if args.dev else None
-    if args.analyzer_out:
-        analyzer = learn_analyzer(entries)
-        save_rule_table(analyzer, args.analyzer_out)
-        _write_manifest(args.analyzer_out, args)
-        line = f"analyzer: {analyzer.num_rules()} rules, {len(analyzer.tags)} tags"
+    for name, learn, accuracy in (
+        ("analyzer", learn_analyzer, analyzer_accuracy),
+        ("inflector", learn_inflector, inflector_accuracy),
+    ):
+        out = getattr(args, f"{name}_out")
+        if not out:
+            continue
+        table = learn(entries)
+        save_rule_table(table, out)
+        _write_manifest(out, args)
+        line = f"{name}: {table.num_rules()} rules, {len(table.tags)} tags"
         if dev_entries:
-            line += f", dev accuracy {analyzer_accuracy(analyzer, dev_entries):.4f}"
-        print(line)
-    if args.inflector_out:
-        inflector = learn_inflector(entries)
-        save_rule_table(inflector, args.inflector_out)
-        _write_manifest(args.inflector_out, args)
-        line = f"inflector: {inflector.num_rules()} rules, {len(inflector.tags)} tags"
-        if dev_entries:
-            line += f", dev accuracy {inflector_accuracy(inflector, dev_entries):.4f}"
+            line += f", dev accuracy {accuracy(table, dev_entries):.4f}"
         print(line)
     return EXIT_OK
 

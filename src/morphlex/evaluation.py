@@ -70,26 +70,18 @@ class EntryOutcome:
 
 
 @dataclass(frozen=True)
-class BinStat:
+class Tally:
+    """One row of a report table: a population, a frequency bin or a
+    source tag. ``low_support`` flags a tag row under the minimum count."""
+
     label: str
     correct: int
     total: int
+    low_support: bool = False
 
     @property
     def accuracy(self) -> float:
-        return self.correct / self.total
-
-
-@dataclass(frozen=True)
-class TagStat:
-    tag: str
-    correct: int
-    total: int
-    low_support: bool
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.total
+        return self.correct / self.total if self.total else 0.0
 
 
 @dataclass
@@ -99,8 +91,8 @@ class EvalReport:
     all_correct: int
     all_total: int
     untranslatable: int
-    bins: list[BinStat] = field(default_factory=list)
-    tags: list[TagStat] = field(default_factory=list)
+    bins: list[Tally] = field(default_factory=list)
+    tags: list[Tally] = field(default_factory=list)
 
     @property
     def voc_precision(self) -> float:
@@ -136,56 +128,47 @@ def read_seed_dictionary(path: str) -> list[tuple[str, str]]:
     return list(dict.fromkeys(read_tsv(path, 2, DictionaryFormatError, tuple)))
 
 
+def _count(outcomes: Sequence[EntryOutcome], label_of) -> dict[str, list[int]]:
+    """[correct, total] per label of the outcomes."""
+    counts: dict[str, list[int]] = {}
+    for outcome in outcomes:
+        cell = counts.setdefault(label_of(outcome), [0, 0])
+        cell[0] += outcome.correct
+        cell[1] += 1
+    return counts
+
+
 def frequency_bins(
     outcomes: Sequence[EntryOutcome],
     bin_width: int = DEFAULT_BIN_WIDTH,
     num_bins: int = DEFAULT_NUM_BINS,
-) -> list[BinStat]:
+) -> list[Tally]:
     """Bucket outcomes by source rank: bin floor(rank / bin_width), with
     bins past num_bins merged into an overflow bucket and sources that
-    are not file-loaded in a dedicated OOV bucket."""
+    are not file-loaded in a dedicated OOV bucket. Empty bins are left
+    out; the others come in rank order, overflow and OOV last."""
     if bin_width <= 0 or num_bins <= 0:
         raise ValueError("bin_width and num_bins must be positive")
-    overflow_label = f"{num_bins * bin_width}+"
-    counts: dict[str, list[int]] = {}
-    labels: list[str] = []
-    for i in range(num_bins):
-        labels.append(f"{i * bin_width}-{(i + 1) * bin_width}")
-    labels.append(overflow_label)
-    labels.append(OOV_BIN_LABEL)
-    for label in labels:
-        counts[label] = [0, 0]
-    for outcome in outcomes:
-        if outcome.rank is None:
-            label = OOV_BIN_LABEL
-        else:
-            bucket = outcome.rank // bin_width
-            label = labels[bucket] if bucket < num_bins else overflow_label
-        counts[label][0] += outcome.correct
-        counts[label][1] += 1
-    return [
-        BinStat(label, correct, total)
-        for label, (correct, total) in counts.items()
-        if total > 0
-    ]
+    labels = [f"{i * bin_width}-{(i + 1) * bin_width}" for i in range(num_bins)]
+    labels += [f"{num_bins * bin_width}+", OOV_BIN_LABEL]
+    counts = _count(outcomes, lambda o: OOV_BIN_LABEL if o.rank is None
+                    else labels[min(o.rank // bin_width, num_bins)])
+    return [Tally(label, *counts[label]) for label in labels if label in counts]
 
 
 def tag_breakdown(
     outcomes: Sequence[EntryOutcome],
     min_count: int = DEFAULT_MIN_TAG_COUNT,
-) -> list[TagStat]:
-    """Per-source-tag precision@1 with counts; small groups are flagged."""
+) -> list[Tally]:
+    """Per-source-tag precision@1 with counts, in tag order; small groups
+    are flagged."""
     tagged = [o for o in outcomes if o.tag is not None]
     if not tagged:
         raise NoTaggedEntriesError("no dictionary entry carries a source tag")
-    groups: dict[str, list[int]] = {}
-    for outcome in tagged:
-        cell = groups.setdefault(outcome.tag.canonical, [0, 0])
-        cell[0] += outcome.correct
-        cell[1] += 1
+    counts = _count(tagged, lambda o: o.tag.canonical)
     return [
-        TagStat(tag, correct, total, low_support=total < min_count)
-        for tag, (correct, total) in sorted(groups.items())
+        Tally(tag, correct, total, low_support=total < min_count)
+        for tag, (correct, total) in sorted(counts.items())
     ]
 
 
@@ -246,50 +229,44 @@ def extract_identical_seed(
     return pairs
 
 
+# The columns of each report table, in TSV order. report.json holds the
+# same rows under these names, with full-precision floats and true/false
+# flags where the TSVs print six decimals and 1/0.
+_TABLE_COLUMNS = {
+    "summary": ("population", "correct", "total", "precision_at_1"),
+    "bins": ("bin", "correct", "total", "precision_at_1"),
+    "tags": ("tag", "correct", "total", "precision_at_1", "low_support"),
+}
+
+
+def _tsv_field(value: object) -> object:
+    if isinstance(value, bool):
+        return int(value)
+    return f"{value:.6f}" if isinstance(value, float) else value
+
+
 def write_report(report: EvalReport, prefix: str) -> None:
     """Write ``<prefix>.summary.tsv``, ``.bins.tsv``, ``.tags.tsv`` and
-    ``.report.json``."""
-    columns = ("correct", "total", "precision_at_1")
-    write_tsv(f"{prefix}.summary.tsv", ("population", *columns), [
-        ("voc", report.voc_correct, report.voc_total, f"{report.voc_precision:.6f}"),
-        ("all", report.all_correct, report.all_total, f"{report.all_precision:.6f}"),
-        ("untranslatable", "-", report.untranslatable, "-"),
-    ])
-    write_tsv(f"{prefix}.bins.tsv", ("bin", *columns), [
-        (s.label, s.correct, s.total, f"{s.accuracy:.6f}") for s in report.bins
-    ])
-    write_tsv(f"{prefix}.tags.tsv", ("tag", *columns, "low_support"), [
-        (s.tag, s.correct, s.total, f"{s.accuracy:.6f}", int(s.low_support)) for s in report.tags
-    ])
-    write_json(f"{prefix}.report.json", _report_as_dict(report))
-
-
-def _report_as_dict(report: EvalReport) -> dict:
-    """Machine-readable mirror of the report, for the JSON output."""
-    return {
-        "voc": {
-            "correct": report.voc_correct,
-            "total": report.voc_total,
-            "precision_at_1": report.voc_precision,
-        },
-        "all": {
-            "correct": report.all_correct,
-            "total": report.all_total,
-            "precision_at_1": report.all_precision,
-        },
-        "untranslatable": report.untranslatable,
-        "bins": [
-            {"bin": s.label, "correct": s.correct, "total": s.total, "precision_at_1": s.accuracy}
-            for s in report.bins
+    ``.report.json``, all from one set of rows."""
+    tables = {
+        "summary": [
+            Tally("voc", report.voc_correct, report.voc_total),
+            Tally("all", report.all_correct, report.all_total),
         ],
-        "tags": [
-            {
-                "tag": s.tag,
-                "correct": s.correct,
-                "total": s.total,
-                "precision_at_1": s.accuracy,
-                "low_support": s.low_support,
-            }
-            for s in report.tags
-        ],
+        "bins": report.bins,
+        "tags": report.tags,
     }
+    rows = {
+        name: [
+            dict(zip(_TABLE_COLUMNS[name], (t.label, t.correct, t.total, t.accuracy, t.low_support)))
+            for t in tallies
+        ]
+        for name, tallies in tables.items()
+    }
+    for name, columns in _TABLE_COLUMNS.items():
+        lines = [[_tsv_field(value) for value in row.values()] for row in rows[name]]
+        if name == "summary":
+            lines.append(("untranslatable", "-", report.untranslatable, "-"))
+        write_tsv(f"{prefix}.{name}.tsv", columns, lines)
+    document = {row.pop("population"): row for row in rows.pop("summary")}
+    write_json(f"{prefix}.report.json", {**document, **rows, "untranslatable": report.untranslatable})

@@ -4,9 +4,10 @@ The transducers are probabilistic suffix-replacement tables. Learning
 splits each (lemma, form) pair at their longest common prefix and records
 the trailing pieces as a rule, plus backoff rows for every shorter
 matched suffix down to the empty string so that decoding can always
-fire for a known tag. Decoding is greedy 1-best: longest matched suffix,
-then highest probability, then lexicographic tie-breaks, so identical
-training data yields identical behavior regardless of input order.
+fire for a known tag. Both directions decode with one greedy 1-best
+rule (``_best_rule``): longest matched suffix, then highest probability,
+then the lexicographically smallest output, so identical training data
+yields identical behavior regardless of input order.
 """
 
 from __future__ import annotations
@@ -188,33 +189,37 @@ def learn_inflector(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
     return SuffixRuleTable(DIRECTION_INFLECT, rules)
 
 
-def inflect(table: SuffixRuleTable, lemma: str, tag: MorphTag) -> tuple[str, float]:
-    """Greedy 1-best inflection of ``lemma`` for ``tag``.
+def _best_rule(by_suffix: dict, word: str, tie_key, error: Exception) -> tuple[str, object, float]:
+    """The decoding rule of both directions (see the module docstring).
 
-    Rule choice: longest matched suffix, then highest probability, then
-    lexicographically smallest replacement. Returns the form and the
-    chosen rule's log probability.
+    Finds the longest suffix of ``word`` that has outputs in
+    ``by_suffix``, then its most frequent output, ties broken to the
+    smallest ``tie_key`` (None: the output itself). Returns the unmatched
+    stem of ``word``, the output and its log probability; raises
+    ``error`` when no suffix matches.
     """
+    for start in range(len(word) + 1):
+        outputs = by_suffix.get(word[start:])
+        if outputs is not None:
+            best_count = max(outputs.values())
+            best = min((out for out, count in outputs.items() if count == best_count), key=tie_key)
+            return word[:start], best, math.log(best_count / sum(outputs.values()))
+    raise error
+
+
+def inflect(table: SuffixRuleTable, lemma: str, tag: MorphTag) -> tuple[str, float]:
+    """Greedy 1-best inflection of ``lemma`` for ``tag`` under the module's
+    decoding rule, ties to the smallest replacement. Returns the form and
+    the chosen rule's log probability."""
     if table.direction != DIRECTION_INFLECT:
         raise ValueError("table direction must be 'inflect'")
     by_suffix = table.rules.get(tag)
     if by_suffix is None:
         raise UnknownTagError(tag.canonical)
-    outputs = None
-    matched = ""
-    for start in range(len(lemma) + 1):
-        candidate = lemma[start:]
-        found = by_suffix.get(candidate)
-        if found is not None:
-            matched, outputs = candidate, found
-            break
-    if outputs is None:
-        raise NoRuleError(f"no rule of tag {tag.canonical} matches {lemma!r}")
-    total = sum(outputs.values())
-    best_count = max(outputs.values())
-    replacement = min(r for r, c in outputs.items() if c == best_count)
-    form = lemma[: len(lemma) - len(matched)] + replacement
-    return form, math.log(best_count / total)
+    stem, replacement, log_prob = _best_rule(
+        by_suffix, lemma, None, NoRuleError(f"no rule of tag {tag.canonical} matches {lemma!r}")
+    )
+    return stem + replacement, log_prob
 
 
 def learn_analyzer(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
@@ -252,31 +257,15 @@ def learn_analyzer(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
 
 
 def analyze(table: SuffixRuleTable, form: str) -> Analysis:
-    """Greedy 1-best analysis of a surface form.
-
-    Rule choice: longest matched suffix, then highest probability, then
-    lexicographically smallest (tag, lemma-suffix).
-    """
+    """Greedy 1-best analysis of a surface form under the module's decoding
+    rule, ties to the smallest (tag, lemma-suffix)."""
     if table.direction != DIRECTION_ANALYZE:
         raise ValueError("table direction must be 'analyze'")
-    outputs = None
-    matched = ""
-    for start in range(len(form) + 1):
-        candidate = form[start:]
-        found = table.rules.get(candidate)
-        if found is not None:
-            matched, outputs = candidate, found
-            break
-    if outputs is None:
-        raise NoAnalysisError(f"no rule matches {form!r}")
-    total = sum(outputs.values())
-    best_count = max(outputs.values())
-    lemma_suffix, tag = min(
-        (key for key, count in outputs.items() if count == best_count),
-        key=lambda key: (key[1].canonical, key[0]),
+    stem, (lemma_suffix, tag), log_prob = _best_rule(
+        table.rules, form, lambda out: (out[1].canonical, out[0]),
+        NoAnalysisError(f"no rule matches {form!r}"),
     )
-    lemma = form[: len(form) - len(matched)] + lemma_suffix
-    return Analysis(lemma, tag, math.log(best_count / total))
+    return Analysis(stem + lemma_suffix, tag, log_prob)
 
 
 def read_unimorph(path: str) -> list[UniMorphEntry]:

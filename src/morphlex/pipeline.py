@@ -23,7 +23,6 @@ from .morph import (
     NoAnalysisError,
     NoRuleError,
     SuffixRuleTable,
-    TagParseError,
     UnknownTagError,
     analyze,
     inflect,
@@ -53,12 +52,14 @@ class UntranslatableError(ValueError):
 
 
 class SupportMismatchError(ValueError):
-    """The model's softmax support exceeds the target space's file-loaded rows."""
+    """The model does not fit the spaces: its omega's shape differs from
+    the spaces' dimensions, or its softmax support exceeds the target
+    space's file-loaded rows."""
 
 
 # The declared per-form failures: callers that report a miss or <NONE>
 # for a form catch these and nothing else.
-TRANSLATION_ERRORS = (UntranslatableError, UnknownTagError, NoRuleError, TagParseError)
+TRANSLATION_ERRORS = (UntranslatableError, UnknownTagError, NoRuleError)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ class BatchStats:
 @dataclass
 class JointConfig:
     """Component bundle for one translation direction. A mode without
-    the components ``MODE_COMPONENTS`` lists for it is a ValueError."""
+    the components ``MODE_COMPONENTS`` lists for it is a ValueError; a
+    model that does not fit the spaces is a SupportMismatchError."""
 
     mode: str
     model: TranslationModel
@@ -116,6 +118,14 @@ class JointConfig:
         needed = MODE_COMPONENTS[self.mode]
         if any(getattr(self, name) is None for name in needed):
             raise ValueError(f"mode {self.mode!r} needs " + " and ".join(needed))
+        omega = (self.model.target_dim, self.model.source_dim)
+        spaces = (self.target_space.dim, self.source_space.dim)
+        if omega != spaces:
+            raise SupportMismatchError(
+                "the model's omega is {}x{} (target x source), the spaces are {}x{}".format(
+                    *omega, *spaces
+                )
+            )
         support = self.model.normalizer_vocab_size
         rows = self.target_space.n_file_loaded
         if support > rows:
@@ -148,7 +158,9 @@ def _retrieve_many(
 
     Retrieval ranges over the whole target space, so a composed row can
     win; its probability is undefined under the fixed normalizer and is
-    recorded as None. Words without a vector are left out.
+    recorded as None. Words without a vector are left out, and so are
+    words whose vector the model maps to the zero query, which has no
+    cosine neighbour.
     """
     vectors = {}
     for word in source_words:
@@ -157,14 +169,19 @@ def _retrieve_many(
             vectors[word] = vec
     if not vectors:
         return {}
+    sources = np.vstack(list(vectors.values()))
+    mapped = np.linalg.norm(sources @ config.model.omega.T, axis=1) > 0.0
+    words = [word for word, keep in zip(vectors, mapped) if keep]
+    if not words:
+        return {}
     target = config.target_space
-    winners, log_probs = retrieve(config.model, np.vstack(list(vectors.values())), target)
+    winners, log_probs = retrieve(config.model, sources[mapped], target)
     if stats is not None:
-        stats.retrievals += len(vectors)
-        stats.score_blocks += -(-len(vectors) // score_block_rows(target))
+        stats.retrievals += len(words)
+        stats.score_blocks += -(-len(words) // score_block_rows(target))
     return {
         word: (target.words[index], lp)
-        for word, index, lp in zip(vectors, winners, log_probs)
+        for word, index, lp in zip(words, winners, log_probs)
     }
 
 

@@ -23,6 +23,24 @@ from .morph import MorphTag, UniMorphEntry, parse_tag
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
+# A stem is this many consonant-vowel syllables.
+_MIN_SYLLABLES = 2
+_MAX_SYLLABLES = 3
+
+# The bilingual world's shape (see ``build_bilingual_task``): corpus
+# weights fall as 1 / lexeme_rank ** _ZIPF_EXPONENT; every
+# _HELDOUT_STRIDE-th lexeme is held out; inflected seed pairs come from
+# the top _SEED_TOP_FRACTION of both vocabularies; slot offsets are
+# scaled by _SLOT_SCALE; and a form of rank r in a vocabulary of V gets
+# noise of standard deviation
+# _NOISE_FLOOR + _NOISE_SCALE * (r / (V - 1)) ** _NOISE_POWER.
+_ZIPF_EXPONENT = 1.0
+_HELDOUT_STRIDE = 4
+_SEED_TOP_FRACTION = 0.08
+_SLOT_SCALE = 0.55
+_NOISE_FLOOR = 0.03
+_NOISE_SCALE = 2.2
+_NOISE_POWER = 1.3
 
 
 @dataclass(frozen=True)
@@ -73,8 +91,8 @@ def _check_slots(slots: Sequence[ParadigmSlot]) -> None:
         raise ValueError("the citation tag must sort before every inflectional tag")
 
 
-def _random_stem(rng: np.random.Generator, min_syllables: int, max_syllables: int) -> str:
-    n = int(rng.integers(min_syllables, max_syllables + 1))
+def _random_stem(rng: np.random.Generator) -> str:
+    n = int(rng.integers(_MIN_SYLLABLES, _MAX_SYLLABLES + 1))
     parts = []
     for _ in range(n):
         parts.append(_CONSONANTS[int(rng.integers(len(_CONSONANTS)))])
@@ -82,12 +100,7 @@ def _random_stem(rng: np.random.Generator, min_syllables: int, max_syllables: in
     return "".join(parts)
 
 
-def random_stems(
-    rng: np.random.Generator,
-    n: int,
-    min_syllables: int = 2,
-    max_syllables: int = 3,
-) -> tuple[str, ...]:
+def random_stems(rng: np.random.Generator, n: int) -> tuple[str, ...]:
     stems: list[str] = []
     used: set[str] = set()
     attempts = 0
@@ -95,7 +108,7 @@ def random_stems(
         attempts += 1
         if attempts > 100 * n:
             raise RuntimeError("cannot generate enough unique stems")
-        stem = _random_stem(rng, min_syllables, max_syllables)
+        stem = _random_stem(rng)
         if stem in used:
             continue
         used.add(stem)
@@ -154,7 +167,7 @@ def make_language(
                 continue
             slot = int(rng.integers(1, len(slots)))
             while True:
-                suppletive = _random_stem(rng, 2, 3)
+                suppletive = _random_stem(rng)
                 if suppletive not in used:
                     break
             used.add(suppletive)
@@ -182,7 +195,6 @@ class BilingualTask:
     target: SyntheticLanguage
     source_space: EmbeddingSpace
     target_space: EmbeddingSpace
-    rotation: np.ndarray
     train_lexemes: tuple[int, ...]
     heldout_lexemes: tuple[int, ...]
     seed_pairs: list[tuple[str, str]]
@@ -191,7 +203,6 @@ class BilingualTask:
     source_unimorph: list[UniMorphEntry]
     target_unimorph: list[UniMorphEntry]
     source_ranks: dict[tuple[int, int], int]
-    target_ranks: dict[tuple[int, int], int]
 
 
 def _rank_forms(
@@ -220,44 +231,35 @@ def build_bilingual_task(
     seed: int = 0,
     n_lexemes: int = 120,
     dim: int = 24,
-    zipf_exponent: float = 1.0,
-    heldout_stride: int = 4,
-    seed_top_fraction: float = 0.08,
-    slot_scale: float = 0.55,
-    noise_floor: float = 0.03,
-    noise_scale: float = 2.2,
-    noise_power: float = 1.3,
-    irregular_rate: float = 0.0,
     apply_preprocessing: bool = True,
 ) -> BilingualTask:
     """Two suffix-grammar languages whose embedding spaces are related by
     a random orthogonal map plus rank-dependent noise.
 
-    Every fourth lexeme (with the default stride) is held out: none of
-    its forms enters the seed dictionary or the transducer training
-    data. The seed dictionary holds the lemma pairs of training lexemes
-    plus their inflected forms ranked inside the top ``seed_top_fraction``
-    of both vocabularies. The evaluation dictionary lists the non-lemma
+    Every fourth lexeme is held out: none of its forms enters the seed
+    dictionary or the transducer training data. The seed dictionary
+    holds the lemma pairs of training lexemes plus their inflected forms
+    ranked inside the top 8% of both vocabularies. The evaluation dictionary lists the non-lemma
     forms of held-out lexemes.
     """
     rng = np.random.default_rng(seed)
-    source = make_language("src", rng, n_lexemes, DEFAULT_SOURCE_SLOTS, irregular_rate)
-    target = make_language("tgt", rng, n_lexemes, DEFAULT_TARGET_SLOTS, irregular_rate)
+    source = make_language("src", rng, n_lexemes, DEFAULT_SOURCE_SLOTS)
+    target = make_language("tgt", rng, n_lexemes, DEFAULT_TARGET_SLOTS)
     n_slots = len(source.slots)
 
     lexeme_vectors = rng.normal(size=(n_lexemes, dim))
-    slot_vectors = rng.normal(size=(n_slots, dim)) * slot_scale
+    slot_vectors = rng.normal(size=(n_slots, dim)) * _SLOT_SCALE
     slot_vectors[0] = 0.0  # the citation form sits exactly on the lexeme vector
     rotation = _random_orthogonal(rng, dim)
 
-    lexeme_weights = 1.0 / np.arange(1, n_lexemes + 1) ** zipf_exponent
+    lexeme_weights = 1.0 / np.arange(1, n_lexemes + 1) ** _ZIPF_EXPONENT
     source_order, source_ranks = _rank_forms(rng, source, lexeme_weights)
     target_order, target_ranks = _rank_forms(rng, target, lexeme_weights)
 
     vocab_size = n_lexemes * n_slots
 
     def noise_std(rank: int) -> float:
-        return noise_floor + noise_scale * (rank / max(vocab_size - 1, 1)) ** noise_power
+        return _NOISE_FLOOR + _NOISE_SCALE * (rank / max(vocab_size - 1, 1)) ** _NOISE_POWER
 
     def build_space(order, language, rotate):
         words = []
@@ -276,11 +278,11 @@ def build_bilingual_task(
         source_space, _ = preprocess(source_space)
         target_space, _ = preprocess(target_space)
 
-    heldout = tuple(lex for lex in range(n_lexemes) if lex % heldout_stride == heldout_stride - 1)
+    heldout = tuple(lex for lex in range(n_lexemes) if lex % _HELDOUT_STRIDE == _HELDOUT_STRIDE - 1)
     heldout_set = set(heldout)
     train = tuple(lex for lex in range(n_lexemes) if lex not in heldout_set)
 
-    top_k = max(1, int(round(vocab_size * seed_top_fraction)))
+    top_k = max(1, int(round(vocab_size * _SEED_TOP_FRACTION)))
     seed_pairs: list[tuple[str, str]] = []
     for lex in train:
         seed_pairs.append((source.lemma(lex), target.lemma(lex)))
@@ -309,7 +311,6 @@ def build_bilingual_task(
         target=target,
         source_space=source_space,
         target_space=target_space,
-        rotation=rotation,
         train_lexemes=train,
         heldout_lexemes=heldout,
         seed_pairs=seed_pairs,
@@ -318,5 +319,4 @@ def build_bilingual_task(
         source_unimorph=source.entries(train),
         target_unimorph=target.entries(train),
         source_ranks=source_ranks,
-        target_ranks=target_ranks,
     )

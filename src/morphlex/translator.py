@@ -102,9 +102,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+
+    # Adam's decay rates and denominator fuzz: class constants, not fields.
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
 
     @classmethod
     def for_shape(cls, shape: tuple[int, ...]) -> "AdamState":

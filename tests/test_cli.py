@@ -34,7 +34,7 @@ from morphlex.pipeline import (
     translate_many,
 )
 from morphlex.synthetic import build_bilingual_task
-from morphlex.translator import TranslationModel
+from morphlex.translator import TranslationModel, save_model
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -806,6 +806,66 @@ class TestEmptyVecFile:
         assert result.returncode == EXIT_DATA
         assert "Traceback" not in result.stderr
         assert f"error: {empty}: no vectors to preprocess" in result.stderr
+
+
+class TestModelDoesNotFitTheSpaces:
+    """An omega whose shape differs from the spaces' dimensions is a data
+    error naming both shapes, not a traceback from inside retrieval."""
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate"])
+    @pytest.mark.parametrize("shape", [(6, 10), (10, 6)])
+    def test_data_error_without_traceback(self, corpus, tmp_path, command, shape):
+        model = tmp_path / "model.omega"
+        save_model(TranslationModel(np.eye(*shape), 5), str(model))
+        pipeline = ["--model", str(model), "--src", corpus["src"], "--tgt", corpus["tgt"],
+                    "--mode", "direct"]
+        argv = {
+            "translate": [*pipeline, "--input", corpus["forms"], "--output", str(tmp_path / "p")],
+            "evaluate": [*pipeline, "--dict", corpus["eval"], "--out-prefix", str(tmp_path / "r")],
+        }[command]
+        result = run_cli_process(command, *argv)
+        assert result.returncode == EXIT_DATA
+        assert "Traceback" not in result.stderr
+        assert (f"error: the model's omega is {shape[0]}x{shape[1]} (target x source), "
+                "the spaces are 10x10") in result.stderr
+
+
+class TestZeroQuery:
+    """A source vector the model maps to zero has no cosine neighbour: its
+    line is <NONE>, and the other lines are translated."""
+
+    def test_one_word_source_space_centres_to_zero(self, corpus, trained, tmp_path):
+        with open(corpus["src"], encoding="utf-8") as handle:
+            _, dim = handle.readline().split()
+            row = handle.readline()
+        space = tmp_path / "one.vec"
+        space.write_text(f"1 {dim}\n{row}", encoding="utf-8")
+        word = row.split(" ")[0]
+        forms = tmp_path / "forms.txt"
+        forms.write_text(f"{word}\n", encoding="utf-8")
+        out = tmp_path / "preds.tsv"
+        code = main([
+            "translate", "--model", trained["model"], "--src", str(space),
+            "--tgt", corpus["tgt"], "--mode", "direct",
+            "--input", str(forms), "--output", str(out),
+        ])
+        assert code == EXIT_OK
+        assert out.read_text() == f"{word}\t<NONE>\t-\t-\n"
+
+    def test_zero_omega_maps_every_source_to_zero(self, corpus, trained, tmp_path):
+        model = tmp_path / "zero.omega"
+        dim = corpus["task"].source_space.dim
+        save_model(TranslationModel(np.zeros((dim, dim)), 5), str(model))
+        out = tmp_path / "preds.tsv"
+        code = main([
+            "translate", "--model", str(model), "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
+            "--inflector", trained["inflector"], "--mode", "hybrid",
+            "--input", corpus["forms"], "--output", str(out),
+        ])
+        assert code == EXIT_OK
+        forms = pathlib.Path(corpus["forms"]).read_text().split()
+        assert out.read_text() == "".join(f"{form}\t<NONE>\t-\t-\n" for form in forms)
 
 
 class TestBadSidecar:

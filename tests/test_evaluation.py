@@ -178,7 +178,7 @@ class TestTagBreakdown:
             outcome("b", 1, True, nfin),
             outcome("c", 2, False, prs),
         ]
-        stats = {s.tag: s for s in tag_breakdown(outcomes, min_count=1)}
+        stats = {s.label: s for s in tag_breakdown(outcomes, min_count=1)}
         assert stats["V;NFIN"].accuracy == 1.0
         assert stats["V;PRS;2;PL"].accuracy == 0.0
 
@@ -201,7 +201,7 @@ class TestTagBreakdown:
             outcome("d", 3, True, v_3),
             outcome("e", 4, False, v_3),
         ]
-        stats = {s.tag: (s.correct, s.total) for s in tag_breakdown(outcomes, min_count=3)}
+        stats = {s.label: (s.correct, s.total) for s in tag_breakdown(outcomes, min_count=3)}
         assert stats == {"N;SG": (1, 2), "V;PRS;3;SG": (2, 3)}
 
     def test_low_support_flag(self):
