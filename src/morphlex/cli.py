@@ -230,20 +230,18 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
         print("error: no training entries remain after exclusion", file=sys.stderr)
         return EXIT_UNTRAINABLE
     dev_entries = read_unimorph(args.dev) if args.dev else None
-    for name, learn, accuracy in (
-        ("analyzer", learn_analyzer, analyzer_accuracy),
-        ("inflector", learn_inflector, inflector_accuracy),
+    for name, out, learn, accuracy in (
+        ("analyzer", args.analyzer_out, learn_analyzer, analyzer_accuracy),
+        ("inflector", args.inflector_out, learn_inflector, inflector_accuracy),
     ):
-        out = getattr(args, f"{name}_out")
-        if not out:
-            continue
-        table = learn(entries)
-        save_rule_table(table, out)
-        _write_manifest(out, args)
-        line = f"{name}: {table.num_rules()} rules, {len(table.tags)} tags"
-        if dev_entries:
-            line += f", dev accuracy {accuracy(table, dev_entries):.4f}"
-        print(line)
+        if out:
+            table = learn(entries)
+            save_rule_table(table, out)
+            _write_manifest(out, args)
+            line = f"{name}: {table.num_rules()} rules, {len(table.tags)} tags"
+            if dev_entries:
+                line += f", dev accuracy {accuracy(table, dev_entries):.4f}"
+            print(line)
     return EXIT_OK
 
 
@@ -499,12 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except _DATA_ERRORS + _UNTRAINABLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _UNTRAINABLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNTRAINABLE
+        return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_UNTRAINABLE
 
 
 if __name__ == "__main__":

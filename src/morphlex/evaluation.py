@@ -81,6 +81,7 @@ class Tally:
 
     @property
     def accuracy(self) -> float:
+        """correct / total; 0.0 for an empty population (no VOC forms)."""
         return self.correct / self.total if self.total else 0.0
 
 
@@ -248,14 +249,9 @@ def _tsv_field(value: object) -> object:
 def write_report(report: EvalReport, prefix: str) -> None:
     """Write ``<prefix>.summary.tsv``, ``.bins.tsv``, ``.tags.tsv`` and
     ``.report.json``, all from one set of rows."""
-    tables = {
-        "summary": [
-            Tally("voc", report.voc_correct, report.voc_total),
-            Tally("all", report.all_correct, report.all_total),
-        ],
-        "bins": report.bins,
-        "tags": report.tags,
-    }
+    voc = Tally("voc", report.voc_correct, report.voc_total)
+    every = Tally("all", report.all_correct, report.all_total)
+    tables = {"summary": [voc, every], "bins": report.bins, "tags": report.tags}
     rows = {
         name: [
             dict(zip(_TABLE_COLUMNS[name], (t.label, t.correct, t.total, t.accuracy, t.low_support)))
@@ -269,4 +265,5 @@ def write_report(report: EvalReport, prefix: str) -> None:
             lines.append(("untranslatable", "-", report.untranslatable, "-"))
         write_tsv(f"{prefix}.{name}.tsv", columns, lines)
     document = {row.pop("population"): row for row in rows.pop("summary")}
-    write_json(f"{prefix}.report.json", {**document, **rows, "untranslatable": report.untranslatable})
+    document.update(rows, untranslatable=report.untranslatable)
+    write_json(f"{prefix}.report.json", document)

@@ -160,12 +160,13 @@ class SuffixRuleTable:
         return {out: count / total for out, count in outputs.items()}
 
 
-def _common_prefix_len(a: str, b: str) -> int:
-    limit = min(len(a), len(b))
-    i = 0
-    while i < limit and a[i] == b[i]:
-        i += 1
-    return i
+def _split_suffixes(entry: UniMorphEntry) -> tuple[str, str]:
+    """The lemma and form suffixes after their longest common prefix."""
+    lemma, form = entry.lemma, entry.form
+    split = 0
+    while split < min(len(lemma), len(form)) and lemma[split] == form[split]:
+        split += 1
+    return lemma[split:], form[split:]
 
 
 def learn_inflector(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
@@ -179,9 +180,7 @@ def learn_inflector(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
         raise ValueError("no training entries")
     rules: dict[MorphTag, dict[str, dict[str, int]]] = {}
     for entry in entries:
-        split = _common_prefix_len(entry.lemma, entry.form)
-        lemma_suffix = entry.lemma[split:]
-        form_suffix = entry.form[split:]
+        lemma_suffix, form_suffix = _split_suffixes(entry)
         by_suffix = rules.setdefault(entry.tag, {})
         for start in range(len(lemma_suffix) + 1):
             outputs = by_suffix.setdefault(lemma_suffix[start:], {})
@@ -190,14 +189,11 @@ def learn_inflector(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
 
 
 def _best_rule(by_suffix: dict, word: str, tie_key, error: Exception) -> tuple[str, object, float]:
-    """The decoding rule of both directions (see the module docstring).
-
-    Finds the longest suffix of ``word`` that has outputs in
-    ``by_suffix``, then its most frequent output, ties broken to the
-    smallest ``tie_key`` (None: the output itself). Returns the unmatched
-    stem of ``word``, the output and its log probability; raises
-    ``error`` when no suffix matches.
-    """
+    """The module's decoding rule on ``word`` over ``by_suffix`` (matched
+    suffix -> output -> count), ties to the smallest ``tie_key`` of an
+    output (None: the output itself). Returns the unmatched stem of
+    ``word``, the output and its log probability; raises ``error`` when no
+    suffix matches."""
     for start in range(len(word) + 1):
         outputs = by_suffix.get(word[start:])
         if outputs is not None:
@@ -246,9 +242,7 @@ def learn_analyzer(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
     for entry in entries:
         if (entry.tag.canonical, entry.lemma) != winner[entry.form]:
             continue
-        split = _common_prefix_len(entry.lemma, entry.form)
-        lemma_suffix = entry.lemma[split:]
-        form_suffix = entry.form[split:]
+        lemma_suffix, form_suffix = _split_suffixes(entry)
         for start in range(max(len(form_suffix), 1)):
             outputs = rules.setdefault(form_suffix[start:], {})
             key = (lemma_suffix, entry.tag)

@@ -52,9 +52,8 @@ class UntranslatableError(ValueError):
 
 
 class SupportMismatchError(ValueError):
-    """The model does not fit the spaces: its omega's shape differs from
-    the spaces' dimensions, or its softmax support exceeds the target
-    space's file-loaded rows."""
+    """The model does not fit the spaces: omega's shape is not the spaces'
+    dimensions, or the softmax support exceeds the target's file rows."""
 
 
 # The declared per-form failures: callers that report a miss or <NONE>
@@ -118,13 +117,11 @@ class JointConfig:
         needed = MODE_COMPONENTS[self.mode]
         if any(getattr(self, name) is None for name in needed):
             raise ValueError(f"mode {self.mode!r} needs " + " and ".join(needed))
-        omega = (self.model.target_dim, self.model.source_dim)
-        spaces = (self.target_space.dim, self.source_space.dim)
-        if omega != spaces:
+        model, source, target = self.model, self.source_space, self.target_space
+        if (model.target_dim, model.source_dim) != (target.dim, source.dim):
             raise SupportMismatchError(
-                "the model's omega is {}x{} (target x source), the spaces are {}x{}".format(
-                    *omega, *spaces
-                )
+                f"the model's omega is {model.target_dim}x{model.source_dim} (target x source), "
+                f"the spaces are {target.dim}x{source.dim}"
             )
         support = self.model.normalizer_vocab_size
         rows = self.target_space.n_file_loaded
@@ -162,20 +159,19 @@ def _retrieve_many(
     words whose vector the model maps to the zero query, which has no
     cosine neighbour.
     """
-    vectors = {}
-    for word in source_words:
-        vec = _resolve_source_vector(config, word)
-        if vec is not None:
-            vectors[word] = vec
+    vectors = {
+        word: vec for word in source_words
+        if (vec := _resolve_source_vector(config, word)) is not None
+    }
     if not vectors:
         return {}
     sources = np.vstack(list(vectors.values()))
-    mapped = np.linalg.norm(sources @ config.model.omega.T, axis=1) > 0.0
-    words = [word for word, keep in zip(vectors, mapped) if keep]
+    nonzero = np.linalg.norm(sources @ config.model.omega.T, axis=1) > 0.0
+    words = [word for word, keep in zip(vectors, nonzero) if keep]
     if not words:
         return {}
     target = config.target_space
-    winners, log_probs = retrieve(config.model, sources[mapped], target)
+    winners, log_probs = retrieve(config.model, sources[nonzero], target)
     if stats is not None:
         stats.retrievals += len(words)
         stats.score_blocks += -(-len(words) // score_block_rows(target))

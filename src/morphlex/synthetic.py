@@ -23,16 +23,10 @@ from .morph import MorphTag, UniMorphEntry, parse_tag
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
-# A stem is this many consonant-vowel syllables.
-_MIN_SYLLABLES = 2
-_MAX_SYLLABLES = 3
+_MIN_SYLLABLES, _MAX_SYLLABLES = 2, 3  # per stem
 
-# The bilingual world's shape (see ``build_bilingual_task``): corpus
-# weights fall as 1 / lexeme_rank ** _ZIPF_EXPONENT; every
-# _HELDOUT_STRIDE-th lexeme is held out; inflected seed pairs come from
-# the top _SEED_TOP_FRACTION of both vocabularies; slot offsets are
-# scaled by _SLOT_SCALE; and a form of rank r in a vocabulary of V gets
-# noise of standard deviation
+# The shape of ``build_bilingual_task``'s worlds: a form of rank r among
+# V gets noise of standard deviation
 # _NOISE_FLOOR + _NOISE_SCALE * (r / (V - 1)) ** _NOISE_POWER.
 _ZIPF_EXPONENT = 1.0
 _HELDOUT_STRIDE = 4
@@ -239,8 +233,8 @@ def build_bilingual_task(
     Every fourth lexeme is held out: none of its forms enters the seed
     dictionary or the transducer training data. The seed dictionary
     holds the lemma pairs of training lexemes plus their inflected forms
-    ranked inside the top 8% of both vocabularies. The evaluation dictionary lists the non-lemma
-    forms of held-out lexemes.
+    ranked inside the top 8% of both vocabularies. The evaluation
+    dictionary lists the non-lemma forms of held-out lexemes.
     """
     rng = np.random.default_rng(seed)
     source = make_language("src", rng, n_lexemes, DEFAULT_SOURCE_SLOTS)

@@ -246,7 +246,6 @@ class TrainResult:
     best_epoch: int
     epochs_run: int
     dropped_pairs: int
-    final_learning_rate: float
 
     @property
     def best_dev_loss(self) -> float:
@@ -356,7 +355,6 @@ def train(
         best_epoch=best_epoch,
         epochs_run=epoch,
         dropped_pairs=dropped,
-        final_learning_rate=learning_rate,
     )
 
 

@@ -42,7 +42,7 @@ def load_reference():
 reference = load_reference()
 
 
-def novel_analyses(task, rng):
+def analyses_with_novel_stems(task, rng):
     """form -> (lemma, tag) of every in-vocabulary source form, plus the
     paradigms of a few stems the world does not have."""
     source = task.source
@@ -73,7 +73,7 @@ def test_translate_many_matches_the_reference(seed, n_lexemes, dim, support_shar
         seed=seed, n_lexemes=n_lexemes, dim=dim, apply_preprocessing=False
     )
     rng = np.random.default_rng([seed, 2])
-    analyses = novel_analyses(task, rng)
+    analyses = analyses_with_novel_stems(task, rng)
     forms = sorted(analyses)
     ngram_rows = {}
     if with_ngrams:
