@@ -406,7 +406,7 @@ def cmd_compose_oov(args: argparse.Namespace) -> int:
         except CompositionError:
             failures += 1
             logger.warning("compose-oov: no n-gram coverage for %r", form)
-    if not composed and forms:
+    if failures and not composed:
         print("error: no form could be composed", file=sys.stderr)
         return EXIT_UNTRAINABLE
     rows = space.preprocessed_rows(list(composed.values())) if composed else []

@@ -11,7 +11,7 @@ import json
 import logging
 import os
 from dataclasses import InitVar, dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,11 +40,12 @@ class WordNotFoundError(KeyError):
 class EmbeddingSpace:
     """An ordered vocabulary with one dense vector per word.
 
-    ``words[i]`` has frequency rank ``i``. Vectors composed for OOV forms
-    come after every file-loaded row and are marked in ``composed_flags``;
-    they never displace the ranks of file-loaded words. ``center`` is None
-    or ``dim`` finite floats. Instances are treated as immutable once
-    built: preprocessing returns new spaces, so concurrent reads are safe.
+    ``words[i]`` has frequency rank ``i``. The first ``n_file_loaded``
+    rows (None: every row) are the file-loaded vocabulary; vectors composed
+    for OOV forms come after them, so they never displace the ranks of
+    file-loaded words. ``center`` is None or ``dim`` finite floats.
+    Instances are treated as immutable once built: preprocessing returns
+    new spaces, so concurrent reads are safe.
 
     The constructor stores a read-only copy of ``vectors``, so the
     caller's array is never touched. ``_adopt=True`` stores the array
@@ -53,7 +54,7 @@ class EmbeddingSpace:
 
     words: tuple[str, ...]
     vectors: np.ndarray
-    composed_flags: np.ndarray | None = None
+    n_file_loaded: int | None = None
     unit_normalized: bool = False
     center: np.ndarray | None = None
     _adopt: InitVar[bool] = False
@@ -67,14 +68,10 @@ class EmbeddingSpace:
             raise ValueError(
                 f"{len(self.words)} words but {vectors.shape[0]} vector rows"
             )
-        if self.composed_flags is None:
-            flags = np.zeros(len(self.words), dtype=bool)
-        else:
-            flags = np.array(self.composed_flags, dtype=bool)
-            if flags.shape != (len(self.words),):
-                raise ValueError("composed_flags must have one entry per word")
-            if np.any(flags[:-1] > flags[1:]):
-                raise ValueError("composed rows must come after every file-loaded row")
+        if self.n_file_loaded is None:
+            self.n_file_loaded = len(self.words)
+        elif not 0 <= self.n_file_loaded <= len(self.words):
+            raise ValueError(f"n_file_loaded must lie in 0..{len(self.words)}")
         if self.center is not None:
             try:
                 center = np.array(self.center, dtype=np.float64)
@@ -86,9 +83,7 @@ class EmbeddingSpace:
             center.setflags(write=False)
             self.center = center
         vectors.setflags(write=False)
-        flags.setflags(write=False)
         self.vectors = vectors
-        self.composed_flags = flags
         index: dict[str, int] = {}
         for position, word in enumerate(self.words):
             if word in index:
@@ -109,11 +104,6 @@ class EmbeddingSpace:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[1])
-
-    @property
-    def n_file_loaded(self) -> int:
-        """Number of rows read from file (rank range of the 'real' vocabulary)."""
-        return int(np.count_nonzero(~self.composed_flags))
 
     @property
     def row_norms(self) -> np.ndarray:
@@ -139,15 +129,10 @@ class EmbeddingSpace:
     def frequency_rank(self, word: str) -> int | None:
         """Row index of a file-loaded word; None when absent or composed."""
         index = self._index.get(word)
-        if index is None or self.composed_flags[index]:
-            return None
-        return index
+        return index if index is not None and index < self.n_file_loaded else None
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.index(word)]
-
-    def is_composed(self, word: str) -> bool:
-        return bool(self.composed_flags[self.index(word)])
 
     def with_composed(self, additions: Iterable[tuple[str, np.ndarray]]) -> "EmbeddingSpace":
         """A new space with OOV rows appended after the existing ones."""
@@ -166,14 +151,7 @@ class EmbeddingSpace:
             added.add(word)
             new_words.append(word)
             new_rows.append(vec[None, :])
-        flags = np.concatenate([self.composed_flags, np.ones(len(additions), dtype=bool)])
-        return replace(
-            self,
-            words=tuple(new_words),
-            vectors=np.vstack(new_rows),
-            composed_flags=flags,
-            _adopt=True,
-        )
+        return replace(self, words=tuple(new_words), vectors=np.vstack(new_rows), _adopt=True)
 
     def preprocessed_rows(self, rows: np.ndarray) -> np.ndarray:
         """A fresh copy of rows from outside the space (composed OOV
@@ -222,7 +200,7 @@ def save_space(space: EmbeddingSpace, path: str) -> None:
     """Write .vec plus a sidecar recording composed rows and preprocessing state."""
     save_vec_file(space, path)
     meta = {
-        "composed": [w for w, f in zip(space.words, space.composed_flags) if f],
+        "composed": list(space.words[space.n_file_loaded:]),
         "unit_normalized": space.unit_normalized,
         "center": None if space.center is None else space.center.tolist(),
     }
@@ -256,16 +234,18 @@ def load_space(
         if not isinstance(meta, dict):
             raise ValueError("expected a JSON object")
         composed = set(meta.get("composed", []))
+        n_file_loaded = next((i for i, w in enumerate(words) if w in composed), len(words))
+        if not composed.issuperset(words[n_file_loaded:]):
+            raise ValueError("composed rows must come after every file-loaded row")
         space = EmbeddingSpace(
-            tuple(words), vectors, [w in composed for w in words] if composed else None,
+            tuple(words), vectors, n_file_loaded,
             bool(meta.get("unit_normalized", False)), meta.get("center"), _adopt=True,
         )
     except (TypeError, ValueError) as exc:
         raise VecFormatError(f"{meta_file}: {exc}") from exc
     if not preprocessed:
         return space
-    flags, unit_normalized, center = space.composed_flags, space.unit_normalized, space.center
-    n_file_loaded = space.n_file_loaded
+    unit_normalized, center = space.unit_normalized, space.center
     if center is None and not n_file_loaded:
         raise VecFormatError(f"{path}: no file-loaded rows to mean-center")
     del space  # and its word index, before preprocessing and the final space's index
@@ -275,7 +255,7 @@ def load_space(
     )
     if zero_words:
         logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
-    return EmbeddingSpace(tuple(words), vectors, flags, True, center, _adopt=True)
+    return EmbeddingSpace(tuple(words), vectors, n_file_loaded, True, center, _adopt=True)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its
@@ -342,26 +322,23 @@ def ngrams(form: str) -> list[str]:
     return out
 
 
-def compose_oov(form: str, ngram_table: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Sum the table vectors of every wrapped n-gram occurrence of ``form``.
+def compose_oov(form: str, ngram_table: EmbeddingSpace) -> np.ndarray:
+    """Sum the table rows of every wrapped n-gram occurrence of ``form``,
+    in occurrence order.
 
     N-grams absent from the table contribute nothing; if none is found
     at all the form cannot be composed and CompositionError is raised.
     """
-    total: np.ndarray | None = None
-    for gram in ngrams(form):
-        vec = ngram_table.get(gram)
-        if vec is None:
-            continue
-        total = np.array(vec, dtype=np.float64) if total is None else total + vec
-    if total is None:
+    ids = [i for gram in ngrams(form) if (i := ngram_table.index_or_none(gram)) is not None]
+    if not ids:
         raise CompositionError(f"no character n-gram of {form!r} found in the table")
-    return total
+    return ngram_table.vectors[ids].sum(axis=0)
 
 
-def load_ngram_table(path: str, dim: int) -> dict[str, np.ndarray]:
-    """Read a header-less n-gram table; every row carries ``dim`` finite values."""
+def load_ngram_table(path: str, dim: int) -> EmbeddingSpace:
+    """Read a header-less n-gram table, keyed by n-gram; every row
+    carries ``dim`` finite values."""
     grams, vectors = read_float_rows(
         path, dim, first_lineno=1, error=VecFormatError, key="an n-gram"
     )
-    return dict(zip(grams, vectors))
+    return EmbeddingSpace(tuple(grams), vectors, _adopt=True)

@@ -216,15 +216,8 @@ def extract_identical_seed(
 ) -> list[tuple[str, str]]:
     """Weak supervision: all strings spelled identically in both
     file-loaded vocabularies, ordered by source rank."""
-    target_words = {
-        w for w, composed in zip(target_space.words, target_space.composed_flags)
-        if not composed
-    }
-    pairs = [
-        (w, w)
-        for w, composed in zip(source_space.words, source_space.composed_flags)
-        if not composed and w in target_words
-    ]
+    target_words = set(target_space.words[: target_space.n_file_loaded])
+    pairs = [(w, w) for w in source_space.words[: source_space.n_file_loaded] if w in target_words]
     if not pairs:
         raise NoOverlapError("the vocabularies share no identically spelled string")
     return pairs

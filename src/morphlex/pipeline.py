@@ -12,7 +12,7 @@ list of inputs through one fused score product each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,7 +101,8 @@ class BatchStats:
 class JointConfig:
     """Component bundle for one translation direction. A mode without
     the components ``MODE_COMPONENTS`` lists for it is a ValueError; a
-    model that does not fit the spaces is a SupportMismatchError."""
+    model or n-gram table that does not fit the spaces is a
+    SupportMismatchError."""
 
     mode: str
     model: TranslationModel
@@ -109,7 +110,7 @@ class JointConfig:
     target_space: EmbeddingSpace
     analyzer: SuffixRuleTable | None = None
     inflector: SuffixRuleTable | None = None
-    ngram_table: Mapping[str, np.ndarray] | None = None
+    ngram_table: EmbeddingSpace | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -123,6 +124,11 @@ class JointConfig:
                 f"the model's omega is {model.target_dim}x{model.source_dim} (target x source), "
                 f"the spaces are {target.dim}x{source.dim}"
             )
+        if self.ngram_table is not None and self.ngram_table.dim != source.dim:
+            raise SupportMismatchError(
+                f"the n-gram table has dimension {self.ngram_table.dim}, "
+                f"the source space {source.dim}"
+            )
         support = self.model.normalizer_vocab_size
         rows = self.target_space.n_file_loaded
         if support > rows:
@@ -132,19 +138,32 @@ class JointConfig:
             )
 
 
-def _resolve_source_vector(config: JointConfig, word: str) -> np.ndarray | None:
-    """In-vocabulary lookup, falling back to n-gram composition under the
-    space's stored preprocessing."""
-    index = config.source_space.index_or_none(word)
-    if index is not None:
-        return config.source_space.vectors[index]
-    if config.ngram_table is None:
-        return None
-    try:
-        composed = compose_oov(word, config.ngram_table)
-    except CompositionError:
-        return None
-    return config.source_space.preprocessed_rows(composed)[0]
+def _source_vectors(config: JointConfig, words: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Those of the distinct ``words`` that have a source vector, in input
+    order, and their rows: the vocabulary row, or else the word's n-gram
+    composition, every composed row given the space's stored preprocessing
+    in one block."""
+    space, table = config.source_space, config.ngram_table
+    kept: list[str] = []
+    vocabulary_rows: dict[int, int] = {}  # position in kept -> row of the space
+    composed: dict[int, np.ndarray] = {}  # position in kept -> composed vector
+    for word in words:
+        index = space.index_or_none(word)
+        if index is not None:
+            vocabulary_rows[len(kept)] = index
+        elif table is None:
+            continue
+        else:
+            try:
+                composed[len(kept)] = compose_oov(word, table)
+            except CompositionError:
+                continue
+        kept.append(word)
+    sources = np.empty((len(kept), space.dim))
+    sources[list(vocabulary_rows)] = space.vectors[list(vocabulary_rows.values())]
+    if composed:
+        sources[list(composed)] = space.preprocessed_rows(list(composed.values()))
+    return kept, sources
 
 
 def _retrieve_many(
@@ -159,15 +178,9 @@ def _retrieve_many(
     words whose vector the model maps to the zero query, which has no
     cosine neighbour.
     """
-    vectors = {
-        word: vec for word in source_words
-        if (vec := _resolve_source_vector(config, word)) is not None
-    }
-    if not vectors:
-        return {}
-    sources = np.vstack(list(vectors.values()))
+    words, sources = _source_vectors(config, source_words)
     nonzero = np.linalg.norm(sources @ config.model.omega.T, axis=1) > 0.0
-    words = [word for word, keep in zip(vectors, nonzero) if keep]
+    words = [word for word, keep in zip(words, nonzero) if keep]
     if not words:
         return {}
     target = config.target_space

@@ -13,6 +13,7 @@ once on a non-finite development loss.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,16 +84,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.learning_rate <= 0 or self.min_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and non-negative")
+        if not (0 < self.learning_rate < math.inf and 0 < self.min_learning_rate < math.inf):
+            raise ValueError("learning rates must be finite and positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
         if not 0.0 < self.dev_fraction < 1.0:
             raise ValueError("dev_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from morphlex.pipeline import (
     MODE_ORACLE,
     JointConfig,
     TranslationCandidate,
-    _resolve_source_vector,
+    _source_vectors,
     joint_log_prob,
     translate_many,
 )
@@ -431,7 +431,7 @@ def stream_world():
         task.target_space,
         learn_analyzer(task.source_unimorph),
         learn_inflector(task.target_unimorph),
-        {g: rng.normal(size=6) for g in grams},
+        EmbeddingSpace(tuple(grams), rng.normal(size=(len(grams), 6))),
     )
     vocabulary = list(task.source_space.words[::4])
     lines = vocabulary + ["z" + w for w in vocabulary[:3]] + ["qqqq", "xq"]
@@ -657,7 +657,7 @@ class TestComposeOov:
         assert code == EXIT_OK
         grown = load_space(str(out))
         assert grown.words == ("ab", "cd", "xy")
-        assert grown.is_composed("xy") and not grown.is_composed("ab")
+        assert grown.index("xy") >= grown.n_file_loaded > grown.index("ab")
         np.testing.assert_array_equal(grown.vector("xy"), [3.0, 1.0])
 
     def test_nothing_composable_exit_3(self, tmp_path):
@@ -672,6 +672,25 @@ class TestComposeOov:
             "--forms", str(forms), "--out", str(tmp_path / "o.vec"),
         ])
         assert code == EXIT_UNTRAINABLE
+
+    def test_only_vocabulary_forms_write_the_space_unchanged(self, tmp_path):
+        # Nothing failed, so there is nothing to report: the space is
+        # written as it was read.
+        space = tmp_path / "s.vec"
+        space.write_text("2 2\nab 1 0\ncd 0 1\n")
+        ngrams = tmp_path / "t.ngrams"
+        ngrams.write_text("<ab 1 1\n")
+        forms = tmp_path / "forms.txt"
+        forms.write_text("ab\n")
+        out = tmp_path / "o.vec"
+        code = main([
+            "compose-oov", "--space", str(space), "--ngrams", str(ngrams),
+            "--forms", str(forms), "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        written, read = load_space(str(out)), load_space(str(space))
+        assert written.words == read.words and written.n_file_loaded == 2
+        assert written.vectors.tobytes() == read.vectors.tobytes()
 
     def test_repeated_form_is_composed_once(self, tmp_path):
         space = tmp_path / "s.vec"
@@ -717,7 +736,7 @@ class TestComposeOov:
                 ngram_table=load_ngram_table(table, dim),
             )
             expected = load_space(grown, preprocessed=True).vector(form)
-            assert _resolve_source_vector(config, form).tobytes() == expected.tobytes()
+            assert _source_vectors(config, [form])[1][0].tobytes() == expected.tobytes()
 
     def test_grown_space_translates_as_ngrams_on_the_raw_space(self, corpus, trained, tmp_path):
         # Composed rows are centred on the training mean without moving it,
@@ -906,6 +925,10 @@ class TestBadFlagValues:
             ("evaluate", "--min-tag-count", "-1"),
             ("train-translator", "--batch-size", "0"),
             ("train-translator", "--dev-fraction", "1.5"),
+            ("train-translator", "--alpha", "nan"),
+            ("train-translator", "--learning-rate", "nan"),
+            ("train-translator", "--min-learning-rate", "inf"),
+            ("train-translator", "--seed", "-1"),
         ],
     )
     def test_usage_error_without_traceback(self, corpus, trained, tmp_path, command, flag, value):

@@ -205,7 +205,7 @@ class TestSpaceInvariants:
         assert grown.words == ("a", "b", "c")
         assert grown.frequency_rank("a") == 0 and grown.frequency_rank("b") == 1
         assert grown.frequency_rank("c") is None and grown.frequency_rank("zz") is None
-        assert grown.is_composed("c") and not grown.is_composed("a")
+        assert grown.index("c") >= grown.n_file_loaded > grown.index("a")
         assert grown.n_file_loaded == 2
 
     def test_with_composed_rejects_existing(self):
@@ -215,9 +215,10 @@ class TestSpaceInvariants:
 
 
 class TestSidecarChecks:
-    """``center`` is None or ``dim`` finite floats, and composed rows come
-    after every file-loaded row: checked by the constructor, so a
-    ``load_space`` sidecar that breaks either is a VecFormatError."""
+    """``center`` is None or ``dim`` finite floats, checked by the
+    constructor, and composed rows come after every file-loaded row, the
+    first ``n_file_loaded``: a ``load_space`` sidecar that breaks either is
+    a VecFormatError."""
 
     @pytest.mark.parametrize("center", [[0.5], [0.5, 1.0, 2.0], [0.5, float("nan")], "ab"])
     def test_center_must_be_dim_finite_floats(self, center):
@@ -225,17 +226,17 @@ class TestSidecarChecks:
             EmbeddingSpace(("a", "b", "c"), np.eye(3, 2), center=center)
 
     @settings(max_examples=100, deadline=None)
-    @given(flags=st.lists(st.booleans(), min_size=1, max_size=8))
-    def test_composed_rows_must_follow_file_rows(self, flags):
-        words = tuple(f"w{i}" for i in range(len(flags)))
-        if flags == sorted(flags):
-            space = EmbeddingSpace(words, np.ones((len(flags), 2)), flags)
-            assert space.n_file_loaded == flags.count(False)
+    @given(rows=st.integers(1, 8), count=st.integers(-2, 10))
+    def test_composed_rows_must_follow_file_rows(self, rows, count):
+        words = tuple(f"w{i}" for i in range(rows))
+        if 0 <= count <= rows:
+            space = EmbeddingSpace(words, np.ones((rows, 2)), count)
+            assert space.n_file_loaded == count
             ranks = [space.frequency_rank(word) for word in words]
-            assert ranks == [i if not f else None for i, f in enumerate(flags)]
+            assert ranks == [i if i < count else None for i in range(rows)]
         else:
-            with pytest.raises(ValueError, match="composed rows must come after"):
-                EmbeddingSpace(words, np.ones((len(flags), 2)), flags)
+            with pytest.raises(ValueError, match="n_file_loaded must lie in"):
+                EmbeddingSpace(words, np.ones((rows, 2)), count)
 
     @pytest.mark.parametrize("preprocessed", [False, True])
     @pytest.mark.parametrize(
@@ -324,16 +325,16 @@ class TestMeanCenter:
         np.testing.assert_allclose(centered.center, space.vectors.mean(axis=0))
 
 
-def reference_preprocess(vectors, composed_flags, unit_normalized, center):
+def reference_preprocess(vectors, n_file_loaded, unit_normalized, center):
     """Preprocessing with whole-matrix arithmetic: norms of every row in
     one ``np.linalg.norm`` call, division by the norms with zero norms
-    replaced by 1, then subtraction of the mean of the rows not marked
-    composed."""
+    replaced by 1, then subtraction of the mean of the first
+    ``n_file_loaded`` rows."""
     if not unit_normalized:
         norms = np.linalg.norm(vectors, axis=1)
         vectors = vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
     if center is None:
-        center = vectors[~composed_flags].mean(axis=0)
+        center = vectors[:n_file_loaded].mean(axis=0)
         vectors = vectors - center
     return vectors, center
 
@@ -348,12 +349,11 @@ def stored_spaces(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(rows, dim))
     vectors[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0.0
-    composed = np.zeros(rows, dtype=bool)
-    composed[rows - draw(st.integers(0, min(3, rows))):] = True
+    n_file_loaded = rows - draw(st.integers(0, min(3, rows)))
     state = draw(st.sampled_from(["no sidecar", "raw", "normalized", "preprocessed"]))
     center = rng.normal(size=dim) if state == "preprocessed" else None
     space = EmbeddingSpace(
-        tuple(f"w{i}" for i in range(rows)), vectors, composed,
+        tuple(f"w{i}" for i in range(rows)), vectors, n_file_loaded,
         unit_normalized=state in ("normalized", "preprocessed"), center=center,
     )
     return space, state
@@ -370,25 +370,25 @@ class TestPreprocessBits:
         else:
             save_space(space, path)
         before = space.vectors.tobytes()
-        loaded_flags = np.zeros(len(space), bool) if state == "no sidecar" else space.composed_flags
+        loaded_count = len(space) if state == "no sidecar" else space.n_file_loaded
         runs = (
-            (lambda: load_space(path, max_words=None, preprocessed=True), loaded_flags),
-            (lambda: preprocess(space)[0], space.composed_flags),
+            (lambda: load_space(path, max_words=None, preprocessed=True), loaded_count),
+            (lambda: preprocess(space)[0], space.n_file_loaded),
         )
-        for run, flags in runs:
-            if space.center is None and flags.all():
+        for run, count in runs:
+            if space.center is None and count == 0:
                 with pytest.raises(ValueError, match="no file-loaded rows"):
                     run()
                 continue
             expected, expected_center = reference_preprocess(
-                space.vectors, flags, space.unit_normalized, space.center
+                space.vectors, count, space.unit_normalized, space.center
             )
             result = run()
             assert space.vectors.tobytes() == before
             assert result.vectors.tobytes() == expected.tobytes()
             assert result.center.tobytes() == expected_center.tobytes()
             assert result.unit_normalized and not result.vectors.flags.writeable
-            np.testing.assert_array_equal(result.composed_flags, flags)
+            assert result.n_file_loaded == count
 
     def test_constructor_copies_the_callers_array(self):
         array = np.arange(6.0).reshape(3, 2)
@@ -417,12 +417,12 @@ class TestPreprocessBits:
 
 class TestComposeOov:
     def test_two_trigram_case(self):
-        table = {"<ab": np.array([1.0, 0.0]), "ab>": np.array([0.0, 1.0])}
+        table = EmbeddingSpace(("<ab", "ab>"), np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_array_equal(compose_oov("ab", table), [1.0, 1.0])
 
     def test_no_overlap_is_an_error(self):
         with pytest.raises(CompositionError):
-            compose_oov("ab", {"xyz": np.array([9.0, 9.0])})
+            compose_oov("ab", EmbeddingSpace(("xyz",), np.array([[9.0, 9.0]])))
 
     def test_enumeration_matches_brute_force(self):
         # Oracle: enumerate all 3..6-grams of "<abc>" directly.
@@ -434,24 +434,42 @@ class TestComposeOov:
         ]
         assert sorted(expected_grams) == sorted(ngrams("abc"))
         rng = np.random.default_rng(5)
-        table = {g: rng.normal(size=4) for g in expected_grams}
-        expected = sum(table[g] for g in expected_grams)
+        table = EmbeddingSpace(tuple(expected_grams), rng.normal(size=(len(expected_grams), 4)))
+        expected = sum(table.vector(g) for g in expected_grams)
         np.testing.assert_allclose(compose_oov("abc", table), expected)
 
     def test_absent_ngrams_contribute_nothing(self):
-        table = {"<ab": np.array([2.0, 0.0])}
+        table = EmbeddingSpace(("<ab",), np.array([[2.0, 0.0]]))
         np.testing.assert_array_equal(compose_oov("ab", table), [2.0, 0.0])
+
+    @given(
+        st.text(alphabet="ab", min_size=1, max_size=16),
+        st.sampled_from([2, 3, 7, 24, 300]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sum_is_the_left_to_right_loop_bit_for_bit(self, form, dim, seed):
+        # The axis-0 sum of the gathered rows adds them in occurrence
+        # order, repeats included. At dim 1 numpy sums the one column
+        # pairwise instead, so the bits may differ there.
+        rng = np.random.default_rng(seed)
+        grams = sorted(set(ngrams(form)))[::2]
+        table = EmbeddingSpace(tuple(grams), rng.normal(size=(len(grams), dim)))
+        total = None
+        for gram in ngrams(form):
+            if gram in table:
+                total = table.vector(gram) if total is None else total + table.vector(gram)
+        assert compose_oov(form, table).tobytes() == total.tobytes()
 
     @given(st.text(alphabet="abcd", min_size=1, max_size=8), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_additive_over_table_split(self, form, seed):
         rng = np.random.default_rng(seed)
         grams = sorted(set(ngrams(form)))
-        table = {g: rng.normal(size=3) for g in grams}
+        table = EmbeddingSpace(tuple(grams), rng.normal(size=(len(grams), 3)))
         half = len(table) // 2
-        items = sorted(table)
-        left = {g: table[g] for g in items[:half]}
-        right = {g: table[g] for g in items[half:]}
+        left = EmbeddingSpace(table.words[:half], table.vectors[:half])
+        right = EmbeddingSpace(table.words[half:], table.vectors[half:])
         whole = compose_oov(form, table)
         parts = np.zeros(3)
         for sub in (left, right):
@@ -466,8 +484,9 @@ class TestNgramTable:
     def test_load(self, tmp_path):
         path = write(tmp_path / "t.ngrams", "<ab 1 0\nab> 0 1\n")
         table = load_ngram_table(path, dim=2)
-        assert set(table) == {"<ab", "ab>"}
-        np.testing.assert_array_equal(table["<ab"], [1.0, 0.0])
+        assert isinstance(table, EmbeddingSpace)
+        assert set(table.words) == {"<ab", "ab>"}
+        np.testing.assert_array_equal(table.vector("<ab"), [1.0, 0.0])
 
     def test_dim_mismatch(self, tmp_path):
         path = write(tmp_path / "t.ngrams", "<ab 1 0 3\n")
@@ -490,8 +509,8 @@ class TestNgramTable:
     def test_blank_lines_are_skipped_and_repeats_keep_the_first_row(self, tmp_path):
         path = write(tmp_path / "t.ngrams", "\n<ab 1 0\n\n<ab 5 5\nb\u00a0c> 0 1\n")
         table = load_ngram_table(path, dim=2)
-        assert list(table) == ["<ab", "b\u00a0c>"]
-        np.testing.assert_array_equal(table["<ab"], [1.0, 0.0])
+        assert list(table.words) == ["<ab", "b\u00a0c>"]
+        np.testing.assert_array_equal(table.vector("<ab"), [1.0, 0.0])
 
 
 def nearest_word(space, query):

@@ -25,9 +25,11 @@ from morphlex.pipeline import ROUTE_DIRECT, TranslationCandidate, Untranslatable
 
 
 def space_of(words, dim=2, composed=()):
+    """A space whose last ``len(composed)`` words are the composed ones."""
     rng = np.random.default_rng(0)
-    flags = np.array([w in composed for w in words])
-    return EmbeddingSpace(tuple(words), rng.normal(size=(len(words), dim)), flags)
+    return EmbeddingSpace(
+        tuple(words), rng.normal(size=(len(words), dim)), len(words) - len(composed)
+    )
 
 
 def dictionary(pairs, tags=None):

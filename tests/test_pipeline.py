@@ -26,6 +26,7 @@ from morphlex.pipeline import (
     TRANSLATION_ERRORS,
     BatchStats,
     JointConfig,
+    SupportMismatchError,
     TranslationCandidate,
     UntranslatableError,
     joint_log_prob,
@@ -147,25 +148,32 @@ class TestTranslateBase:
         # Remove the lemma from the space; supply an n-gram table that
         # reconstructs its old vector.
         source = EmbeddingSpace(("salto",), np.array([[0.0, 1.0]]))
-        table = {"<sal": np.array([1.0, 0.0]), "tar>": np.array([0.0, 0.0])}
+        table = EmbeddingSpace(("<sal", "tar>"), np.array([[1.0, 0.0], [0.0, 0.0]]))
         config = replace(config, source_space=source, ngram_table=table)
         candidate = translate(config, "salto")
         assert candidate.route == ROUTE_LEMMA
         assert candidate.form == "springe"
 
+    def test_ngram_table_of_another_width_rejected(self):
+        # Caught when the config is built, not as a broadcast error inside
+        # translate_many.
+        table = EmbeddingSpace(("<sal",), np.ones((1, 3)))
+        with pytest.raises(SupportMismatchError, match="n-gram table has dimension 3"):
+            replace(tiny_setup(), ngram_table=table)
+
     def test_composed_vectors_follow_space_preprocessing(self):
         # A preprocessed space normalizes composed vectors and shifts them
         # by the stored training mean before mapping.
-        from morphlex.pipeline import _resolve_source_vector
+        from morphlex.pipeline import _source_vectors
 
         config = tiny_setup()
         center = np.array([0.25, -0.5])
         source = replace(
             config.source_space, unit_normalized=True, center=center
         )
-        table = {"<neu": np.array([3.0, 4.0])}
+        table = EmbeddingSpace(("<neu",), np.array([[3.0, 4.0]]))
         config = replace(config, source_space=source, ngram_table=table)
-        resolved = _resolve_source_vector(config, "neu")
+        resolved = _source_vectors(config, ["neu"])[1][0]
         np.testing.assert_allclose(resolved, np.array([0.6, 0.8]) - center)
 
 
@@ -342,7 +350,7 @@ def batch_world():
     task = build_bilingual_task(seed=2, n_lexemes=16, dim=6)
     rng = np.random.default_rng(2)
     grams = sorted({g for word in task.source_space.words for g in ngrams(word)})
-    table = {g: rng.normal(size=6) for g in grams}
+    table = EmbeddingSpace(tuple(grams), rng.normal(size=(len(grams), 6)))
     config = JointConfig(
         MODE_BASE,
         procrustes_fit(task.seed_pairs, task.source_space, task.target_space),

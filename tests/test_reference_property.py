@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphlex.baseline import procrustes_fit
-from morphlex.embeddings import ngrams, preprocess
+from morphlex.embeddings import EmbeddingSpace, ngrams, preprocess
 from morphlex.morph import learn_analyzer, learn_inflector
 from morphlex.pipeline import (
     MODE_BASE,
@@ -75,11 +75,12 @@ def test_translate_many_matches_the_reference(seed, n_lexemes, dim, support_shar
     rng = np.random.default_rng([seed, 2])
     analyses = analyses_with_novel_stems(task, rng)
     forms = sorted(analyses)
-    ngram_rows = {}
+    ngram_rows, ngram_table = {}, None
     if with_ngrams:
         grams = sorted({g for form in forms for g in ngrams(form)})
         table = rng.integers(-192, 193, size=(len(grams), dim)) / 64.0
         ngram_rows = dict(zip(grams, table))
+        ngram_table = EmbeddingSpace(tuple(grams), table)
 
     source, _ = preprocess(task.source_space)
     target, _ = preprocess(task.target_space)
@@ -88,7 +89,7 @@ def test_translate_many_matches_the_reference(seed, n_lexemes, dim, support_shar
     config = JointConfig(
         MODE_BASE, TranslationModel(omega, support), source, target,
         learn_analyzer(task.source_unimorph), learn_inflector(task.target_unimorph),
-        ngram_rows or None,
+        ngram_table,
     )
     target_slots = task.target.slots
     ref = reference.Reference(
