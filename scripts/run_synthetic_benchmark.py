@@ -82,7 +82,7 @@ def main() -> int:
         )
         write_report(report, os.path.join(args.out_dir, name))
         print(
-            f"{name:18s}\t{report.voc_precision:.3f}\t{report.all_precision:.3f}"
+            f"{name:18s}\t{report.voc.accuracy:.3f}\t{report.all.accuracy:.3f}"
             f"\t{report.untranslatable}"
         )
     print(f"per-system TSV reports in {args.out_dir}/", file=sys.stderr)

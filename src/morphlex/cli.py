@@ -4,8 +4,9 @@ extraction and OOV composition.
 Exit codes are a stable contract for scripting: 0 success, 1 usage
 error, 2 data/format error, 3 untrainable or unevaluable condition.
 Every subcommand writes a run manifest (inputs, flags, seed, versions)
-next to its primary output, and any flag that overrides a stock default
-is echoed to stderr for provenance.
+next to its primary output. A ``train-translator`` hyperparameter (one
+flag per ``TrainConfig`` field) or ``--max-words`` that overrides its
+stock default is echoed to stderr for provenance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .evaluation import (
     DictionaryFormatError,
     EmptyDictionaryError,
     NoOverlapError,
-    NoTaggedEntriesError,
     extract_identical_seed,
     precision_at_1,
     read_eval_dictionary,
@@ -99,9 +99,6 @@ INPUT_BLOCK_LINES = 1024
 # flat on an unbounded stream while repeated forms are translated once.
 LINE_CACHE_KEYS = 16 * INPUT_BLOCK_LINES
 
-# Flags whose overrides of the stock value get echoed for provenance.
-_ECHOED_FLAGS = ("alpha", "learning_rate", "min_learning_rate", "batch_size", "max_words")
-
 _DATA_ERRORS = (
     VecFormatError,
     ModelFormatError,
@@ -119,7 +116,6 @@ _UNTRAINABLE_ERRORS = (
     NoTrainablePairsError,
     EmptyDictionaryError,
     NoOverlapError,
-    NoTaggedEntriesError,
 )
 
 
@@ -160,9 +156,11 @@ def _train_config_value(field):
 
 
 def _echo_overrides(args: argparse.Namespace) -> None:
+    """Echo each ``TrainConfig`` flag and ``--max-words`` that differs from
+    its stock default: the table those flags are generated from."""
     stock = {**asdict(TrainConfig()), "max_words": DEFAULT_MAX_WORDS}
-    for name in _ECHOED_FLAGS:
-        value, default = getattr(args, name, None), stock[name]
+    for name, default in stock.items():
+        value = getattr(args, name, None)
         if value is not None and value != default:
             print(
                 f"note: --{name.replace('_', '-')} {value} overrides the default {default}",
@@ -373,8 +371,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_report(report, args.out_prefix)
     _write_manifest(f"{args.out_prefix}.summary.tsv", args)
     print(
-        f"precision@1: voc {report.voc_precision:.4f} ({report.voc_total}), "
-        f"all {report.all_precision:.4f} ({report.all_total}), "
+        f"precision@1: voc {report.voc.accuracy:.4f} ({report.voc.total}), "
+        f"all {report.all.accuracy:.4f} ({report.all.total}), "
         f"untranslatable {report.untranslatable}"
     )
     return EXIT_OK

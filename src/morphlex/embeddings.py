@@ -212,6 +212,8 @@ def load_space(
 ) -> EmbeddingSpace:
     """Load a .vec file, restoring sidecar metadata when present.
 
+    Composed rows come last in the file, so ``max_words`` cuts them first;
+    those it leaves out draw one warning naming the file and their count.
     A sidecar that is not a JSON object, or that the space's own checks
     reject (a center that is not ``dim`` finite floats, a composed row
     before a file-loaded one), is a ``VecFormatError`` naming the sidecar.
@@ -243,6 +245,10 @@ def load_space(
         )
     except (TypeError, ValueError) as exc:
         raise VecFormatError(f"{meta_file}: {exc}") from exc
+    left_out = len(composed) - (len(words) - n_file_loaded)
+    if left_out:
+        logger.warning("%s: %d composed rows listed in the sidecar lie past the "
+                       "vocabulary cap and were not loaded", path, left_out)
     if not preprocessed:
         return space
     unit_normalized, center = space.unit_normalized, space.center

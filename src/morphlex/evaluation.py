@@ -10,7 +10,7 @@ full population, never coverage-adjusted.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .embeddings import EmbeddingSpace
@@ -32,10 +32,6 @@ class DictionaryFormatError(ValueError):
 
 class EmptyDictionaryError(ValueError):
     """Evaluation was requested on an empty dictionary."""
-
-
-class NoTaggedEntriesError(ValueError):
-    """A tag breakdown was requested but no entry carries a tag."""
 
 
 class NoOverlapError(ValueError):
@@ -87,21 +83,14 @@ class Tally:
 
 @dataclass
 class EvalReport:
-    voc_correct: int
-    voc_total: int
-    all_correct: int
-    all_total: int
+    """The report's rows: the VOC and ALL populations, the untranslatable
+    count, and the frequency-bin and source-tag tables."""
+
+    voc: Tally
+    all: Tally
     untranslatable: int
-    bins: list[Tally] = field(default_factory=list)
-    tags: list[Tally] = field(default_factory=list)
-
-    @property
-    def voc_precision(self) -> float:
-        return self.voc_correct / self.voc_total if self.voc_total else 0.0
-
-    @property
-    def all_precision(self) -> float:
-        return self.all_correct / self.all_total if self.all_total else 0.0
+    bins: list[Tally]
+    tags: list[Tally]
 
 
 def read_eval_dictionary(path: str) -> EvalDictionary:
@@ -162,11 +151,9 @@ def tag_breakdown(
     min_count: int = DEFAULT_MIN_TAG_COUNT,
 ) -> list[Tally]:
     """Per-source-tag precision@1 with counts, in tag order; small groups
-    are flagged."""
-    tagged = [o for o in outcomes if o.tag is not None]
-    if not tagged:
-        raise NoTaggedEntriesError("no dictionary entry carries a source tag")
-    counts = _count(tagged, lambda o: o.tag.canonical)
+    are flagged. Untagged outcomes are left out, so outcomes without any
+    tag give no rows."""
+    counts = _count([o for o in outcomes if o.tag is not None], lambda o: o.tag.canonical)
     return [
         Tally(tag, correct, total, low_support=total < min_count)
         for tag, (correct, total) in sorted(counts.items())
@@ -198,15 +185,12 @@ def precision_at_1(
             prediction, prediction in entry.golds,
         ))
     voc = [o for o in outcomes if o.rank is not None]
-    has_tags = any(o.tag is not None for o in outcomes)
     return EvalReport(
-        voc_correct=sum(o.correct for o in voc),
-        voc_total=len(voc),
-        all_correct=sum(o.correct for o in outcomes),
-        all_total=len(outcomes),
+        voc=Tally("voc", sum(o.correct for o in voc), len(voc)),
+        all=Tally("all", sum(o.correct for o in outcomes), len(outcomes)),
         untranslatable=sum(o.prediction is None for o in outcomes),
         bins=frequency_bins(outcomes, bin_width, num_bins),
-        tags=tag_breakdown(outcomes, min_tag_count) if has_tags else [],
+        tags=tag_breakdown(outcomes, min_tag_count),
     )
 
 
@@ -242,9 +226,7 @@ def _tsv_field(value: object) -> object:
 def write_report(report: EvalReport, prefix: str) -> None:
     """Write ``<prefix>.summary.tsv``, ``.bins.tsv``, ``.tags.tsv`` and
     ``.report.json``, all from one set of rows."""
-    voc = Tally("voc", report.voc_correct, report.voc_total)
-    every = Tally("all", report.all_correct, report.all_total)
-    tables = {"summary": [voc, every], "bins": report.bins, "tags": report.tags}
+    tables = {"summary": [report.voc, report.all], "bins": report.bins, "tags": report.tags}
     rows = {
         name: [
             dict(zip(_TABLE_COLUMNS[name], (t.label, t.correct, t.total, t.accuracy, t.low_support)))

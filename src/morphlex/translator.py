@@ -44,7 +44,7 @@ class ModelFormatError(ValueError):
 
 
 class NoTrainablePairsError(ValueError):
-    """Every seed pair was dropped as unresolvable."""
+    """No seed pair is left to fit on (see ``seed_rows``)."""
 
 
 @dataclass
@@ -255,6 +255,33 @@ class TrainResult:
         return self.dev_losses[self.best_epoch]
 
 
+def seed_rows(
+    seed_dict: list[tuple[str, str]],
+    source_space: EmbeddingSpace,
+    target_space: EmbeddingSpace,
+) -> list[tuple[int, int]]:
+    """The (source row, target row) of each seed pair that a fitter can
+    use: its source word has a row and its target word is a file-loaded
+    row, inside the normalizer support. Other pairs are dropped with one
+    log line. An empty dictionary, a target space with no file-loaded rows
+    or no pair left is NoTrainablePairsError."""
+    if not seed_dict:
+        raise NoTrainablePairsError("empty seed dictionary")
+    if target_space.n_file_loaded == 0:
+        raise NoTrainablePairsError("target space has no file-loaded rows")
+    pairs = []
+    for source_word, target_word in seed_dict:
+        si = source_space.index_or_none(source_word)
+        ti = target_space.frequency_rank(target_word)
+        if si is not None and ti is not None:
+            pairs.append((si, ti))
+    if not pairs:
+        raise NoTrainablePairsError("no seed pair is resolvable in the embedding spaces")
+    if len(pairs) < len(seed_dict):
+        logger.info("seed_rows: dropped %d unresolvable seed pairs", len(seed_dict) - len(pairs))
+    return pairs
+
+
 def train(
     seed_dict: list[tuple[str, str]],
     source_space: EmbeddingSpace,
@@ -266,28 +293,11 @@ def train(
     A non-finite development loss ends the run with a warning; the model
     is then the best snapshot before it.
 
-    Pairs whose words are missing from the spaces (or whose target lies
-    outside the normalizer support) are dropped and counted. Runs with
-    equal seeds and inputs are bit-identical.
+    The pairs are those ``seed_rows`` keeps; the dropped ones are counted.
+    Runs with equal seeds and inputs are bit-identical.
     """
-    if not seed_dict:
-        raise NoTrainablePairsError("empty seed dictionary")
+    pairs = seed_rows(seed_dict, source_space, target_space)
     support = target_space.n_file_loaded
-    if support == 0:
-        raise NoTrainablePairsError("target space has no file-loaded rows")
-    pairs: list[tuple[int, int]] = []
-    dropped = 0
-    for source_word, target_word in seed_dict:
-        si = source_space.index_or_none(source_word)
-        ti = target_space.index_or_none(target_word)
-        if si is None or ti is None or ti >= support:
-            dropped += 1
-            continue
-        pairs.append((si, ti))
-    if not pairs:
-        raise NoTrainablePairsError("no seed pair is resolvable in the embedding spaces")
-    if dropped:
-        logger.info("train: dropped %d unresolvable seed pairs", dropped)
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(pairs))
@@ -357,7 +367,7 @@ def train(
         dev_losses=losses,
         best_epoch=best_epoch,
         epochs_run=epoch,
-        dropped_pairs=dropped,
+        dropped_pairs=len(seed_dict) - len(pairs),
     )
 
 

@@ -220,9 +220,9 @@ def test_criterion_6_joint_beats_direct_on_rare_forms(bilingual_world):
     oracle_slots = translate_many(replace(config, mode="oracle"), forms, golds)
     procrustes_slots = translate_many(replace(config, mode="direct", model=proc), forms)
 
-    base = precision_at_1(base_slots, task.eval_dictionary, task.source_space).all_precision
-    oracle = precision_at_1(oracle_slots, task.eval_dictionary, task.source_space).all_precision
-    direct = precision_at_1(procrustes_slots, task.eval_dictionary, task.source_space).all_precision
+    base = precision_at_1(base_slots, task.eval_dictionary, task.source_space).all.accuracy
+    oracle = precision_at_1(oracle_slots, task.eval_dictionary, task.source_space).all.accuracy
+    direct = precision_at_1(procrustes_slots, task.eval_dictionary, task.source_space).all.accuracy
     elapsed = time.perf_counter() - started
     ok = (base - direct) >= 0.20 and oracle >= base and elapsed < 120.0
     report(6, "joint model beats the direct baseline on rare held-out forms", ok,
@@ -278,11 +278,11 @@ def test_criterion_8_frequency_bin_bookkeeping(bilingual_world):
     got = {b.label: [b.correct, b.total] for b in report_obj.bins}
     counts_match = got == expected
     weighted = sum(b.accuracy * b.total for b in report_obj.bins)
-    mean_matches = abs(weighted / report_obj.all_total - report_obj.all_precision) <= 1e-12
+    mean_matches = abs(weighted / report_obj.all.total - report_obj.all.accuracy) <= 1e-12
     report(8, "per-bin counts match a brute-force histogram and recompose the total",
            counts_match and mean_matches,
            f"bins {'ok' if counts_match else 'MISMATCH'}, weighted-mean drift "
-           f"{abs(weighted / report_obj.all_total - report_obj.all_precision):.1e}")
+           f"{abs(weighted / report_obj.all.total - report_obj.all.accuracy):.1e}")
 
 
 features = st.lists(

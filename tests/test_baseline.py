@@ -3,7 +3,7 @@ import pytest
 
 from morphlex.baseline import procrustes_fit
 from morphlex.embeddings import EmbeddingSpace
-from morphlex.translator import NoTrainablePairsError, retrieve
+from morphlex.translator import NoTrainablePairsError, TrainConfig, retrieve, train
 
 
 def random_orthogonal(rng, dim):
@@ -81,6 +81,41 @@ class TestProcrustesFit:
         target = EmbeddingSpace(("b",), rng.normal(size=(1, 4)))
         with pytest.raises(ValueError):
             procrustes_fit([("a", "b")], source, target)
+
+
+# Both fitters, as pairs -> model: they keep the seed pairs by one rule.
+FITTERS = {
+    "train": lambda pairs, source, target: train(
+        pairs, source, target, TrainConfig(max_epochs=2)).model,
+    "procrustes_fit": procrustes_fit,
+}
+
+
+@pytest.mark.parametrize("fit", FITTERS.values(), ids=FITTERS.keys())
+class TestSeedPairRule:
+    def test_pair_with_a_composed_target_is_dropped(self, fit):
+        rng = np.random.default_rng(11)
+        source, target, pairs, _ = rotated_spaces(rng, 20, 4)
+        grown = target.with_composed([("composed", rng.normal(size=4))])
+        without = fit(pairs, source, grown)
+        model = fit(pairs + [("s0", "composed")], source, grown)
+        np.testing.assert_array_equal(model.omega, without.omega)
+        assert model.normalizer_vocab_size == 20
+
+    def test_target_without_file_loaded_rows_is_untrainable(self, fit):
+        rng = np.random.default_rng(12)
+        source, target, pairs, _ = rotated_spaces(rng, 5, 3)
+        composed_only = EmbeddingSpace(target.words, target.vectors, n_file_loaded=0)
+        with pytest.raises(NoTrainablePairsError):
+            fit(pairs, source, composed_only)
+
+
+def test_train_counts_a_pair_with_a_composed_target_as_dropped():
+    rng = np.random.default_rng(11)
+    source, target, pairs, _ = rotated_spaces(rng, 20, 4)
+    grown = target.with_composed([("composed", rng.normal(size=4))])
+    result = train(pairs + [("s0", "composed")], source, grown, TrainConfig(max_epochs=2))
+    assert result.dropped_pairs == 1
 
 
 class TestBaselinePredict:

@@ -158,7 +158,9 @@ class TestTrainTranslator:
             "--seed-dict", corpus["seed"], "--out", out,
             "--max-epochs", "1", "--alpha", "5",
         ])
-        assert "overrides the default 10" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "overrides the default 10" in err
+        assert "--max-epochs 1 overrides the default 50" in err
 
     def test_unreadable_file_is_data_error(self, corpus, tmp_path):
         code = main([

@@ -255,6 +255,18 @@ class TestSidecarChecks:
             load_space(path, preprocessed=preprocessed)
         assert str(info.value) == f"{path}.meta.json: {message}"
 
+    @pytest.mark.parametrize("max_words, left_out", [(3, 1), (4, 0)])
+    def test_composed_rows_past_the_cap_draw_one_warning(self, tmp_path, caplog, max_words, left_out):
+        grown = EmbeddingSpace(("x", "y", "z", "c"), np.arange(8.0).reshape(4, 2), 3)
+        path = str(tmp_path / "g.vec")
+        save_space(grown, path)
+        with caplog.at_level("WARNING", logger="morphlex.embeddings"):
+            space = load_space(path, max_words)
+        assert space.words == grown.words[:max_words] and space.n_file_loaded == 3
+        warnings = [rec.getMessage() for rec in caplog.records]
+        assert warnings == ([f"{path}: 1 composed rows listed in the sidecar lie past the "
+                             "vocabulary cap and were not loaded"] if left_out else [])
+
 
 def normalize_only(space):
     """``preprocess`` of a space marked centered (at the origin) only

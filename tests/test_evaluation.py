@@ -11,7 +11,6 @@ from morphlex.evaluation import (
     EvalDictionary,
     EvalEntry,
     NoOverlapError,
-    NoTaggedEntriesError,
     extract_identical_seed,
     frequency_bins,
     precision_at_1,
@@ -59,14 +58,14 @@ class TestPrecisionAt1:
         answers = {"a": "A", "b": "B", "c": "C", "d": "WRONG"}
         gold = dictionary([("a", {"A"}), ("b", {"B"}), ("c", {"C"}), ("d", {"D"})])
         report = precision_at_1(slots(answers.get, gold), gold, space)
-        assert report.all_precision == 0.75
-        assert report.voc_precision == 0.75
+        assert report.all.accuracy == 0.75
+        assert report.voc.accuracy == 0.75
 
     def test_gold_set_membership(self):
         space = space_of(["w"])
         gold = dictionary([("w", {"a", "b"})])
         report = precision_at_1(slots(lambda _: "b", gold), gold, space)
-        assert report.all_correct == 1
+        assert report.all.correct == 1
 
     def test_untranslatable_counts_as_incorrect(self):
         space = space_of(["a", "b"])
@@ -74,15 +73,15 @@ class TestPrecisionAt1:
 
         report = precision_at_1(slots({"b": "B"}.get, gold), gold, space)
         assert report.untranslatable == 1
-        assert report.all_precision == 0.5
+        assert report.all.accuracy == 0.5
 
     def test_voc_excludes_composed_and_missing_sources(self):
         space = space_of(["a", "b", "c"], composed={"c"})
         gold = dictionary([("a", {"A"}), ("c", {"C"}), ("zz", {"ZZ"})])
         report = precision_at_1(slots(str.upper, gold), gold, space)
-        assert report.voc_total == 1  # only "a" is file-loaded
-        assert report.all_total == 3
-        assert report.all_correct == 3
+        assert report.voc.total == 1  # only "a" is file-loaded
+        assert report.all.total == 3
+        assert report.all.correct == 3
 
     def test_empty_dictionary_is_an_error(self):
         with pytest.raises(EmptyDictionaryError):
@@ -104,10 +103,10 @@ class TestPrecisionAt1:
         gold = dictionary([(w, {f"g{i}"}) for i, w in enumerate(words)])
         report = precision_at_1(slots(system_output.get, gold), gold, space)
         # hand count: w0,w2,w3,w5,w7,w9 correct = 6 of 10; one untranslatable.
-        assert report.all_correct == 6
-        assert report.all_total == 10
+        assert report.all.correct == 6
+        assert report.all.total == 10
         assert report.untranslatable == 1
-        assert report.all_precision == 0.6
+        assert report.all.accuracy == 0.6
 
 
 def outcome(source, rank, correct, tag=None):
@@ -211,9 +210,8 @@ class TestTagBreakdown:
         (stat,) = tag_breakdown(outcomes, min_count=5)
         assert stat.low_support
 
-    def test_no_tags_is_an_error(self):
-        with pytest.raises(NoTaggedEntriesError):
-            tag_breakdown([outcome("a", 0, True)])
+    def test_no_tags_gives_no_rows(self):
+        assert tag_breakdown([outcome("a", 0, True)]) == []
 
     def test_untagged_entries_ignored(self):
         outcomes = [outcome("a", 0, True, parse_tag("N;SG")), outcome("b", 1, True)]
@@ -283,3 +281,143 @@ class TestDictionaryFiles:
         payload = json.loads((tmp_path / "run.report.json").read_text())
         assert payload["all"]["precision_at_1"] == 1.0
         assert payload["tags"][0]["low_support"] is True
+
+
+# The four files of a tagged report (one composed source, one missing, a
+# wrong answer past the last bin and one tag under the minimum count) and
+# of an untagged one, byte for byte.
+TAGGED_REPORT = {
+    "summary.tsv": (
+        "population\tcorrect\ttotal\tprecision_at_1\n"
+        "voc\t1\t2\t0.500000\n"
+        "all\t2\t4\t0.500000\n"
+        "untranslatable\t-\t1\t-\n"
+    ),
+    "bins.tsv": (
+        "bin\tcorrect\ttotal\tprecision_at_1\n"
+        "0-1\t1\t1\t1.000000\n"
+        "1+\t0\t1\t0.000000\n"
+        "oov\t1\t2\t0.500000\n"
+    ),
+    "tags.tsv": (
+        "tag\tcorrect\ttotal\tprecision_at_1\tlow_support\n"
+        "N;PL\t0\t1\t0.000000\t1\n"
+        "N;SG\t2\t2\t1.000000\t0\n"
+    ),
+    "report.json": """{
+  "all": {
+    "correct": 2,
+    "precision_at_1": 0.5,
+    "total": 4
+  },
+  "bins": [
+    {
+      "bin": "0-1",
+      "correct": 1,
+      "precision_at_1": 1.0,
+      "total": 1
+    },
+    {
+      "bin": "1+",
+      "correct": 0,
+      "precision_at_1": 0.0,
+      "total": 1
+    },
+    {
+      "bin": "oov",
+      "correct": 1,
+      "precision_at_1": 0.5,
+      "total": 2
+    }
+  ],
+  "tags": [
+    {
+      "correct": 0,
+      "low_support": true,
+      "precision_at_1": 0.0,
+      "tag": "N;PL",
+      "total": 1
+    },
+    {
+      "correct": 2,
+      "low_support": false,
+      "precision_at_1": 1.0,
+      "tag": "N;SG",
+      "total": 2
+    }
+  ],
+  "untranslatable": 1,
+  "voc": {
+    "correct": 1,
+    "precision_at_1": 0.5,
+    "total": 2
+  }
+}
+""",
+}
+
+UNTAGGED_REPORT = {
+    "summary.tsv": (
+        "population\tcorrect\ttotal\tprecision_at_1\n"
+        "voc\t1\t1\t1.000000\n"
+        "all\t1\t2\t0.500000\n"
+        "untranslatable\t-\t1\t-\n"
+    ),
+    "bins.tsv": (
+        "bin\tcorrect\ttotal\tprecision_at_1\n"
+        "0-10000\t1\t1\t1.000000\n"
+        "oov\t0\t1\t0.000000\n"
+    ),
+    "tags.tsv": "tag\tcorrect\ttotal\tprecision_at_1\tlow_support\n",
+    "report.json": """{
+  "all": {
+    "correct": 1,
+    "precision_at_1": 0.5,
+    "total": 2
+  },
+  "bins": [
+    {
+      "bin": "0-10000",
+      "correct": 1,
+      "precision_at_1": 1.0,
+      "total": 1
+    },
+    {
+      "bin": "oov",
+      "correct": 0,
+      "precision_at_1": 0.0,
+      "total": 1
+    }
+  ],
+  "tags": [],
+  "untranslatable": 1,
+  "voc": {
+    "correct": 1,
+    "precision_at_1": 1.0,
+    "total": 1
+  }
+}
+""",
+}
+
+
+class TestReportFiles:
+    def write(self, tmp_path, gold, answers, **options):
+        space = space_of(["a", "b", "c"], composed={"c"})
+        report = precision_at_1(slots(answers.get, gold), gold, space, **options)
+        write_report(report, str(tmp_path / "run"))
+        return {name: (tmp_path / f"run.{name}").read_bytes() for name in TAGGED_REPORT}
+
+    def test_tagged_report_is_byte_exact(self, tmp_path):
+        n_sg, n_pl = parse_tag("N;SG"), parse_tag("N;PL")
+        gold = dictionary(
+            [("a", {"A"}), ("b", {"X"}), ("c", {"C"}), ("zz", {"ZZ"})], tags=[n_sg, n_pl, n_sg, None]
+        )
+        files = self.write(tmp_path, gold, {"a": "A", "b": "B", "c": "C"},
+                           bin_width=1, num_bins=1, min_tag_count=2)
+        assert files == {name: text.encode() for name, text in TAGGED_REPORT.items()}
+
+    def test_untagged_report_is_byte_exact(self, tmp_path):
+        gold = dictionary([("a", {"A"}), ("zz", {"ZZ"})])
+        files = self.write(tmp_path, gold, {"a": "A"})
+        assert files == {name: text.encode() for name, text in UNTAGGED_REPORT.items()}
