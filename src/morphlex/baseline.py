@@ -23,8 +23,8 @@ def procrustes_fit(
     columns of B, omega = U V^T from the SVD of B A^T minimizes
     ||omega A - B||_F over orthogonal matrices. The SVD runs on the
     dim-by-dim product, never on vocabulary-sized matrices. The pairs are
-    those ``seed_rows`` keeps, as for ``train``; the support is the
-    target's file-loaded rows.
+    those ``seed_rows`` keeps, as for ``train``; the support is every row
+    of the target.
     """
     if source_space.dim != target_space.dim:
         raise ValueError("procrustes requires equal source and target dimensions")
@@ -37,4 +37,4 @@ def procrustes_fit(
     a = source_space.vectors[[si for si, _ in pairs]].T
     b = target_space.vectors[[ti for _, ti in pairs]].T
     u, _, vt = np.linalg.svd(b @ a.T)
-    return TranslationModel(u @ vt, target_space.n_file_loaded)
+    return TranslationModel(u @ vt, len(target_space))

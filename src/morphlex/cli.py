@@ -1,5 +1,5 @@
-"""Command-line front-end: training, translation, evaluation, seed
-extraction and OOV composition.
+"""Command-line front-end: training, translation, evaluation and seed
+extraction.
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage
 error, 2 data/format error, 3 untrainable or unevaluable condition.
@@ -22,15 +22,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .embeddings import (
-    CompositionError,
-    DEFAULT_MAX_WORDS,
-    VecFormatError,
-    compose_oov,
-    load_ngram_table,
-    load_space,
-    save_space,
-)
+from .embeddings import DEFAULT_MAX_WORDS, VecFormatError, load_ngram_table, load_space
 from .evaluation import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_MIN_TAG_COUNT,
@@ -388,33 +380,6 @@ def cmd_extract_seed(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compose_oov(args: argparse.Namespace) -> int:
-    space = load_space(args.space, max_words=args.max_words)
-    table = load_ngram_table(args.ngrams, space.dim)
-    with open(args.forms, encoding="utf-8") as handle:
-        forms = list(dict.fromkeys(line.strip() for line in handle if line.strip()))
-    composed = {}
-    failures = 0
-    for form in forms:
-        if form in space:
-            logger.warning("compose-oov: %r already in the vocabulary, skipped", form)
-            continue
-        try:
-            composed[form] = compose_oov(form, table)
-        except CompositionError:
-            failures += 1
-            logger.warning("compose-oov: no n-gram coverage for %r", form)
-    if failures and not composed:
-        print("error: no form could be composed", file=sys.stderr)
-        return EXIT_UNTRAINABLE
-    rows = space.preprocessed_rows(list(composed.values())) if composed else []
-    grown = space.with_composed(zip(composed, rows))
-    save_space(grown, args.out)
-    _write_manifest(args.out, args)
-    print(f"composed {len(composed)} vectors ({failures} failures); wrote {args.out}")
-    return EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="morphlex", description=__doc__)
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
@@ -475,14 +440,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     add_max_words(p)
     p.set_defaults(func=cmd_extract_seed)
-
-    p = commands.add_parser("compose-oov", help="append composed OOV vectors to a space")
-    p.add_argument("--space", required=True, help=".vec file to extend")
-    p.add_argument("--ngrams", required=True, help="n-gram table file")
-    p.add_argument("--forms", required=True, help="file with one OOV form per line")
-    p.add_argument("--out", required=True, help="output .vec file")
-    add_max_words(p)
-    p.set_defaults(func=cmd_compose_oov)
 
     return parser
 

@@ -7,15 +7,14 @@ frequency rank (row 0 = most frequent word).
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import InitVar, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .textio import read_float_rows, sidecar_path, write_float_rows, write_json
+from .textio import read_float_rows, sidecar_path, write_float_rows
 
 logger = logging.getLogger(__name__)
 
@@ -38,14 +37,13 @@ class WordNotFoundError(KeyError):
 
 @dataclass(eq=False)
 class EmbeddingSpace:
-    """An ordered vocabulary with one dense vector per word.
+    """An ordered table of keyed rows: one dense vector per word (or, for
+    an n-gram table, per n-gram).
 
-    ``words[i]`` has frequency rank ``i``. The first ``n_file_loaded``
-    rows (None: every row) are the file-loaded vocabulary; vectors composed
-    for OOV forms come after them, so they never displace the ranks of
-    file-loaded words. ``center`` is None or ``dim`` finite floats.
-    Instances are treated as immutable once built: preprocessing returns
-    new spaces, so concurrent reads are safe.
+    ``words[i]`` has frequency rank ``i``. ``unit_normalized`` and
+    ``center`` (None or ``dim`` finite floats) record the preprocessing the
+    rows have had. Instances are treated as immutable once built:
+    preprocessing returns new spaces, so concurrent reads are safe.
 
     The constructor stores a read-only copy of ``vectors``, so the
     caller's array is never touched. ``_adopt=True`` stores the array
@@ -54,7 +52,6 @@ class EmbeddingSpace:
 
     words: tuple[str, ...]
     vectors: np.ndarray
-    n_file_loaded: int | None = None
     unit_normalized: bool = False
     center: np.ndarray | None = None
     _adopt: InitVar[bool] = False
@@ -68,10 +65,6 @@ class EmbeddingSpace:
             raise ValueError(
                 f"{len(self.words)} words but {vectors.shape[0]} vector rows"
             )
-        if self.n_file_loaded is None:
-            self.n_file_loaded = len(self.words)
-        elif not 0 <= self.n_file_loaded <= len(self.words):
-            raise ValueError(f"n_file_loaded must lie in 0..{len(self.words)}")
         if self.center is not None:
             try:
                 center = np.array(self.center, dtype=np.float64)
@@ -124,39 +117,16 @@ class EmbeddingSpace:
             raise WordNotFoundError(word) from None
 
     def index_or_none(self, word: str) -> int | None:
+        """Row index, which is also the frequency rank; None when absent."""
         return self._index.get(word)
-
-    def frequency_rank(self, word: str) -> int | None:
-        """Row index of a file-loaded word; None when absent or composed."""
-        index = self._index.get(word)
-        return index if index is not None and index < self.n_file_loaded else None
 
     def vector(self, word: str) -> np.ndarray:
         return self.vectors[self.index(word)]
 
-    def with_composed(self, additions: Iterable[tuple[str, np.ndarray]]) -> "EmbeddingSpace":
-        """A new space with OOV rows appended after the existing ones."""
-        additions = list(additions)
-        if not additions:
-            return self
-        new_words = list(self.words)
-        new_rows = [self.vectors]
-        added: set[str] = set()
-        for word, vec in additions:
-            if word in self._index or word in added:
-                raise ValueError(f"word already present: {word!r}")
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (self.dim,):
-                raise ValueError(f"composed vector for {word!r} has wrong dimension")
-            added.add(word)
-            new_words.append(word)
-            new_rows.append(vec[None, :])
-        return replace(self, words=tuple(new_words), vectors=np.vstack(new_rows), _adopt=True)
-
     def preprocessed_rows(self, rows: np.ndarray) -> np.ndarray:
         """A fresh copy of rows from outside the space (composed OOV
         vectors) given the preprocessing the space has received, by the
-        kernel a reload gives the space's own rows: row-wise unit
+        kernel that preprocessed the space's own rows: row-wise unit
         normalization, then subtraction of the stored training mean."""
         rows = np.array(rows, dtype=np.float64, ndmin=2)
         if self.unit_normalized:
@@ -196,72 +166,35 @@ def save_vec_file(space: EmbeddingSpace, path: str) -> None:
     write_float_rows(path, f"{len(space)} {space.dim}", space.vectors, space.words)
 
 
-def save_space(space: EmbeddingSpace, path: str) -> None:
-    """Write .vec plus a sidecar recording composed rows and preprocessing state."""
-    save_vec_file(space, path)
-    meta = {
-        "composed": list(space.words[space.n_file_loaded:]),
-        "unit_normalized": space.unit_normalized,
-        "center": None if space.center is None else space.center.tolist(),
-    }
-    write_json(sidecar_path(path), meta)
-
-
 def load_space(
     path: str, max_words: int | None = DEFAULT_MAX_WORDS, *, preprocessed: bool = False
 ) -> EmbeddingSpace:
-    """Load a .vec file, restoring sidecar metadata when present.
+    """Load a .vec file. With ``preprocessed``, the space is then
+    length-normalized and mean-centered (see ``preprocess``) in place on
+    the one parsed matrix, and its zero rows draw one warning naming the
+    file; a file with no rows is a ``VecFormatError``, as there is nothing
+    to preprocess.
 
-    Composed rows come last in the file, so ``max_words`` cuts them first;
-    those it leaves out draw one warning naming the file and their count.
-    A sidecar that is not a JSON object, or that the space's own checks
-    reject (a center that is not ``dim`` finite floats, a composed row
-    before a file-loaded one), is a ``VecFormatError`` naming the sidecar.
-    With ``preprocessed``, the
-    space is then given whichever preprocessing step it has not had (see
-    ``preprocess``), in place on the one parsed matrix, and its zero rows
-    draw one warning naming the file; a file with no rows, or whose rows
-    are all composed and have no stored center, is a ``VecFormatError``,
-    as there is nothing to preprocess or no training mean to center on.
+    A ``.meta.json`` sidecar beside the file is a ``VecFormatError`` naming
+    the sidecar: only the retired OOV-composition subcommand wrote one, and
+    the composed rows it lists would otherwise load as ranked vocabulary
+    rows and move the center.
     """
-    words, vectors = _read_vec_file(path, max_words)
-    if preprocessed and not words:
-        raise VecFormatError(f"{path}: no vectors to preprocess")
     meta_file = sidecar_path(path)
-    try:
-        meta = {}
-        if os.path.exists(meta_file):
-            with open(meta_file, encoding="utf-8") as handle:
-                meta = json.load(handle)
-        if not isinstance(meta, dict):
-            raise ValueError("expected a JSON object")
-        composed = set(meta.get("composed", []))
-        n_file_loaded = next((i for i, w in enumerate(words) if w in composed), len(words))
-        if not composed.issuperset(words[n_file_loaded:]):
-            raise ValueError("composed rows must come after every file-loaded row")
-        space = EmbeddingSpace(
-            tuple(words), vectors, n_file_loaded,
-            bool(meta.get("unit_normalized", False)), meta.get("center"), _adopt=True,
+    if os.path.exists(meta_file):
+        raise VecFormatError(
+            f"{meta_file}: spaces with stored composed rows are no longer read; "
+            "translate with --ngrams on the raw space instead"
         )
-    except (TypeError, ValueError) as exc:
-        raise VecFormatError(f"{meta_file}: {exc}") from exc
-    left_out = len(composed) - (len(words) - n_file_loaded)
-    if left_out:
-        logger.warning("%s: %d composed rows listed in the sidecar lie past the "
-                       "vocabulary cap and were not loaded", path, left_out)
+    words, vectors = _read_vec_file(path, max_words)
     if not preprocessed:
-        return space
-    unit_normalized, center = space.unit_normalized, space.center
-    if center is None and not n_file_loaded:
-        raise VecFormatError(f"{path}: no file-loaded rows to mean-center")
-    del space  # and its word index, before preprocessing and the final space's index
-    vectors.setflags(write=True)  # still this function's own matrix
-    zero_words, center = _preprocess_in_place(
-        words, vectors, n_file_loaded, unit_normalized, center
-    )
+        return EmbeddingSpace(tuple(words), vectors, _adopt=True)
+    if not words:
+        raise VecFormatError(f"{path}: no vectors to preprocess")
+    zero_words, center = _preprocess_in_place(words, vectors, False, None)
     if zero_words:
         logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
-    return EmbeddingSpace(tuple(words), vectors, n_file_loaded, True, center, _adopt=True)
+    return EmbeddingSpace(tuple(words), vectors, True, center, _adopt=True)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its
@@ -286,33 +219,32 @@ def _normalize_rows_in_place(vectors: np.ndarray) -> list[int]:
 def _preprocess_in_place(
     words: Sequence[str],
     vectors: np.ndarray,
-    n_file_loaded: int,
     unit_normalized: bool,
     center: np.ndarray | None,
 ) -> tuple[list[str], np.ndarray]:
     """``preprocess`` on a matrix this module owns, in place. Returns the
-    words of the zero rows and the center. The center is the mean of the
-    first ``n_file_loaded`` rows: composed rows come last and are centered
-    on the training mean without moving it."""
+    words of the zero rows and the center, the mean of every row."""
     zero_words = [] if unit_normalized else [words[i] for i in _normalize_rows_in_place(vectors)]
     if center is None:
-        if n_file_loaded == 0:
-            raise ValueError("cannot mean-center a space with no file-loaded rows")
-        center = vectors[:n_file_loaded].mean(axis=0)
+        if not len(vectors):
+            raise ValueError("cannot mean-center a space with no rows")
+        center = vectors.mean(axis=0)
         vectors -= center
     return zero_words, center
 
 
 def preprocess(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
     """Length-normalize unless ``unit_normalized`` is set, then subtract
-    the mean of the file-loaded rows from every row and store it as
-    ``center`` unless a center is set. Zero rows stay unchanged and are
-    returned in the warning list; a space with no file-loaded rows cannot
-    be centered (ValueError). The input is not changed.
+    the mean of the rows from every row and store it as ``center`` unless
+    a center is set. Zero rows stay unchanged and are returned in the
+    warning list; a space with no rows cannot be centered (ValueError).
+    The input is not changed. Rows from outside the space, such as
+    composed OOV vectors, get the same treatment from
+    ``preprocessed_rows`` without moving the center.
     """
     vectors = np.array(space.vectors)
     zero_words, center = _preprocess_in_place(
-        space.words, vectors, space.n_file_loaded, space.unit_normalized, space.center
+        space.words, vectors, space.unit_normalized, space.center
     )
     processed = replace(space, vectors=vectors, unit_normalized=True, center=center, _adopt=True)
     return processed, zero_words

@@ -1,8 +1,8 @@
 """Evaluation harness: precision@1, frequency bins, tag breakdowns.
 
-VOC restricts the population to source forms that are file-loaded words
-of the source space; ALL covers every dictionary entry, composed OOV
-vectors included. An entry whose ``translate_many`` slot holds an error
+VOC restricts the population to source forms with a row in the source
+space; ALL covers every dictionary entry, forms composed from n-grams
+included. An entry whose ``translate_many`` slot holds an error
 counts as untranslatable and incorrect, so both precisions are over the
 full population, never coverage-adjusted.
 """
@@ -59,7 +59,7 @@ class EntryOutcome:
     """Per-entry scoring record: what was asked, what came back."""
 
     source: str
-    rank: int | None          # None when the source form is not file-loaded
+    rank: int | None          # None when the source form has no row
     tag: MorphTag | None
     prediction: str | None    # None when untranslatable
     correct: bool
@@ -95,8 +95,9 @@ class EvalReport:
 
 def read_eval_dictionary(path: str) -> EvalDictionary:
     """Read source<TAB>target[<TAB>source_tag] rows, merging gold targets
-    of repeated source forms into one set; a source's tag is the first
-    non-empty one among its rows."""
+    of repeated source forms into one set; a source's tag is the smallest
+    canonical one among its rows' tags (as ``learn_analyzer`` settles
+    syncretism), so the row order does not matter."""
 
     def parse_row(row: list[str]) -> tuple[str, str, MorphTag | None]:
         if not row[0] or not row[1]:
@@ -107,7 +108,8 @@ def read_eval_dictionary(path: str) -> EvalDictionary:
     tags: dict[str, MorphTag | None] = {}
     for source, target, tag in read_tsv(path, (2, 3), DictionaryFormatError, parse_row):
         golds.setdefault(source, set()).add(target)
-        if tags.get(source) is None:
+        kept = tags.get(source)
+        if kept is None or (tag is not None and tag.canonical < kept.canonical):
             tags[source] = tag
     entries = [EvalEntry(s, frozenset(g), tags[s]) for s, g in golds.items()]
     return EvalDictionary(entries, provenance=path)
@@ -134,8 +136,8 @@ def frequency_bins(
     num_bins: int = DEFAULT_NUM_BINS,
 ) -> list[Tally]:
     """Bucket outcomes by source rank: bin floor(rank / bin_width), with
-    bins past num_bins merged into an overflow bucket and sources that
-    are not file-loaded in a dedicated OOV bucket. Empty bins are left
+    bins past num_bins merged into an overflow bucket and sources
+    without a row in a dedicated OOV bucket. Empty bins are left
     out; the others come in rank order, overflow and OOV last."""
     if bin_width <= 0 or num_bins <= 0:
         raise ValueError("bin_width and num_bins must be positive")
@@ -181,7 +183,7 @@ def precision_at_1(
     for entry, slot in zip(dictionary.entries, slots, strict=True):
         prediction = None if isinstance(slot, Exception) else slot.form
         outcomes.append(EntryOutcome(
-            entry.source, source_space.frequency_rank(entry.source), entry.tag,
+            entry.source, source_space.index_or_none(entry.source), entry.tag,
             prediction, prediction in entry.golds,
         ))
     voc = [o for o in outcomes if o.rank is not None]
@@ -199,9 +201,8 @@ def extract_identical_seed(
     target_space: EmbeddingSpace,
 ) -> list[tuple[str, str]]:
     """Weak supervision: all strings spelled identically in both
-    file-loaded vocabularies, ordered by source rank."""
-    target_words = set(target_space.words[: target_space.n_file_loaded])
-    pairs = [(w, w) for w in source_space.words[: source_space.n_file_loaded] if w in target_words]
+    vocabularies, ordered by source rank."""
+    pairs = [(w, w) for w in source_space.words if w in target_space]
     if not pairs:
         raise NoOverlapError("the vocabularies share no identically spelled string")
     return pairs

@@ -130,11 +130,10 @@ class JointConfig:
                 f"the source space {source.dim}"
             )
         support = self.model.normalizer_vocab_size
-        rows = self.target_space.n_file_loaded
-        if support > rows:
+        if support > len(target):
             raise SupportMismatchError(
                 f"the model's softmax support of {support} words exceeds the "
-                f"{rows} file-loaded rows of the target space"
+                f"{len(target)} rows of the target space"
             )
 
 
@@ -172,11 +171,11 @@ def _retrieve_many(
     """The 1-best target word and its log-probability for every source
     word that has a vector, from one batched ``retrieve``.
 
-    Retrieval ranges over the whole target space, so a composed row can
-    win; its probability is undefined under the fixed normalizer and is
-    recorded as None. Words without a vector are left out, and so are
-    words whose vector the model maps to the zero query, which has no
-    cosine neighbour.
+    Retrieval ranges over the whole target space, so a row outside the
+    model's softmax support can win; its probability is undefined under
+    the fixed normalizer and is recorded as None. Words without a vector
+    are left out, and so are words whose vector the model maps to the
+    zero query, which has no cosine neighbour.
     """
     words, sources = _source_vectors(config, source_words)
     nonzero = np.linalg.norm(sources @ config.model.omega.T, axis=1) > 0.0
@@ -197,11 +196,11 @@ def _retrieve_many(
 def _lemma_outranks_form(config: JointConfig, lemma: str, source_form: str) -> bool:
     """The hybrid gate: strict frequency-rank inequality.
 
-    A form without a rank counts as infinitely rare; a lemma without one
-    never outranks it. Composed rows have no rank.
+    A form without a row counts as infinitely rare; a lemma without one
+    never outranks it. A vector composed from n-grams gives no rank.
     """
-    lemma_rank = config.source_space.frequency_rank(lemma)
-    form_rank = config.source_space.frequency_rank(source_form)
+    lemma_rank = config.source_space.index_or_none(lemma)
+    form_rank = config.source_space.index_or_none(source_form)
     return lemma_rank is not None and (form_rank is None or lemma_rank < form_rank)
 
 

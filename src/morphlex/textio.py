@@ -1,5 +1,6 @@
 """The text rules every on-disk format shares: tab-separated rows, rows of
-floats, JSON documents and the ``.meta.json`` sidecar path.
+floats, JSON documents and the path of a model file's ``.meta.json``
+sidecar.
 
 Each format's own details (headers, magic strings, what a column means)
 stay in the module that owns the format; this module only reads and
@@ -22,7 +23,8 @@ _Row = TypeVar("_Row")
 
 
 def sidecar_path(path: str) -> str:
-    """The JSON sidecar written next to a space or a model file."""
+    """The JSON sidecar written next to a model file. ``load_space``
+    refuses a .vec file that has one."""
     return f"{path}.meta.json"
 
 

@@ -261,18 +261,14 @@ def seed_rows(
     target_space: EmbeddingSpace,
 ) -> list[tuple[int, int]]:
     """The (source row, target row) of each seed pair that a fitter can
-    use: its source word has a row and its target word is a file-loaded
-    row, inside the normalizer support. Other pairs are dropped with one
-    log line. An empty dictionary, a target space with no file-loaded rows
-    or no pair left is NoTrainablePairsError."""
+    use: both its words have a row. Other pairs are dropped with one log
+    line. An empty dictionary or no pair left is NoTrainablePairsError."""
     if not seed_dict:
         raise NoTrainablePairsError("empty seed dictionary")
-    if target_space.n_file_loaded == 0:
-        raise NoTrainablePairsError("target space has no file-loaded rows")
     pairs = []
     for source_word, target_word in seed_dict:
         si = source_space.index_or_none(source_word)
-        ti = target_space.frequency_rank(target_word)
+        ti = target_space.index_or_none(target_word)
         if si is not None and ti is not None:
             pairs.append((si, ti))
     if not pairs:
@@ -297,7 +293,6 @@ def train(
     Runs with equal seeds and inputs are bit-identical.
     """
     pairs = seed_rows(seed_dict, source_space, target_space)
-    support = target_space.n_file_loaded
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(pairs))
@@ -311,7 +306,7 @@ def train(
     n_t, n_s = target_space.dim, source_space.dim
     omega = np.eye(n_t) if n_t == n_s else rng.uniform(-0.01, 0.01, size=(n_t, n_s))
 
-    normalizer_rows = target_space.vectors[:support]
+    normalizer_rows = target_space.vectors
     dev_sources = source_space.vectors[[si for si, _ in dev_pairs]]
     dev_targets = np.asarray([ti for _, ti in dev_pairs])
     train_sources = np.asarray([si for si, _ in train_pairs])
@@ -363,7 +358,7 @@ def train(
         epoch, losses[-1], losses[best_epoch], best_epoch,
     )
     return TrainResult(
-        model=TranslationModel(best_omega, support),
+        model=TranslationModel(best_omega, len(target_space)),
         dev_losses=losses,
         best_epoch=best_epoch,
         epochs_run=epoch,

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import io
 import itertools
@@ -8,7 +9,6 @@ import pathlib
 import re
 import subprocess
 import sys
-import tempfile
 from collections import OrderedDict
 from dataclasses import replace
 from unittest import mock
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from morphlex import cli
 from morphlex.baseline import procrustes_fit
 from morphlex.cli import EXIT_DATA, EXIT_OK, EXIT_UNTRAINABLE, EXIT_USAGE, main
-from morphlex.embeddings import EmbeddingSpace, load_ngram_table, load_space, ngrams, save_vec_file
+from morphlex.embeddings import EmbeddingSpace, ngrams, save_vec_file
 from morphlex.morph import learn_analyzer, learn_inflector
 from morphlex.pipeline import (
     MODE_DIRECT,
@@ -29,7 +29,6 @@ from morphlex.pipeline import (
     MODE_ORACLE,
     JointConfig,
     TranslationCandidate,
-    _source_vectors,
     joint_log_prob,
     translate_many,
 )
@@ -318,7 +317,7 @@ class TestTranslate:
         ])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"support of {support} words" in err and "7 file-loaded rows" in err
+        assert f"support of {support} words" in err and "7 rows" in err
 
     def test_programming_error_is_not_reported_as_none(
         self, corpus, trained, tmp_path, monkeypatch
@@ -643,135 +642,6 @@ class TestExtractSeed:
         assert code == EXIT_UNTRAINABLE
 
 
-class TestComposeOov:
-    def test_appends_composed_rows_with_metadata(self, tmp_path):
-        space = tmp_path / "s.vec"
-        space.write_text("2 2\nab 1 0\ncd 0 1\n")
-        ngrams = tmp_path / "t.ngrams"
-        ngrams.write_text("<xy 1 1\nxy> 2 0\n")
-        forms = tmp_path / "forms.txt"
-        forms.write_text("xy\nzz\n")
-        out = tmp_path / "grown.vec"
-        code = main([
-            "compose-oov", "--space", str(space), "--ngrams", str(ngrams),
-            "--forms", str(forms), "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        grown = load_space(str(out))
-        assert grown.words == ("ab", "cd", "xy")
-        assert grown.index("xy") >= grown.n_file_loaded > grown.index("ab")
-        np.testing.assert_array_equal(grown.vector("xy"), [3.0, 1.0])
-
-    def test_nothing_composable_exit_3(self, tmp_path):
-        space = tmp_path / "s.vec"
-        space.write_text("1 2\nab 1 0\n")
-        ngrams = tmp_path / "t.ngrams"
-        ngrams.write_text("<ab 1 1\n")
-        forms = tmp_path / "forms.txt"
-        forms.write_text("qq\n")
-        code = main([
-            "compose-oov", "--space", str(space), "--ngrams", str(ngrams),
-            "--forms", str(forms), "--out", str(tmp_path / "o.vec"),
-        ])
-        assert code == EXIT_UNTRAINABLE
-
-    def test_only_vocabulary_forms_write_the_space_unchanged(self, tmp_path):
-        # Nothing failed, so there is nothing to report: the space is
-        # written as it was read.
-        space = tmp_path / "s.vec"
-        space.write_text("2 2\nab 1 0\ncd 0 1\n")
-        ngrams = tmp_path / "t.ngrams"
-        ngrams.write_text("<ab 1 1\n")
-        forms = tmp_path / "forms.txt"
-        forms.write_text("ab\n")
-        out = tmp_path / "o.vec"
-        code = main([
-            "compose-oov", "--space", str(space), "--ngrams", str(ngrams),
-            "--forms", str(forms), "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        written, read = load_space(str(out)), load_space(str(space))
-        assert written.words == read.words and written.n_file_loaded == 2
-        assert written.vectors.tobytes() == read.vectors.tobytes()
-
-    def test_repeated_form_is_composed_once(self, tmp_path):
-        space = tmp_path / "s.vec"
-        space.write_text("2 2\nab 1 0\ncd 0 1\n")
-        ngrams = tmp_path / "t.ngrams"
-        ngrams.write_text("<xy 1 1\nxy> 2 0\n")
-        forms = tmp_path / "forms.txt"
-        forms.write_text("xy\nxy\n")
-        out = tmp_path / "grown.vec"
-        code = main([
-            "compose-oov", "--space", str(space), "--ngrams", str(ngrams),
-            "--forms", str(forms), "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        assert load_space(str(out)).words == ("ab", "cd", "xy")
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        form=st.text(alphabet="abc", min_size=1, max_size=10),
-        dim=st.sampled_from([8, 64, 300]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_ngrams_vector_is_the_reloaded_grown_row(self, form, dim, seed):
-        # The --ngrams route and a reload of a compose-oov-grown space give a
-        # composed vector the same preprocessing, bit for bit.
-        rng = np.random.default_rng(seed)
-        with tempfile.TemporaryDirectory() as root:
-            raw, table, grown = (os.path.join(root, name) for name in ("s.vec", "t.ngrams", "g.vec"))
-            words = ("x", "yy", "zzz")
-            save_vec_file(EmbeddingSpace(words, rng.normal(size=(len(words), dim))), raw)
-            with open(table, "w") as handle:
-                for gram in sorted(set(ngrams(form))):
-                    handle.write(f"{gram} {' '.join(map(repr, rng.normal(size=dim).tolist()))}\n")
-            with open(os.path.join(root, "forms.txt"), "w") as handle:
-                handle.write(form + "\n")
-            assert main([
-                "compose-oov", "--space", raw, "--ngrams", table,
-                "--forms", os.path.join(root, "forms.txt"), "--out", grown,
-            ]) == EXIT_OK
-            source = load_space(raw, preprocessed=True)
-            config = JointConfig(
-                MODE_DIRECT, TranslationModel(np.eye(dim), len(words)), source, source,
-                ngram_table=load_ngram_table(table, dim),
-            )
-            expected = load_space(grown, preprocessed=True).vector(form)
-            assert _source_vectors(config, [form])[1][0].tobytes() == expected.tobytes()
-
-    def test_grown_space_translates_as_ngrams_on_the_raw_space(self, corpus, trained, tmp_path):
-        # Composed rows are centred on the training mean without moving it,
-        # so every line, in-vocabulary ones included, is the same either way.
-        task = corpus["task"]
-        rng = np.random.default_rng(9)
-        vocabulary = list(task.source_space.words)
-        oov = ["z" + word for word in vocabulary[::8]]
-        table = tmp_path / "src.ngrams"
-        grams = sorted({g for word in vocabulary + oov for g in ngrams(word)})
-        table.write_text("".join(
-            f"{g} {' '.join(map(repr, rng.normal(size=10).tolist()))}\n" for g in grams
-        ))
-        (tmp_path / "oov.txt").write_text("\n".join(oov) + "\n")
-        (tmp_path / "input.txt").write_text("\n".join(vocabulary + oov) + "\n")
-        grown = str(tmp_path / "grown.vec")
-        assert main([
-            "compose-oov", "--space", corpus["src"], "--ngrams", str(table),
-            "--forms", str(tmp_path / "oov.txt"), "--out", grown,
-        ]) == EXIT_OK
-
-        def predictions(source, *extra):
-            out = tmp_path / f"preds{len(extra)}.tsv"
-            assert main([
-                "translate", "--model", trained["model"], "--src", source,
-                "--tgt", corpus["tgt"], "--mode", "direct", *extra,
-                "--input", str(tmp_path / "input.txt"), "--output", str(out),
-            ]) == EXIT_OK
-            return out.read_bytes()
-
-        assert predictions(grown) == predictions(corpus["src"], "--ngrams", str(table))
-
-
 class TestDeterminism:
     def test_same_seed_bit_identical_outputs(self, corpus, tmp_path):
         def run(workdir):
@@ -890,7 +760,9 @@ class TestZeroQuery:
 
 
 class TestBadSidecar:
-    """A .meta.json sidecar the space rejects is a data error naming it."""
+    """A .meta.json sidecar beside a .vec file, as the retired
+    OOV-composition subcommand left, is a data error naming it, whatever
+    it holds."""
 
     def test_data_error_without_traceback(self, corpus, trained, tmp_path):
         with open(corpus["src"], encoding="utf-8") as handle:
@@ -899,9 +771,9 @@ class TestBadSidecar:
         space = tmp_path / "src.vec"
         space.write_text(pathlib.Path(corpus["src"]).read_text(encoding="utf-8"), encoding="utf-8")
         sidecar = tmp_path / "src.vec.meta.json"
-        for meta, message in (
-            ({"center": [0.5]}, f"center must be None or {dim} finite floats"),
-            ({"composed": [first_word]}, "composed rows must come after every file-loaded row"),
+        for meta in (
+            {"composed": [], "unit_normalized": False, "center": None},
+            {"composed": [first_word], "unit_normalized": True, "center": [0.5] * dim},
         ):
             sidecar.write_text(json.dumps(meta), encoding="utf-8")
             result = run_cli_process(
@@ -911,7 +783,29 @@ class TestBadSidecar:
             )
             assert result.returncode == EXIT_DATA
             assert "Traceback" not in result.stderr
-            assert f"error: {sidecar}: {message}" in result.stderr
+            assert f"error: {sidecar}: spaces with stored composed rows are no longer read; " \
+                "translate with --ngrams on the raw space instead" in result.stderr
+
+
+class TestSubcommands:
+    README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_readme_walkthrough_names_exactly_the_parsers_subcommands(self):
+        text = self.README.read_text(encoding="utf-8")
+        walkthrough = text.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"\bmorphlex ([a-z][a-z-]*)", walkthrough))
+        (subparsers,) = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert documented == set(subparsers.choices)
+
+    def test_retired_compose_oov_is_a_usage_error(self, tmp_path):
+        result = run_cli_process("compose-oov", "--space", str(tmp_path / "s.vec"),
+                                 "--ngrams", str(tmp_path / "t.ngrams"),
+                                 "--forms", str(tmp_path / "f.txt"), "--out", str(tmp_path / "o.vec"))
+        assert result.returncode == EXIT_USAGE
+        assert "Traceback" not in result.stderr
+        assert "invalid choice: 'compose-oov'" in result.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestBadFlagValues:

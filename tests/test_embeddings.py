@@ -18,7 +18,6 @@ from morphlex.embeddings import (
     load_space,
     ngrams,
     preprocess,
-    save_space,
     save_vec_file,
 )
 from morphlex.translator import TranslationModel, retrieve
@@ -70,7 +69,7 @@ class TestLoadVecFile:
         space = load_space(path)
         assert space.words == ("a", "b", "c")
         assert space.dim == 2
-        assert space.frequency_rank("a") == 0
+        assert space.index_or_none("a") == 0
         np.testing.assert_array_equal(space.vector("c"), [1.0, 1.0])
 
     def test_max_words_truncates(self, tmp_path):
@@ -199,73 +198,41 @@ class TestSpaceInvariants:
         with pytest.raises(WordNotFoundError):
             space.index("zz")
 
-    def test_with_composed_appends_after_file_rows(self):
-        space = EmbeddingSpace(("a", "b"), np.eye(2))
-        grown = space.with_composed([("c", np.array([1.0, 1.0]))])
-        assert grown.words == ("a", "b", "c")
-        assert grown.frequency_rank("a") == 0 and grown.frequency_rank("b") == 1
-        assert grown.frequency_rank("c") is None and grown.frequency_rank("zz") is None
-        assert grown.index("c") >= grown.n_file_loaded > grown.index("a")
-        assert grown.n_file_loaded == 2
-
-    def test_with_composed_rejects_existing(self):
-        space = EmbeddingSpace(("a",), np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            space.with_composed([("a", np.zeros(2))])
-
 
 class TestSidecarChecks:
     """``center`` is None or ``dim`` finite floats, checked by the
-    constructor, and composed rows come after every file-loaded row, the
-    first ``n_file_loaded``: a ``load_space`` sidecar that breaks either is
-    a VecFormatError."""
+    constructor; a ``.meta.json`` sidecar beside a .vec file, which only
+    the retired OOV-composition subcommand wrote, is a VecFormatError
+    naming the sidecar."""
 
     @pytest.mark.parametrize("center", [[0.5], [0.5, 1.0, 2.0], [0.5, float("nan")], "ab"])
     def test_center_must_be_dim_finite_floats(self, center):
         with pytest.raises(ValueError, match="center must be None or 2 finite floats"):
             EmbeddingSpace(("a", "b", "c"), np.eye(3, 2), center=center)
 
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.integers(1, 8), count=st.integers(-2, 10))
-    def test_composed_rows_must_follow_file_rows(self, rows, count):
-        words = tuple(f"w{i}" for i in range(rows))
-        if 0 <= count <= rows:
-            space = EmbeddingSpace(words, np.ones((rows, 2)), count)
-            assert space.n_file_loaded == count
-            ranks = [space.frequency_rank(word) for word in words]
-            assert ranks == [i if i < count else None for i in range(rows)]
-        else:
-            with pytest.raises(ValueError, match="n_file_loaded must lie in"):
-                EmbeddingSpace(words, np.ones((rows, 2)), count)
-
     @pytest.mark.parametrize("preprocessed", [False, True])
     @pytest.mark.parametrize(
-        "meta, message",
+        "meta, flaw",
         [
             ({"center": [0.5]}, "center must be None or 2 finite floats"),
             ({"center": [0.5, 1.0, 2.0]}, "center must be None or 2 finite floats"),
             ({"composed": ["x"]}, "composed rows must come after every file-loaded row"),
             ([0.5, 0.5], "expected a JSON object"),
+            ({"composed": ["z"], "unit_normalized": False, "center": None}, "well formed"),
+            ({"composed": [], "unit_normalized": True, "center": [0.5, 0.5]}, "well formed"),
         ],
     )
-    def test_bad_sidecar_is_a_format_error_naming_it(self, tmp_path, meta, message, preprocessed):
+    def test_bad_sidecar_is_a_format_error_naming_it(self, tmp_path, meta, flaw, preprocessed):
+        # Malformed and well-formed sidecars alike are refused before the
+        # .vec file is parsed; ``flaw`` names what a malformed one gets wrong.
         path = write(tmp_path / "s.vec", "3 2\nx 3 4\ny 1 0\nz 0 1\n")
         (tmp_path / "s.vec.meta.json").write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(VecFormatError) as info:
             load_space(path, preprocessed=preprocessed)
-        assert str(info.value) == f"{path}.meta.json: {message}"
-
-    @pytest.mark.parametrize("max_words, left_out", [(3, 1), (4, 0)])
-    def test_composed_rows_past_the_cap_draw_one_warning(self, tmp_path, caplog, max_words, left_out):
-        grown = EmbeddingSpace(("x", "y", "z", "c"), np.arange(8.0).reshape(4, 2), 3)
-        path = str(tmp_path / "g.vec")
-        save_space(grown, path)
-        with caplog.at_level("WARNING", logger="morphlex.embeddings"):
-            space = load_space(path, max_words)
-        assert space.words == grown.words[:max_words] and space.n_file_loaded == 3
-        warnings = [rec.getMessage() for rec in caplog.records]
-        assert warnings == ([f"{path}: 1 composed rows listed in the sidecar lie past the "
-                             "vocabulary cap and were not loaded"] if left_out else [])
+        assert str(info.value) == (
+            f"{path}.meta.json: spaces with stored composed rows are no longer read; "
+            "translate with --ngrams on the raw space instead"
+        )
 
 
 def normalize_only(space):
@@ -337,70 +304,61 @@ class TestMeanCenter:
         np.testing.assert_allclose(centered.center, space.vectors.mean(axis=0))
 
 
-def reference_preprocess(vectors, n_file_loaded, unit_normalized, center):
+def reference_preprocess(vectors, unit_normalized, center):
     """Preprocessing with whole-matrix arithmetic: norms of every row in
     one ``np.linalg.norm`` call, division by the norms with zero norms
-    replaced by 1, then subtraction of the mean of the first
-    ``n_file_loaded`` rows."""
+    replaced by 1, then subtraction of the mean of every row."""
     if not unit_normalized:
         norms = np.linalg.norm(vectors, axis=1)
         vectors = vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
     if center is None:
-        center = vectors[:n_file_loaded].mean(axis=0)
+        center = vectors.mean(axis=0)
         vectors = vectors - center
     return vectors, center
 
 
 @st.composite
 def stored_spaces(draw):
-    """A space with zero rows, a row count that is often not a multiple of
-    the normalization block, composed rows or none, and a sidecar that
-    marks it raw, normalized only or fully preprocessed, or no sidecar."""
+    """A space with zero rows and a row count that is often not a multiple
+    of the normalization block, marked raw, normalized only or fully
+    preprocessed."""
     rows = draw(st.integers(1, 2600) | st.sampled_from([1023, 1024, 1025, 2048]))
     dim = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(rows, dim))
     vectors[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0.0
-    n_file_loaded = rows - draw(st.integers(0, min(3, rows)))
-    state = draw(st.sampled_from(["no sidecar", "raw", "normalized", "preprocessed"]))
+    state = draw(st.sampled_from(["raw", "normalized", "preprocessed"]))
     center = rng.normal(size=dim) if state == "preprocessed" else None
-    space = EmbeddingSpace(
-        tuple(f"w{i}" for i in range(rows)), vectors, n_file_loaded,
+    return EmbeddingSpace(
+        tuple(f"w{i}" for i in range(rows)), vectors,
         unit_normalized=state in ("normalized", "preprocessed"), center=center,
     )
-    return space, state
 
 
 class TestPreprocessBits:
     @settings(max_examples=40, deadline=None)
-    @given(stored=stored_spaces())
-    def test_load_and_preprocess_match_the_reference_bit_for_bit(self, tmp_path_factory, stored):
-        space, state = stored
+    @given(space=stored_spaces())
+    def test_load_and_preprocess_match_the_reference_bit_for_bit(self, tmp_path_factory, space):
+        # A file holds raw rows, so loading it gives both steps; preprocess
+        # skips the steps the in-memory space is marked as having had.
         path = str(tmp_path_factory.mktemp("vec") / "s.vec")
-        if state == "no sidecar":
-            save_vec_file(space, path)
-        else:
-            save_space(space, path)
+        save_vec_file(space, path)
         before = space.vectors.tobytes()
-        loaded_count = len(space) if state == "no sidecar" else space.n_file_loaded
         runs = (
-            (lambda: load_space(path, max_words=None, preprocessed=True), loaded_count),
-            (lambda: preprocess(space)[0], space.n_file_loaded),
+            (lambda: load_space(path, max_words=None, preprocessed=True), False, None),
+            (lambda: preprocess(space)[0], space.unit_normalized, space.center),
         )
-        for run, count in runs:
-            if space.center is None and count == 0:
-                with pytest.raises(ValueError, match="no file-loaded rows"):
-                    run()
-                continue
-            expected, expected_center = reference_preprocess(
-                space.vectors, count, space.unit_normalized, space.center
-            )
+        for run, unit_normalized, center in runs:
+            expected, expected_center = reference_preprocess(space.vectors, unit_normalized, center)
             result = run()
             assert space.vectors.tobytes() == before
             assert result.vectors.tobytes() == expected.tobytes()
             assert result.center.tobytes() == expected_center.tobytes()
             assert result.unit_normalized and not result.vectors.flags.writeable
-            assert result.n_file_loaded == count
+        # A row composed outside the space (as --ngrams does) gets the bits
+        # the same raw row gets as a file row.
+        loaded = runs[0][0]()
+        assert loaded.preprocessed_rows(space.vectors).tobytes() == loaded.vectors.tobytes()
 
     def test_constructor_copies_the_callers_array(self):
         array = np.arange(6.0).reshape(3, 2)
@@ -561,8 +519,8 @@ class TestNearest:
         np.testing.assert_array_equal(space.row_norms, [5.0, 0.0])
         scaled = replace(space, vectors=2.0 * space.vectors)
         np.testing.assert_array_equal(scaled.row_norms, [10.0, 0.0])
-        np.testing.assert_array_equal(space.with_composed([("b", np.ones(2))]).row_norms,
-                                      [5.0, 0.0, np.sqrt(2.0)])
+        grown = replace(space, words=("a", "z", "b"), vectors=np.vstack([space.vectors, np.ones(2)]))
+        np.testing.assert_array_equal(grown.row_norms, [5.0, 0.0, np.sqrt(2.0)])
 
 
 class TestPreprocess:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphlex.embeddings import EmbeddingSpace
 from morphlex.evaluation import (
@@ -23,12 +25,9 @@ from morphlex.morph import parse_tag
 from morphlex.pipeline import ROUTE_DIRECT, TranslationCandidate, UntranslatableError
 
 
-def space_of(words, dim=2, composed=()):
-    """A space whose last ``len(composed)`` words are the composed ones."""
+def space_of(words, dim=2):
     rng = np.random.default_rng(0)
-    return EmbeddingSpace(
-        tuple(words), rng.normal(size=(len(words), dim)), len(words) - len(composed)
-    )
+    return EmbeddingSpace(tuple(words), rng.normal(size=(len(words), dim)))
 
 
 def dictionary(pairs, tags=None):
@@ -76,10 +75,12 @@ class TestPrecisionAt1:
         assert report.all.accuracy == 0.5
 
     def test_voc_excludes_composed_and_missing_sources(self):
-        space = space_of(["a", "b", "c"], composed={"c"})
+        # "c" and "zz" have no row but are translated, as a form composed
+        # from n-grams is.
+        space = space_of(["a", "b"])
         gold = dictionary([("a", {"A"}), ("c", {"C"}), ("zz", {"ZZ"})])
         report = precision_at_1(slots(str.upper, gold), gold, space)
-        assert report.voc.total == 1  # only "a" is file-loaded
+        assert report.voc.total == 1  # only "a" has a row
         assert report.all.total == 3
         assert report.all.correct == 3
 
@@ -242,12 +243,6 @@ class TestExtractIdenticalSeed:
         indices = [src_words.index(w) for w, _ in pairs]
         assert indices == sorted(indices)
 
-    def test_composed_rows_excluded(self):
-        source = space_of(["a", "b"], composed={"b"})
-        target = space_of(["b", "c"])
-        with pytest.raises(NoOverlapError):
-            extract_identical_seed(source, target)
-
 
 class TestDictionaryFiles:
     def test_eval_dictionary_merges_gold_sets(self, tmp_path):
@@ -257,6 +252,12 @@ class TestDictionaryFiles:
         assert len(loaded) == 2
         assert loaded.entries[0].golds == frozenset({"one", "ace"})
         assert loaded.entries[0].tag == parse_tag("NUM")
+
+    def test_eval_dictionary_takes_the_smallest_canonical_tag(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("uno\tone\tV;PRS\nuno\tace\nuno\tun\tADJ\nuno\tuna\tPRS;V\n")
+        (entry,) = read_eval_dictionary(str(path)).entries
+        assert entry.tag.canonical == "ADJ"
 
     def test_eval_dictionary_bad_row(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -283,9 +284,10 @@ class TestDictionaryFiles:
         assert payload["tags"][0]["low_support"] is True
 
 
-# The four files of a tagged report (one composed source, one missing, a
-# wrong answer past the last bin and one tag under the minimum count) and
-# of an untagged one, byte for byte.
+# The four files of a tagged report (one source composed from n-grams, so
+# without a row but translated, one missing, a wrong answer past the last
+# bin and one tag under the minimum count) and of an untagged one, byte
+# for byte.
 TAGGED_REPORT = {
     "summary.tsv": (
         "population\tcorrect\ttotal\tprecision_at_1\n"
@@ -401,9 +403,18 @@ UNTAGGED_REPORT = {
 }
 
 
+# Evaluation-dictionary rows: a few sources, repeated with other golds and
+# other tags, including one tag in two feature orders.
+eval_rows = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "zz"]), st.sampled_from(["A", "B", "X"]),
+              st.sampled_from(["", "N;SG", "N;PL", "V;PRS", "PRS;V"])),
+    min_size=1, max_size=12,
+)
+
+
 class TestReportFiles:
     def write(self, tmp_path, gold, answers, **options):
-        space = space_of(["a", "b", "c"], composed={"c"})
+        space = space_of(["a", "b"])
         report = precision_at_1(slots(answers.get, gold), gold, space, **options)
         write_report(report, str(tmp_path / "run"))
         return {name: (tmp_path / f"run.{name}").read_bytes() for name in TAGGED_REPORT}
@@ -421,3 +432,20 @@ class TestReportFiles:
         gold = dictionary([("a", {"A"}), ("zz", {"ZZ"})])
         files = self.write(tmp_path, gold, {"a": "A"})
         assert files == {name: text.encode() for name, text in UNTAGGED_REPORT.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_order_leaves_the_report_bytes_unchanged(self, tmp_path_factory, data):
+        rows = data.draw(eval_rows)
+        shuffled = data.draw(st.permutations(rows))
+        reports = []
+        for order in (rows, shuffled):
+            root = tmp_path_factory.mktemp("order")
+            (root / "d.tsv").write_text("".join(
+                f"{source}\t{target}" + (f"\t{tag}" if tag else "") + "\n"
+                for source, target, tag in order
+            ))
+            gold = read_eval_dictionary(str(root / "d.tsv"))
+            reports.append(self.write(root, gold, {"a": "A", "b": "B", "c": "X"},
+                                      bin_width=1, num_bins=1, min_tag_count=2))
+        assert reports[0] == reports[1]

@@ -233,15 +233,16 @@ class TestTranslateHybrid:
 
     @pytest.mark.parametrize("order", [("saltar", "salto"), ("salto", "saltar")])
     def test_composed_rows_have_no_rank(self, order):
-        # Lemma and form both composed: neither has a frequency rank, so
-        # the route must not depend on which one was composed first.
+        # Lemma and form both composed from n-grams, to their old rows:
+        # neither has a frequency rank, so the route must not depend on
+        # which one the batch composes first.
         config = replace(tiny_setup(), mode=MODE_HYBRID)
-        vectors = dict(zip(config.source_space.words, config.source_space.vectors))
         source = EmbeddingSpace(("other",), np.array([[1.0, 1.0]]))
-        source = source.with_composed([(word, vectors[word]) for word in order])
-        candidate = translate(replace(config, source_space=source), "salto")
-        assert candidate.route == ROUTE_DIRECT
-        assert candidate.form == "springe"
+        table = EmbeddingSpace(("tar>", "lto>"), np.eye(2))
+        config = replace(config, source_space=source, ngram_table=table)
+        slots = dict(zip(order, translate_many(config, list(order))))
+        assert slots["salto"].route == ROUTE_DIRECT
+        assert slots["salto"].form == "springe"
 
     def test_oov_form_with_in_vocab_lemma_goes_through_lemma(self):
         config = replace(tiny_setup(), mode=MODE_HYBRID)
