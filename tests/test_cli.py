@@ -743,20 +743,46 @@ class TestZeroQuery:
         assert code == EXIT_OK
         assert out.read_text() == f"{word}\t<NONE>\t-\t-\n"
 
-    def test_zero_omega_maps_every_source_to_zero(self, corpus, trained, tmp_path):
+    @staticmethod
+    def zero_model(corpus, tmp_path):
+        """A model file whose omega is finite and all zeros."""
         model = tmp_path / "zero.omega"
         dim = corpus["task"].source_space.dim
         save_model(TranslationModel(np.zeros((dim, dim)), 5), str(model))
-        out = tmp_path / "preds.tsv"
+        return str(model)
+
+    def test_zero_omega_maps_every_source_to_zero(self, corpus, trained, tmp_path):
+        model = self.zero_model(corpus, tmp_path)
+        forms = pathlib.Path(corpus["forms"]).read_text().split()
+        analyses = corpus["task"].gold_analyses
+        oracle_input = tmp_path / "oracle.txt"
+        oracle_input.write_text("".join(
+            f"{form}\t{analyses[form][0]}\t{analyses[form][1].canonical}\n" for form in forms
+        ))
+        for mode in ("base", "hybrid", "oracle", "direct"):
+            out = tmp_path / f"{mode}.tsv"
+            code = main([
+                "translate", "--model", model, "--src", corpus["src"],
+                "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
+                "--inflector", trained["inflector"], "--mode", mode,
+                "--input", str(oracle_input if mode == "oracle" else corpus["forms"]),
+                "--output", str(out),
+            ])
+            assert code == EXIT_OK, mode
+            assert out.read_text() == "".join(f"{form}\t<NONE>\t-\t-\n" for form in forms), mode
+
+    def test_evaluate_counts_every_entry_untranslatable(self, corpus, trained, tmp_path):
+        prefix = tmp_path / "run"
         code = main([
-            "translate", "--model", str(model), "--src", corpus["src"],
+            "evaluate", "--model", self.zero_model(corpus, tmp_path), "--src", corpus["src"],
             "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
-            "--inflector", trained["inflector"], "--mode", "hybrid",
-            "--input", corpus["forms"], "--output", str(out),
+            "--inflector", trained["inflector"], "--mode", "base",
+            "--dict", corpus["eval"], "--out-prefix", str(prefix),
         ])
         assert code == EXIT_OK
-        forms = pathlib.Path(corpus["forms"]).read_text().split()
-        assert out.read_text() == "".join(f"{form}\t<NONE>\t-\t-\n" for form in forms)
+        report = json.loads((tmp_path / "run.report.json").read_text())
+        assert report["untranslatable"] == report["all"]["total"] > 0
+        assert report["all"]["correct"] == 0
 
 
 class TestBadSidecar:

@@ -1,6 +1,6 @@
 """Differential property: ``translate_many`` agrees with the benchmark's
 independent reference (perfbench/reference.py, which never imports
-morphlex) on small generated worlds, in base and hybrid modes."""
+morphlex) on small generated worlds, in all four modes."""
 
 import importlib.util
 import math
@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from morphlex.baseline import procrustes_fit
 from morphlex.embeddings import EmbeddingSpace, ngrams, preprocess
-from morphlex.morph import learn_analyzer, learn_inflector
+from morphlex.morph import learn_analyzer, learn_inflector, parse_tag
 from morphlex.pipeline import (
     MODE_BASE,
+    MODE_DIRECT,
     MODE_HYBRID,
+    MODES,
     JointConfig,
     TranslationCandidate,
     joint_log_prob,
@@ -28,6 +30,9 @@ from morphlex.translator import TranslationModel
 
 REFERENCE_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 NOVEL_STEMS = 6
+# A gold lemma with no vector: no row, and digits share no n-gram with the
+# world's letters.
+VECTORLESS_LEMMA = "0000"
 
 
 def load_reference():
@@ -58,6 +63,21 @@ def analyses_with_novel_stems(task, rng):
         for slot in source.slots:
             analyses[stem + slot.suffix] = (lemma, slot.tag.canonical)
     return analyses
+
+
+def expect(ref, gold, form, mode):
+    """The reference's answer for ``form`` in ``mode``: base and hybrid
+    from ``Reference.expect``; direct translates the surface form alone;
+    oracle takes the lemma route from the ``gold`` (lemma, tag) with no
+    fallback, None when the lemma has no vector."""
+    if mode in (MODE_BASE, MODE_HYBRID):
+        return ref.expect(form, mode)
+    lemma, tag = gold
+    route, candidates = (
+        (reference.ROUTE_DIRECT, ref._route_candidates(form, None)) if mode == MODE_DIRECT
+        else (reference.ROUTE_LEMMA, ref._route_candidates(lemma, tag))
+    )
+    return None if candidates is None else reference.Expected(route, candidates)
 
 
 @given(
@@ -101,9 +121,18 @@ def test_translate_many_matches_the_reference(seed, n_lexemes, dim, support_shar
         ngram_rows,
     )
 
-    for mode in (MODE_BASE, MODE_HYBRID):
-        for form, slot in zip(forms, translate_many(replace(config, mode=mode), forms)):
-            want = ref.expect(form, mode)
+    # Oracle golds are the analyses, but every fifth form's names a lemma
+    # without a vector, which oracle mode must not route around.
+    golds = [
+        (VECTORLESS_LEMMA if i % 5 == 0 else analyses[form][0], analyses[form][1])
+        for i, form in enumerate(forms)
+    ]
+    for mode in MODES:
+        slots = translate_many(
+            replace(config, mode=mode), forms, [(lemma, parse_tag(tag)) for lemma, tag in golds]
+        )
+        for form, gold, slot in zip(forms, golds, slots):
+            want = expect(ref, gold, form, mode)
             if want is None:
                 assert not isinstance(slot, TranslationCandidate), (mode, form, slot)
                 continue
