@@ -153,9 +153,16 @@ def tag_breakdown(
     min_count: int = DEFAULT_MIN_TAG_COUNT,
 ) -> list[Tally]:
     """Per-source-tag precision@1 with counts, in tag order; small groups
-    are flagged. Untagged outcomes are left out, so outcomes without any
-    tag give no rows."""
-    counts = _count([o for o in outcomes if o.tag is not None], lambda o: o.tag.canonical)
+    are flagged. Outcomes group by ``MorphTag``, so spellings that differ
+    only in feature order share a row, labelled with the smallest canonical
+    spelling among them (as ``read_eval_dictionary`` picks a tag).
+    Untagged outcomes are left out, so outcomes without any tag give no
+    rows."""
+    tagged = [o for o in outcomes if o.tag is not None]
+    labels: dict[MorphTag, str] = {}
+    for o in tagged:
+        labels[o.tag] = min(o.tag.canonical, labels.get(o.tag, o.tag.canonical))
+    counts = _count(tagged, lambda o: labels[o.tag])
     return [
         Tally(tag, correct, total, low_support=total < min_count)
         for tag, (correct, total) in sorted(counts.items())

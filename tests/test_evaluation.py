@@ -13,6 +13,7 @@ from morphlex.evaluation import (
     EvalDictionary,
     EvalEntry,
     NoOverlapError,
+    Tally,
     extract_identical_seed,
     frequency_bins,
     precision_at_1,
@@ -218,6 +219,22 @@ class TestTagBreakdown:
         outcomes = [outcome("a", 0, True, parse_tag("N;SG")), outcome("b", 1, True)]
         stats = tag_breakdown(outcomes)
         assert sum(s.total for s in stats) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations([
+        outcome("a", 0, True, parse_tag("V;PRS")),
+        outcome("b", 1, False, parse_tag("PRS;V")),
+        outcome("c", 2, True, parse_tag("N;PL;GEN")),
+        outcome("d", 3, True, parse_tag("GEN;N;PL")),
+        outcome("e", 4, False, parse_tag("PL;GEN;N")),
+        outcome("f", 5, True),
+    ]))
+    def test_one_row_per_tag_in_any_outcome_order(self, outcomes):
+        # Tags equal up to feature order share one row, labelled with their
+        # smallest spelling, whichever outcome comes first.
+        assert tag_breakdown(outcomes, min_count=3) == [
+            Tally("GEN;N;PL", 2, 3), Tally("PRS;V", 1, 2, low_support=True),
+        ]
 
 
 class TestExtractIdenticalSeed:
