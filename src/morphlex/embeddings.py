@@ -40,10 +40,10 @@ class EmbeddingSpace:
     """An ordered table of keyed rows: one dense vector per word (or, for
     an n-gram table, per n-gram).
 
-    ``words[i]`` has frequency rank ``i``. ``unit_normalized`` and
-    ``center`` (None or ``dim`` finite floats) record the preprocessing the
-    rows have had. Instances are treated as immutable once built:
-    preprocessing returns new spaces, so concurrent reads are safe.
+    ``words[i]`` has frequency rank ``i``. ``center`` is None for raw rows;
+    ``dim`` finite floats mark rows length-normalized, then shifted by that
+    mean. Instances are treated as immutable once built: preprocessing
+    returns new spaces, so concurrent reads are safe.
 
     The constructor stores a read-only copy of ``vectors``, so the
     caller's array is never touched. ``_adopt=True`` stores the array
@@ -52,7 +52,6 @@ class EmbeddingSpace:
 
     words: tuple[str, ...]
     vectors: np.ndarray
-    unit_normalized: bool = False
     center: np.ndarray | None = None
     _adopt: InitVar[bool] = False
 
@@ -125,13 +124,12 @@ class EmbeddingSpace:
 
     def preprocessed_rows(self, rows: np.ndarray) -> np.ndarray:
         """A fresh copy of rows from outside the space (composed OOV
-        vectors) given the preprocessing the space has received, by the
-        kernel that preprocessed the space's own rows: row-wise unit
-        normalization, then subtraction of the stored training mean."""
+        vectors) in the space's state: unchanged for a raw space; for a
+        preprocessed one, normalized by the kernel that normalized the
+        space's own rows, then shifted by the stored center."""
         rows = np.array(rows, dtype=np.float64, ndmin=2)
-        if self.unit_normalized:
-            _normalize_rows_in_place(rows)
         if self.center is not None:
+            _normalize_rows_in_place(rows)
             rows -= self.center
         return rows
 
@@ -191,10 +189,10 @@ def load_space(
         return EmbeddingSpace(tuple(words), vectors, _adopt=True)
     if not words:
         raise VecFormatError(f"{path}: no vectors to preprocess")
-    zero_words, center = _preprocess_in_place(words, vectors, False, None)
+    zero_words, center = _preprocess_in_place(words, vectors)
     if zero_words:
         logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
-    return EmbeddingSpace(tuple(words), vectors, True, center, _adopt=True)
+    return EmbeddingSpace(tuple(words), vectors, center, _adopt=True)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its
@@ -216,38 +214,32 @@ def _normalize_rows_in_place(vectors: np.ndarray) -> list[int]:
     return zero_rows
 
 
-def _preprocess_in_place(
-    words: Sequence[str],
-    vectors: np.ndarray,
-    unit_normalized: bool,
-    center: np.ndarray | None,
-) -> tuple[list[str], np.ndarray]:
-    """``preprocess`` on a matrix this module owns, in place. Returns the
-    words of the zero rows and the center, the mean of every row."""
-    zero_words = [] if unit_normalized else [words[i] for i in _normalize_rows_in_place(vectors)]
-    if center is None:
-        if not len(vectors):
-            raise ValueError("cannot mean-center a space with no rows")
-        center = vectors.mean(axis=0)
-        vectors -= center
+def _preprocess_in_place(words: Sequence[str], vectors: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Both steps of ``preprocess`` on raw rows of a matrix this module
+    owns, in place. Returns the words of the zero rows and the center, the
+    mean of every normalized row."""
+    if not len(vectors):
+        raise ValueError("cannot mean-center a space with no rows")
+    zero_words = [words[i] for i in _normalize_rows_in_place(vectors)]
+    center = vectors.mean(axis=0)
+    vectors -= center
     return zero_words, center
 
 
 def preprocess(space: EmbeddingSpace) -> tuple[EmbeddingSpace, list[str]]:
-    """Length-normalize unless ``unit_normalized`` is set, then subtract
-    the mean of the rows from every row and store it as ``center`` unless
-    a center is set. Zero rows stay unchanged and are returned in the
-    warning list; a space with no rows cannot be centered (ValueError).
-    The input is not changed. Rows from outside the space, such as
-    composed OOV vectors, get the same treatment from
-    ``preprocessed_rows`` without moving the center.
+    """Length-normalize a raw space, then subtract the mean of its rows
+    from every row and store it as ``center``; zero rows stay unchanged
+    and their words are returned, and a space with no rows cannot be
+    centered (ValueError). A space with a center is preprocessed already:
+    it comes back as it is, with no zero words. The input is not changed,
+    and rows from outside the space, such as composed OOV vectors, get the
+    same treatment from ``preprocessed_rows`` without moving the center.
     """
+    if space.center is not None:
+        return space, []
     vectors = np.array(space.vectors)
-    zero_words, center = _preprocess_in_place(
-        space.words, vectors, space.unit_normalized, space.center
-    )
-    processed = replace(space, vectors=vectors, unit_normalized=True, center=center, _adopt=True)
-    return processed, zero_words
+    zero_words, center = _preprocess_in_place(space.words, vectors)
+    return replace(space, vectors=vectors, center=center, _adopt=True), zero_words
 
 
 def ngrams(form: str) -> list[str]:

@@ -153,9 +153,8 @@ def tag_breakdown(
     min_count: int = DEFAULT_MIN_TAG_COUNT,
 ) -> list[Tally]:
     """Per-source-tag precision@1 with counts, in tag order; small groups
-    are flagged. Outcomes group by ``MorphTag``, so spellings that differ
-    only in feature order share a row, labelled with the smallest canonical
-    spelling among them (as ``read_eval_dictionary`` picks a tag).
+    are flagged. Tags equal up to feature order share one row, labelled
+    with their smallest spelling, the rule of ``read_eval_dictionary``.
     Untagged outcomes are left out, so outcomes without any tag give no
     rows."""
     tagged = [o for o in outcomes if o.tag is not None]

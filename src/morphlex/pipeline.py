@@ -174,22 +174,20 @@ def _retrieve_many(
     Retrieval ranges over the whole target space, so a row outside the
     model's softmax support can win; its probability is undefined under
     the fixed normalizer and is recorded as None. Words without a vector
-    are left out, and so are words whose vector the model maps to the
-    zero query, which has no cosine neighbour.
+    are left out, and so are those ``retrieve`` marks as zero queries
+    (winner -1), which have no cosine neighbour.
     """
     words, sources = _source_vectors(config, source_words)
-    nonzero = np.linalg.norm(sources @ config.model.omega.T, axis=1) > 0.0
-    words = [word for word, keep in zip(words, nonzero) if keep]
     if not words:
         return {}
     target = config.target_space
-    winners, log_probs = retrieve(config.model, sources[nonzero], target)
+    winners, log_probs = retrieve(config.model, sources, target)
     if stats is not None:
         stats.retrievals += len(words)
         stats.score_blocks += -(-len(words) // score_block_rows(target))
     return {
         word: (target.words[index], lp)
-        for word, index, lp in zip(words, winners, log_probs)
+        for word, index, lp in zip(words, winners, log_probs) if index >= 0
     }
 
 

@@ -379,10 +379,10 @@ def retrieve(
 
     One product P = S Omega^T maps the sources; each row block of
     R = P V^T then gives both the cosine winner (``_cosine_winners``: ties
-    to the lower rank, zero rows never win, a zero mapped query raises)
+    to the lower rank, zero rows never win, a query mapped to zero is -1)
     and the log-softmax at the winner over the first
     ``normalizer_vocab_size`` columns, which is None when the winner lies
-    outside that support.
+    outside that support: a zero query's mark is (-1, None).
     """
     sources = np.asarray(source_vecs, dtype=np.float64)
     if sources.ndim != 2 or sources.shape[1] != model.source_dim:
@@ -400,7 +400,7 @@ def retrieve(
         winners[block], log_probs[block] = _retrieve_block(
             projected[block], query_norms[block], target_space, size
         )
-    return winners, [float(lp) if i < size else None for i, lp in zip(winners, log_probs)]
+    return winners, [float(lp) if 0 <= i < size else None for i, lp in zip(winners, log_probs)]
 
 
 def _cosine_winners(
@@ -412,16 +412,14 @@ def _cosine_winners(
     ``query_norms[i]`` the norm of query i. Cosine divides by the cached
     row norms times the query norm. Exact ties go to the lower (more
     frequent) rank, and zero rows score -inf, so they never beat a
-    non-zero row; a zero query raises ValueError.
+    non-zero row. A zero query has no neighbour; its winner is -1.
     """
-    if not np.all(query_norms > 0.0):
-        raise ValueError("cannot rank neighbours of a zero query vector")
     scores = np.multiply.outer(query_norms, target_space.row_norms)
     zero = scores == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(products, scores, out=scores)
     scores[zero] = -np.inf
-    return np.argmax(scores, axis=1)
+    return np.where(query_norms > 0.0, np.argmax(scores, axis=1), -1)
 
 
 def _retrieve_block(

@@ -13,6 +13,7 @@ from morphlex.embeddings import (
     EmbeddingSpace,
     VecFormatError,
     WordNotFoundError,
+    _normalize_rows_in_place,
     compose_oov,
     load_ngram_table,
     load_space,
@@ -236,14 +237,11 @@ class TestSidecarChecks:
 
 
 def normalize_only(space):
-    """``preprocess`` of a space marked centered (at the origin) only
-    length-normalizes."""
-    return preprocess(replace(space, center=np.zeros(space.dim)))
-
-
-def center_only(space):
-    """``preprocess`` of a space marked unit-normalized only centers."""
-    return preprocess(replace(space, unit_normalized=True))[0]
+    """The space's rows through the length-normalization kernel alone, and
+    the words of its zero rows."""
+    vectors = np.array(space.vectors)
+    zero_rows = _normalize_rows_in_place(vectors)
+    return EmbeddingSpace(space.words, vectors), [space.words[i] for i in zero_rows]
 
 
 class TestLengthNormalize:
@@ -273,66 +271,66 @@ class TestLengthNormalize:
 
 
 class TestMeanCenter:
+    # Centering follows normalization in a full ``preprocess`` of a raw space.
+
     def test_two_point_symmetry(self):
-        space = EmbeddingSpace(("a", "b"), np.array([[1.0, 1.0], [3.0, 3.0]]))
-        centered = center_only(space)
-        np.testing.assert_allclose(centered.vectors, [[-1.0, -1.0], [1.0, 1.0]])
+        # Normalized to (-1, 0) and (0, 1): the mean lies halfway between.
+        space = EmbeddingSpace(("a", "b"), np.array([[-2.0, 0.0], [0.0, 3.0]]))
+        centered, _ = preprocess(space)
+        np.testing.assert_allclose(centered.vectors, [[-0.5, -0.5], [0.5, 0.5]])
 
     def test_single_row_goes_to_zero(self):
         space = EmbeddingSpace(("a",), np.array([[5.0, 7.0]]))
-        centered = center_only(space)
+        centered, _ = preprocess(space)
         np.testing.assert_allclose(centered.vectors, [[0.0, 0.0]])
 
     def test_idempotent_on_centered_data(self):
+        # Unit rows and their negatives: normalized already, mean zero.
         rng = np.random.default_rng(1)
-        rows = rng.normal(size=(6, 3))
-        rows -= rows.mean(axis=0)
+        rows = rng.normal(size=(3, 3))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows = np.vstack([rows, -rows])
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(6)), rows)
-        centered = center_only(space)
+        centered, _ = preprocess(space)
         np.testing.assert_allclose(centered.vectors, rows, atol=1e-12)
 
     def test_empty_space_errors(self):
         space = EmbeddingSpace((), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            center_only(space)
+            preprocess(space)
 
     def test_mean_is_zero_after(self):
         rng = np.random.default_rng(2)
         space = EmbeddingSpace(tuple(f"w{i}" for i in range(9)), rng.normal(size=(9, 4)))
-        centered = center_only(space)
+        centered, _ = preprocess(space)
         np.testing.assert_allclose(centered.vectors.mean(axis=0), 0.0, atol=1e-6)
-        np.testing.assert_allclose(centered.center, space.vectors.mean(axis=0))
+        np.testing.assert_allclose(centered.center, normalize_only(space)[0].vectors.mean(axis=0))
 
 
-def reference_preprocess(vectors, unit_normalized, center):
+def reference_preprocess(vectors, center):
     """Preprocessing with whole-matrix arithmetic: norms of every row in
     one ``np.linalg.norm`` call, division by the norms with zero norms
-    replaced by 1, then subtraction of the mean of every row."""
-    if not unit_normalized:
-        norms = np.linalg.norm(vectors, axis=1)
-        vectors = vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
-    if center is None:
-        center = vectors.mean(axis=0)
-        vectors = vectors - center
-    return vectors, center
+    replaced by 1, then subtraction of the mean of every row. Rows with a
+    center are preprocessed already and stay as they are."""
+    if center is not None:
+        return vectors, center
+    norms = np.linalg.norm(vectors, axis=1)
+    vectors = vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
+    center = vectors.mean(axis=0)
+    return vectors - center, center
 
 
 @st.composite
 def stored_spaces(draw):
     """A space with zero rows and a row count that is often not a multiple
-    of the normalization block, marked raw, normalized only or fully
-    preprocessed."""
+    of the normalization block, raw or marked preprocessed."""
     rows = draw(st.integers(1, 2600) | st.sampled_from([1023, 1024, 1025, 2048]))
     dim = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vectors = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(rows, dim))
     vectors[draw(st.lists(st.integers(0, rows - 1), max_size=3))] = 0.0
-    state = draw(st.sampled_from(["raw", "normalized", "preprocessed"]))
-    center = rng.normal(size=dim) if state == "preprocessed" else None
-    return EmbeddingSpace(
-        tuple(f"w{i}" for i in range(rows)), vectors,
-        unit_normalized=state in ("normalized", "preprocessed"), center=center,
-    )
+    center = rng.normal(size=dim) if draw(st.booleans()) else None
+    return EmbeddingSpace(tuple(f"w{i}" for i in range(rows)), vectors, center=center)
 
 
 class TestPreprocessBits:
@@ -340,21 +338,21 @@ class TestPreprocessBits:
     @given(space=stored_spaces())
     def test_load_and_preprocess_match_the_reference_bit_for_bit(self, tmp_path_factory, space):
         # A file holds raw rows, so loading it gives both steps; preprocess
-        # skips the steps the in-memory space is marked as having had.
+        # leaves an in-memory space with a center as it is.
         path = str(tmp_path_factory.mktemp("vec") / "s.vec")
         save_vec_file(space, path)
         before = space.vectors.tobytes()
         runs = (
-            (lambda: load_space(path, max_words=None, preprocessed=True), False, None),
-            (lambda: preprocess(space)[0], space.unit_normalized, space.center),
+            (lambda: load_space(path, max_words=None, preprocessed=True), None),
+            (lambda: preprocess(space)[0], space.center),
         )
-        for run, unit_normalized, center in runs:
-            expected, expected_center = reference_preprocess(space.vectors, unit_normalized, center)
+        for run, center in runs:
+            expected, expected_center = reference_preprocess(space.vectors, center)
             result = run()
             assert space.vectors.tobytes() == before
             assert result.vectors.tobytes() == expected.tobytes()
             assert result.center.tobytes() == expected_center.tobytes()
-            assert result.unit_normalized and not result.vectors.flags.writeable
+            assert result.center is not None and not result.vectors.flags.writeable
         # A row composed outside the space (as --ngrams does) gets the bits
         # the same raw row gets as a file row.
         loaded = runs[0][0]()
@@ -497,9 +495,13 @@ class TestNearest:
         assert nearest_word(space, np.array([1.0, 0.0])) == "a"
 
     def test_zero_query_rejected(self):
-        space = EmbeddingSpace(("a",), np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            nearest_word(space, np.zeros(2))
+        # A zero query has no neighbour: retrieve marks it with winner -1
+        # and log-prob None, and answers the rest of the batch.
+        space = EmbeddingSpace(("a", "b"), np.array([[1.0, 1.0], [1.0, -1.0]]))
+        model = TranslationModel(np.eye(2), len(space))
+        winners, log_probs = retrieve(model, np.array([[0.0, 0.0], [1.0, -2.0]]), space)
+        assert list(winners) == [-1, 1]
+        assert log_probs[0] is None and log_probs[1] < 0.0
 
     def test_tie_break_is_permutation_stable(self):
         # Three identical directions: the winner is always the lowest rank,
@@ -534,3 +536,14 @@ class TestPreprocess:
         )
         # Norms are generally not unit after centering; only the mean is pinned.
         np.testing.assert_allclose(processed.vectors.mean(axis=0), 0.0, atol=1e-12)
+
+    def test_preprocessed_space_comes_back_as_it_is(self):
+        # The zero row is reported once, by the preprocess that saw it raw.
+        rng = np.random.default_rng(9)
+        vectors = rng.normal(size=(6, 3))
+        vectors[2] = 0.0
+        space, zero_words = preprocess(EmbeddingSpace(tuple(f"w{i}" for i in range(6)), vectors))
+        again, again_zero_words = preprocess(space)
+        assert (zero_words, again_zero_words) == (["w2"], [])
+        assert again.vectors.tobytes() == space.vectors.tobytes()
+        assert again.center.tobytes() == space.center.tobytes()

@@ -168,9 +168,7 @@ class TestTranslateBase:
 
         config = tiny_setup()
         center = np.array([0.25, -0.5])
-        source = replace(
-            config.source_space, unit_normalized=True, center=center
-        )
+        source = replace(config.source_space, center=center)
         table = EmbeddingSpace(("<neu",), np.array([[3.0, 4.0]]))
         config = replace(config, source_space=source, ngram_table=table)
         resolved = _source_vectors(config, ["neu"])[1][0]
