@@ -164,8 +164,13 @@ def orth_penalty(model: TranslationModel, alpha: float) -> float:
     """alpha times the Frobenius distance of Omega^T Omega from identity."""
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    gram_minus_i = model.omega.T @ model.omega - np.eye(model.source_dim)
-    return float(alpha * np.linalg.norm(gram_minus_i, "fro"))
+    return alpha * _orth_gap(model.omega)[1]
+
+
+def _orth_gap(omega: np.ndarray) -> tuple[np.ndarray, float]:
+    """Omega^T Omega - I and its Frobenius norm."""
+    gram_minus_i = omega.T @ omega - np.eye(omega.shape[1])
+    return gram_minus_i, float(np.linalg.norm(gram_minus_i, "fro"))
 
 
 def _loss_and_grad_indexed(
@@ -175,28 +180,58 @@ def _loss_and_grad_indexed(
     normalizer_rows: np.ndarray,
     alpha: float,
     alpha_batch_size: int,
-    want_grad: bool = True,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
+    """One batch's loss and gradient. The softmax runs in place on the
+    batch's scores, so the batch costs two score-sized arrays at most."""
     batch = source_vecs.shape[0]
     projected = source_vecs @ omega.T                    # (B, N_t)
     scores = projected @ normalizer_rows.T               # (B, support)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted[np.arange(batch), target_indices] - log_z
+    scores -= scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(scores).sum(axis=1))
+    log_probs = scores[np.arange(batch), target_indices] - log_z
     loss = -float(log_probs.mean())
-    grad = None
-    if want_grad:
-        probs = np.exp(shifted - log_z[:, None])
-        expected = probs @ normalizer_rows               # (B, N_t)
-        residual = expected - normalizer_rows[target_indices]
-        grad = residual.T @ source_vecs / batch
+    scores -= log_z[:, None]
+    probs = np.exp(scores, out=scores)
+    expected = probs @ normalizer_rows                   # (B, N_t)
+    residual = expected - normalizer_rows[target_indices]
+    grad = residual.T @ source_vecs / batch
     if alpha > 0.0:
-        gram_minus_i = omega.T @ omega - np.eye(omega.shape[1])
-        norm = float(np.linalg.norm(gram_minus_i, "fro"))
+        gram_minus_i, norm = _orth_gap(omega)
         loss += alpha / alpha_batch_size * norm
-        if want_grad and norm >= _PENALTY_NORM_FLOOR:
+        if norm >= _PENALTY_NORM_FLOOR:
             grad = grad + (alpha / alpha_batch_size) * 2.0 * (omega @ gram_minus_i) / norm
     return loss, grad
+
+
+def _dev_loss(
+    omega: np.ndarray,
+    source_vecs: np.ndarray,
+    target_indices: np.ndarray,
+    normalizer_rows: np.ndarray,
+    alpha: float,
+    alpha_batch_size: int,
+    block_rows: int,
+) -> float:
+    """The float ``_loss_and_grad_indexed`` gives as its loss, computed
+    in row blocks of ``block_rows`` (two or more), so memory is one
+    block's scores however many pairs there are. A 1-row tail joins the
+    block before it: numpy sends a 1-row product to gemv, whose bits
+    differ from the full product's."""
+    n = len(source_vecs)
+    projected = source_vecs @ omega.T
+    bounds = list(range(0, n, block_rows)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    log_probs = np.empty(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # Unnamed, a block's scores are freed before the next block's.
+        log_probs[lo:hi] = _log_softmax_at(
+            projected[lo:hi] @ normalizer_rows.T, target_indices[lo:hi], len(normalizer_rows)
+        )
+    loss = -float(log_probs.mean())
+    if alpha > 0.0:
+        loss += alpha / alpha_batch_size * _orth_gap(omega)[1]
+    return loss
 
 
 def loss_and_gradient(
@@ -312,12 +347,14 @@ def train(
     train_sources = np.asarray([si for si, _ in train_pairs])
     train_targets = np.asarray([ti for _, ti in train_pairs])
 
+    # A dev block of two batches' rows holds as many scores as a training
+    # step's two arrays, so it adds nothing to training's peak; thinner
+    # blocks would save no memory and make slower products.
     def dev_loss(matrix: np.ndarray) -> float:
-        loss, _ = _loss_and_grad_indexed(
+        return _dev_loss(
             matrix, dev_sources, dev_targets, normalizer_rows,
-            config.alpha, config.batch_size, want_grad=False,
+            config.alpha, config.batch_size, 2 * config.batch_size,
         )
-        return loss
 
     losses = [dev_loss(omega)]
     best_epoch = 0
@@ -347,9 +384,14 @@ def train(
                 "the snapshot of epoch %d", current, epoch, best_epoch,
             )
             break
-        if current > losses[-1]:
+        halved = current > losses[-1]
+        if halved:
             learning_rate *= 0.5
         losses.append(current)
+        logger.info(
+            "train: epoch %d dev loss %r, learning rate %g%s",
+            epoch, current, learning_rate, " (halved)" if halved else "",
+        )
         if current < losses[best_epoch]:
             best_epoch = epoch
             best_omega = omega.copy()
@@ -379,10 +421,10 @@ def retrieve(
 
     One product P = S Omega^T maps the sources; each row block of
     R = P V^T then gives both the cosine winner (``_cosine_winners``: ties
-    to the lower rank, zero rows never win, a query mapped to zero is -1)
-    and the log-softmax at the winner over the first
-    ``normalizer_vocab_size`` columns, which is None when the winner lies
-    outside that support: a zero query's mark is (-1, None).
+    to the lower rank, zero rows never win, a query mapped to zero or over
+    a space of zero rows is -1) and the log-softmax at the winner over the
+    first ``normalizer_vocab_size`` columns, which is None when the winner
+    lies outside that support: a query without a neighbour is (-1, None).
     """
     sources = np.asarray(source_vecs, dtype=np.float64)
     if sources.ndim != 2 or sources.shape[1] != model.source_dim:
@@ -411,15 +453,17 @@ def _cosine_winners(
     ``products[i, j]`` is the dot product of query i with row j and
     ``query_norms[i]`` the norm of query i. Cosine divides by the cached
     row norms times the query norm. Exact ties go to the lower (more
-    frequent) rank, and zero rows score -inf, so they never beat a
-    non-zero row. A zero query has no neighbour; its winner is -1.
+    frequent) rank, and zero rows score -inf, so they never win. A query
+    with no finite cosine, a zero query or one over a space of zero rows,
+    has no neighbour; its winner is -1.
     """
     scores = np.multiply.outer(query_norms, target_space.row_norms)
     zero = scores == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(products, scores, out=scores)
     scores[zero] = -np.inf
-    return np.where(query_norms > 0.0, np.argmax(scores, axis=1), -1)
+    best = np.argmax(scores, axis=1)
+    return np.where(scores[np.arange(len(best)), best] > -np.inf, best, -1)
 
 
 def _retrieve_block(
@@ -431,12 +475,19 @@ def _retrieve_block(
     score-sized arrays at most."""
     scores = projected @ target_space.vectors.T
     best = _cosine_winners(target_space, scores, query_norms)
-    at_best = scores[np.arange(len(best)), best]
+    return best, _log_softmax_at(scores, best, size)
+
+
+def _log_softmax_at(scores: np.ndarray, columns: np.ndarray, size: int) -> np.ndarray:
+    """Each row's log-softmax over its first ``size`` columns, at its entry
+    of ``columns`` (a column may lie past ``size``). The softmax runs in
+    place, so ``scores`` is overwritten and no score-sized array is made."""
+    picked = scores[np.arange(len(columns)), columns]
     support = scores[:, :size]
     shift = support.max(axis=1)
     support -= shift[:, None]
     log_z = np.log(np.exp(support, out=support).sum(axis=1))
-    return best, at_best - shift - log_z
+    return picked - shift - log_z
 
 
 def save_model(model: TranslationModel, path: str, metadata: dict | None = None) -> None:

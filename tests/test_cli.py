@@ -743,6 +743,28 @@ class TestZeroQuery:
         assert code == EXIT_OK
         assert out.read_text() == f"{word}\t<NONE>\t-\t-\n"
 
+    def test_one_word_target_space_has_no_neighbour(self, corpus, trained, tmp_path):
+        # The only target row centres to zero, so no query has a cosine
+        # neighbour and every form is untranslatable in every route.
+        with open(corpus["tgt"], encoding="utf-8") as handle:
+            _, dim = handle.readline().split()
+            row = handle.readline()
+        space = tmp_path / "one.vec"
+        space.write_text(f"1 {dim}\n{row}", encoding="utf-8")
+        model = tmp_path / "eye.omega"
+        save_model(TranslationModel(np.eye(corpus["task"].source_space.dim), 1), str(model))
+        forms = pathlib.Path(corpus["forms"]).read_text().split()
+        for mode in ("base", "hybrid", "direct"):
+            out = tmp_path / f"{mode}.tsv"
+            code = main([
+                "translate", "--model", str(model), "--src", corpus["src"],
+                "--tgt", str(space), "--analyzer", trained["analyzer"],
+                "--inflector", trained["inflector"], "--mode", mode,
+                "--input", corpus["forms"], "--output", str(out),
+            ])
+            assert code == EXIT_OK, mode
+            assert out.read_text() == "".join(f"{form}\t<NONE>\t-\t-\n" for form in forms), mode
+
     @staticmethod
     def zero_model(corpus, tmp_path):
         """A model file whose omega is finite and all zeros."""

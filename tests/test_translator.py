@@ -2,6 +2,8 @@ import json
 import logging
 import math
 import os
+import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from morphlex import translator
 
-from morphlex.embeddings import EmbeddingSpace, WordNotFoundError
+from morphlex.embeddings import EmbeddingSpace, WordNotFoundError, preprocess
 from morphlex.translator import (
     AdamState,
     ModelFormatError,
@@ -271,18 +273,17 @@ class TestTrain:
         source, target, pairs, _ = rotation_task(rng, 30, 6)
         config = TrainConfig(alpha=1.0, max_epochs=10, seed=5)
         one_epoch = train(pairs, source, target, replace(config, max_epochs=1))
-        real = translator._loss_and_grad_indexed
+        real = translator._dev_loss
         dev_evaluations = 0
 
-        def nan_after_first_epoch(*args, want_grad=True, **kwargs):
+        def nan_after_first_epoch(*args, **kwargs):
             nonlocal dev_evaluations
-            if not want_grad:
-                dev_evaluations += 1
-                if dev_evaluations > 2:  # the initial loss, then epoch 1
-                    return float("nan"), None
-            return real(*args, want_grad=want_grad, **kwargs)
+            dev_evaluations += 1
+            if dev_evaluations > 2:  # the initial loss, then epoch 1
+                return float("nan")
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(translator, "_loss_and_grad_indexed", nan_after_first_epoch)
+        monkeypatch.setattr(translator, "_dev_loss", nan_after_first_epoch)
         with caplog.at_level(logging.WARNING, logger="morphlex.translator"):
             result = train(pairs, source, target, config)
         assert result.epochs_run == 2
@@ -291,6 +292,42 @@ class TestTrain:
         assert result.best_epoch == one_epoch.best_epoch
         assert np.array_equal(result.model.omega, one_epoch.model.omega)
         assert "not finite" in caplog.text
+
+    def test_each_epoch_logs_its_dev_loss_and_learning_rate(self, caplog):
+        rng = np.random.default_rng(0)
+        source, target, pairs, _ = rotation_task(rng, 40, 6)
+        config = TrainConfig(alpha=1.0, learning_rate=0.5, max_epochs=8, seed=0)
+        with caplog.at_level(logging.INFO, logger="morphlex.translator"):
+            result = train(pairs, source, target, config)
+        lines = [
+            re.fullmatch(r"train: epoch (\d+) dev loss (\S+), learning rate (\S+)( \(halved\))?",
+                         record.getMessage())
+            for record in caplog.records
+        ]
+        lines = [line for line in lines if line is not None]
+        assert [int(line[1]) for line in lines] == list(range(1, result.epochs_run + 1))
+        assert [float(line[2]) for line in lines] == result.dev_losses[1:]
+        rose = [after > before for before, after in zip(result.dev_losses, result.dev_losses[1:])]
+        assert [line[4] is not None for line in lines] == rose and any(rose)
+        rates = [config.learning_rate * 0.5 ** sum(rose[: i + 1]) for i in range(len(rose))]
+        assert [float(line[3]) for line in lines] == pytest.approx(rates)
+
+    @pytest.mark.parametrize("n_pairs", [400, 4000])
+    def test_peak_memory_is_one_batch_of_scores_whatever_the_dev_size(self, n_pairs):
+        # 4,000 x 50 target rows; the dev set is a tenth of the pairs, 40 or
+        # 400. The dev loss runs in row blocks of two batches, so the traced
+        # peak stays under four batch-sized score arrays whatever the dev size.
+        rng = np.random.default_rng(31)
+        source, target, _, _ = rotation_task(rng, 4000, 50)
+        pairs = [(f"s{i}", f"t{i}") for i in range(n_pairs)]
+        config = TrainConfig(max_epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            train(pairs, source, target, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * config.batch_size * len(target) * 8 + (1 << 20)
 
     def test_all_pairs_unresolvable(self):
         rng = np.random.default_rng(14)
@@ -312,6 +349,33 @@ class TestTrain:
             gram = model.omega.T @ model.omega - np.eye(6)
             return float(np.linalg.norm(gram, "fro"))
         assert final_deviation(10.0) < final_deviation(0.0)
+
+
+@st.composite
+def dev_loss_cases(draw):
+    """A dev set of n = k * block_rows + r pairs, r in {0, 1, 2}, so a
+    1-row tail (r = 1) and a 2-row one both occur."""
+    block_rows = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 3)) * block_rows + draw(st.sampled_from([0, 1, 2]))
+    return draw(st.integers(0, 2**32 - 1)), max(n, 1), block_rows, draw(st.sampled_from([0.0, 3.0]))
+
+
+class TestDevLoss:
+    @settings(max_examples=60, deadline=None)
+    @given(dev_loss_cases())
+    def test_blocked_loss_matches_per_row_log_prob(self, case):
+        seed, n, block_rows, alpha = case
+        rng = np.random.default_rng(seed)
+        source, target = toy_space(rng, 9, 4, prefix="s"), toy_space(rng, 11, 3, prefix="t")
+        model = TranslationModel(rng.normal(size=(3, 4)), len(target))
+        rows = rng.integers(0, 9, size=n), rng.integers(0, 11, size=n)
+        loss = translator._dev_loss(
+            model.omega, source.vectors[rows[0]], rows[1], target.vectors, alpha, 24, block_rows
+        )
+        nll = -math.fsum(
+            log_prob(model, target, target.words[t], source.vectors[s]) for s, t in zip(*rows)
+        ) / n
+        assert loss == pytest.approx(nll + orth_penalty(model, alpha) / 24, abs=1e-12)
 
 
 class TestPredict:
@@ -373,7 +437,8 @@ class TestPredict:
 def reference_retrieval(omega, sources, targets, support):
     """Per-query cosine argmax (first maximum, zero rows at -inf) and the
     log-softmax at the winner over the first ``support`` rows, by loops;
-    (-1, None) for a query that ``omega`` maps to zero."""
+    (-1, None) for a query that ``omega`` maps to zero or whose every
+    target row is zero."""
     out = []
     for source in sources:
         mapped = omega @ source
@@ -390,6 +455,9 @@ def reference_retrieval(omega, sources, targets, support):
         for j, cosine in enumerate(cosines):
             if cosine > cosines[best]:
                 best = j
+        if cosines[best] == -math.inf:
+            out.append((-1, None))
+            continue
         top = max(raw[:support])
         log_z = top + math.log(math.fsum(math.exp(r - top) for r in raw[:support]))
         out.append((best, raw[best] - log_z if best < support else None))
@@ -445,6 +513,13 @@ class TestRetrieve:
                 assert got is None
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+    def test_space_of_zero_rows_has_no_winner(self):
+        # A one-word space centres to zero: no row has a cosine, so the
+        # query gets the mark instead of row 0 with log-prob 0.0.
+        space, _ = preprocess(EmbeddingSpace(("only",), [[1.0, 2.0]]))
+        winners, log_probs = retrieve(TranslationModel(np.eye(2), 1), [[1.0, 0.0]], space)
+        assert list(winners) == [-1] and log_probs == [None]
 
     def test_blocks_of_two_rows_cover_the_batch(self):
         # Seven queries over four blocks of two rows give the same answers
