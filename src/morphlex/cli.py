@@ -12,8 +12,10 @@ stock default is echoed to stderr for provenance.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import logging
+import os
 import platform
 import sys
 from collections import OrderedDict
@@ -22,7 +24,13 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .embeddings import DEFAULT_MAX_WORDS, VecFormatError, load_ngram_table, load_space
+from .embeddings import (
+    DEFAULT_MAX_WORDS,
+    VecFormatError,
+    load_ngram_table,
+    load_space,
+    load_spaces,
+)
 from .evaluation import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_MIN_TAG_COUNT,
@@ -179,10 +187,25 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
     write_json(f"{output_path}.manifest.json", manifest)
 
 
+def _require_directory(path: str) -> None:
+    """Raise the FileNotFoundError that writing ``path`` would raise when
+    its directory does not exist, before any input is read."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def _load_spaces(args: argparse.Namespace, preprocessed: bool):
+    """The source and target spaces of a command. Both loads go through
+    this module's ``load_space`` binding, which perfbench's tracer wraps."""
+    return load_spaces(
+        args.src, args.tgt, args.max_words, preprocessed=preprocessed, load=load_space
+    )
+
+
 def cmd_train_translator(args: argparse.Namespace) -> int:
     _echo_overrides(args)
-    source_space = load_space(args.src, args.max_words, preprocessed=True)
-    target_space = load_space(args.tgt, args.max_words, preprocessed=True)
+    _require_directory(args.out)
+    source_space, target_space = _load_spaces(args, preprocessed=True)
     seed_pairs = read_seed_dictionary(args.seed_dict)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     result = train(seed_pairs, source_space, target_space, config)
@@ -237,8 +260,7 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
 
 def _build_joint_config(args: argparse.Namespace) -> JointConfig:
     model = load_model(args.model)
-    source_space = load_space(args.src, args.max_words, preprocessed=True)
-    target_space = load_space(args.tgt, args.max_words, preprocessed=True)
+    source_space, target_space = _load_spaces(args, preprocessed=True)
     analyzer = load_rule_table(args.analyzer) if args.analyzer else None
     inflector = load_rule_table(args.inflector) if args.inflector else None
     ngram_table = load_ngram_table(args.ngrams, source_space.dim) if args.ngrams else None
@@ -293,6 +315,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
+    if args.output != "-":
+        _require_directory(args.output)
     config = _build_joint_config(args)
     in_handle = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     out_handle = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
@@ -344,6 +368,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.mode == MODE_ORACLE and not args.oracle_analyses:
         print("error: mode 'oracle' needs --oracle-analyses", file=sys.stderr)
         return EXIT_USAGE
+    _require_directory(args.out_prefix)
     config = _build_joint_config(args)
     dictionary = read_eval_dictionary(args.dict)
     gold = _read_oracle_analyses(args.oracle_analyses) if args.mode == MODE_ORACLE else {}
@@ -371,8 +396,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_extract_seed(args: argparse.Namespace) -> int:
-    source_space = load_space(args.src, max_words=args.max_words)
-    target_space = load_space(args.tgt, max_words=args.max_words)
+    _require_directory(args.out)
+    source_space, target_space = _load_spaces(args, preprocessed=False)
     pairs = extract_identical_seed(source_space, target_space)
     write_tsv(args.out, None, pairs)
     _write_manifest(args.out, args)

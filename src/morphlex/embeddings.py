@@ -8,9 +8,14 @@ frequency rank (row 0 = most frequent word).
 from __future__ import annotations
 
 import logging
+import mmap
 import os
+import pickle
+import signal
+import sys
+import time
 from dataclasses import InitVar, dataclass, replace
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -134,22 +139,28 @@ class EmbeddingSpace:
         return rows
 
 
+def _read_header(path: str, max_words: int | None) -> tuple[int, int]:
+    """The rows a load of a .vec file reads, ``min(count, max_words)``, and
+    its dim, from the header line."""
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline()
+    fields = header.split()
+    if len(fields) != 2:
+        raise VecFormatError(f"{path}: header must be '<count> <dim>', got {header!r}")
+    try:
+        count, dim = int(fields[0]), int(fields[1])
+    except ValueError as exc:
+        raise VecFormatError(f"{path}: non-integer header field in {header!r}") from exc
+    if count < 0 or dim <= 0:
+        raise VecFormatError(f"{path}: invalid header values in {header!r}")
+    return (count if max_words is None else min(count, max_words)), dim
+
+
 def _read_vec_file(path: str, max_words: int | None) -> tuple[list[str], np.ndarray]:
     """The words and a fresh matrix of a .vec file's first ``min(count,
     max_words)`` rows. A repeated word keeps its first row (with a warning);
     malformed rows, non-finite values and a short file raise VecFormatError."""
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline()
-        fields = header.split()
-        if len(fields) != 2:
-            raise VecFormatError(f"{path}: header must be '<count> <dim>', got {header!r}")
-        try:
-            count, dim = int(fields[0]), int(fields[1])
-        except ValueError as exc:
-            raise VecFormatError(f"{path}: non-integer header field in {header!r}") from exc
-        if count < 0 or dim <= 0:
-            raise VecFormatError(f"{path}: invalid header values in {header!r}")
-        limit = count if max_words is None else min(count, max_words)
+    limit, dim = _read_header(path, max_words)
     return read_float_rows(
         path, dim, first_lineno=2, error=VecFormatError, limit=limit, key="a word"
     )
@@ -193,6 +204,136 @@ def load_space(
     if zero_words:
         logger.warning("%s: %d zero vectors could not be normalized", path, len(zero_words))
     return EmbeddingSpace(tuple(words), vectors, center, _adopt=True)
+
+
+# A target with fewer values (rows x dim, from its header) loads in-process
+# after the source: the fork's copy-on-write faults cost tens of ms, which a
+# small parse does not win back. Loading two preprocessed spaces in a fresh
+# process, forked against serial (2 vCPUs, one BLAS thread, medians of
+# 8-15 alternating pairs): 960 x 24 took the same wall time and 4% more CPU
+# time; 1000 x 100, -8% wall and +6% CPU; 2000 x 150, -27% and -7%;
+# 4000 x 250, -35% and -3%. The floor keeps a margin above that crossover.
+_FORK_MIN_VALUES = 1_000_000
+
+
+def load_spaces(
+    src: str,
+    tgt: str,
+    max_words: int | None = DEFAULT_MAX_WORDS,
+    *,
+    preprocessed: bool = False,
+    load: Callable[..., EmbeddingSpace] = load_space,
+) -> tuple[EmbeddingSpace, EmbeddingSpace]:
+    """The spaces of ``load(src, max_words, preprocessed=...)`` and of the
+    same call on ``tgt``, as two calls one after the other return them.
+    ``load`` is ``load_space`` as the caller binds it, so a wrapper
+    installed there sees both calls.
+
+    A target of at least ``_FORK_MIN_VALUES`` values loads in a forked
+    child while the source loads here. The child copies its rows into an
+    anonymous shared mapping and sends back its words, center and log
+    records; this process keeps a read-only view of the mapping. The
+    serial semantics hold: a source error wins, and a target error is
+    raised after the source has loaded; the target's log records follow
+    the source's, and are dropped when the source fails. The child is
+    reaped before this returns or raises, and killed first when its reply
+    is not needed; a child that dies without a whole reply is replaced by
+    an in-process load. A smaller target, one whose header does not parse
+    or that is too short for it, and every target on a platform without
+    ``os.fork`` load in-process after the source.
+
+    Python 3.12 and later warn (DeprecationWarning) on ``os.fork`` in a
+    process with more than one thread, such as one with a multi-threaded
+    BLAS pool; the tests turn that warning into an error.
+    """
+    try:
+        rows, dim = _read_header(tgt, max_words)
+        size = os.path.getsize(tgt)
+    except (OSError, ValueError):
+        rows = dim = size = 0  # the in-process load raises the same error
+    # A row holds a word and dim values, so 2 * dim + 1 bytes at least.
+    if (
+        not hasattr(os, "fork")
+        or rows * dim < _FORK_MIN_VALUES
+        or not 0 < rows * (2 * dim + 1) <= size
+    ):
+        source = _timed_load(load, src, max_words, preprocessed, "in-process")
+        return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
+
+    mapping = mmap.mmap(-1, rows * dim * 8)
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _load_in_child(write_fd, mapping, load, tgt, max_words, preprocessed)
+    os.close(write_fd)
+    reply = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            source = _timed_load(load, src, max_words, preprocessed, "in-process")
+            reply = pipe.read()
+    finally:
+        if reply is None:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:  # the child died before its whole reply was written
+        return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
+    outcome, records = pickle.loads(reply)
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+    if isinstance(outcome, Exception):
+        raise outcome
+    words, center = outcome
+    vectors = np.frombuffer(mapping, np.float64, len(words) * dim).reshape(len(words), dim)
+    return source, EmbeddingSpace(words, vectors, center, _adopt=True)
+
+
+def _timed_load(load, path, max_words, preprocessed, where) -> EmbeddingSpace:
+    """``load``'s space, with an INFO line of its size, time and ``where``."""
+    start = time.perf_counter()
+    space = load(path, max_words, preprocessed=preprocessed)
+    seconds = time.perf_counter() - start
+    logger.info("%s: %d x %d loaded in %.3f s, %s", path, len(space), space.dim, seconds, where)
+    return space
+
+
+class _RecordList(logging.Handler):
+    """Keeps every record, its message formatted, so it can be pickled."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _load_in_child(write_fd, mapping, load, path, max_words, preprocessed) -> NoReturn:
+    """The forked child of ``load_spaces``: load the target, copy its rows
+    into the shared mapping and write ``(words, center)``, or the error,
+    with the package's log records down the pipe. It never returns, and
+    exits 0 only once the whole reply is written."""
+    code = 1
+    try:
+        package = logging.getLogger(__package__)
+        collected = _RecordList()
+        package.handlers, package.propagate = [collected], False
+        try:
+            space = _timed_load(load, path, max_words, preprocessed, "in a forked child")
+        except Exception as exc:  # sent back and raised by the parent
+            outcome: object = exc
+        else:
+            rows = np.frombuffer(mapping, np.float64, space.vectors.size)
+            rows.reshape(space.vectors.shape)[...] = space.vectors
+            outcome = (space.words, space.center)
+        with open(write_fd, "wb") as pipe:
+            pickle.dump((outcome, collected.records), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its

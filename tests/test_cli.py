@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlex import cli
+from morphlex import cli, embeddings
 from morphlex.baseline import procrustes_fit
 from morphlex.cli import EXIT_DATA, EXIT_OK, EXIT_UNTRAINABLE, EXIT_USAGE, main
 from morphlex.embeddings import EmbeddingSpace, ngrams, save_vec_file
@@ -890,3 +890,87 @@ class TestBadFlagValues:
         assert result.stderr.startswith("usage: morphlex " + command)
         assert f"error: argument {flag}:" in result.stderr
         assert not list(tmp_path.iterdir())
+
+
+def command_argv(command, corpus, trained, out):
+    """The arguments of ``command`` on the corpus, writing to ``out``."""
+    spaces = ["--src", corpus["src"], "--tgt", corpus["tgt"]]
+    pipeline = ["--model", trained["model"], *spaces, "--mode", "direct"]
+    return {
+        "translate": [*pipeline, "--input", corpus["forms"], "--output", out],
+        "evaluate": [*pipeline, "--dict", corpus["eval"], "--out-prefix", out],
+        "train-translator": [*spaces, "--seed-dict", corpus["seed"], "--out", out,
+                             "--max-epochs", "1"],
+        "extract-seed": [*spaces, "--out", out],
+    }[command]
+
+
+class TestOutputDirectoryChecked:
+    """An output whose directory does not exist is a data error raised
+    before any input is read, not after training or loading."""
+
+    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
+    def test_missing_directory_fails_before_loading(
+        self, corpus, trained, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("load_spaces", "load_model"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = str(tmp_path / "missing" / "out")
+        assert main([command, *command_argv(command, corpus, trained, out)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: {out!r}"
+        )
+
+
+class TestForkedLoad:
+    """Above the load floor the target parses in a forked child; the CLI
+    sees the serial spaces and errors."""
+
+    @pytest.fixture(autouse=True)
+    def no_floor(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_FORK_MIN_VALUES", 0)
+
+    def test_outputs_match_the_serial_load(self, corpus, trained, tmp_path, monkeypatch):
+        def run(name):
+            prefix = str(tmp_path / name)
+            assert main(["evaluate", *command_argv("evaluate", corpus, trained, prefix)]) == EXIT_OK
+            return (tmp_path / f"{name}.report.json").read_bytes()
+
+        forked = run("forked")
+        monkeypatch.setattr(embeddings, "_FORK_MIN_VALUES", 10**12)
+        assert forked == run("serial")
+
+    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
+    def test_bad_target_is_a_data_error(self, corpus, trained, tmp_path, capsys, command):
+        lines = pathlib.Path(corpus["tgt"]).read_text(encoding="utf-8").splitlines()
+        words = lines[3].split(" ")
+        lines[3] = " ".join([words[0], "nan", *words[2:]])
+        tgt = tmp_path / "tgt.vec"
+        tgt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = command_argv(command, corpus, trained, str(tmp_path / "out"))
+        argv[argv.index(corpus["tgt"])] = str(tgt)
+        assert main([command, *argv]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {tgt}: line 4: non-finite value in the vector of {words[0]!r}"
+        )
+
+    def test_verbose_logs_each_load_and_leaves_output_unchanged(
+        self, corpus, trained, tmp_path, caplog
+    ):
+        def run(name, *verbose):
+            prefix = str(tmp_path / name)
+            argv = command_argv("evaluate", corpus, trained, prefix)
+            assert main([*verbose, "evaluate", *argv]) == EXIT_OK
+            return (tmp_path / f"{name}.report.json").read_bytes()
+
+        quiet = run("quiet")
+        with caplog.at_level(logging.INFO):
+            loud = run("loud", "--verbose")
+        assert loud == quiet
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphlex.embeddings"]
+        assert [line.split(": ")[0] for line in lines] == [corpus["src"], corpus["tgt"]]
+        assert lines[0].endswith(", in-process")
+        assert lines[1].endswith(", in a forked child")

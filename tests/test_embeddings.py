@@ -1,5 +1,8 @@
 import json
+import logging
+import os
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphlex import embeddings
 from morphlex.embeddings import (
     CompositionError,
     EmbeddingSpace,
@@ -17,6 +21,7 @@ from morphlex.embeddings import (
     compose_oov,
     load_ngram_table,
     load_space,
+    load_spaces,
     ngrams,
     preprocess,
     save_vec_file,
@@ -547,3 +552,194 @@ class TestPreprocess:
         assert (zero_words, again_zero_words) == (["w2"], [])
         assert again.vectors.tobytes() == space.vectors.tobytes()
         assert again.center.tobytes() == space.center.tobytes()
+
+
+def random_vec_file(path, rows, dim, seed, duplicate=None, zero=None, bad_row=None, count=None):
+    """A .vec file of ``rows`` random rows whose values take about 20
+    characters each, under a header of ``count`` rows (``rows`` by
+    default); row ``duplicate`` repeats the word of row 0, row ``zero`` is
+    all zeros and, when given, ``bad_row`` replaces the last."""
+    values = np.random.default_rng(seed).normal(size=(rows, dim))
+    words = [f"w{i}" for i in range(rows)]
+    if duplicate is not None:
+        words[duplicate] = words[0]
+    if zero is not None:
+        values[zero] = 0.0
+    lines = [f"{w} " + " ".join(map(repr, row)) for w, row in zip(words, values.tolist())]
+    if bad_row is not None:
+        lines[-1] = bad_row
+    return write(path, f"{count or rows} {dim}\n" + "\n".join(lines) + "\n")
+
+
+def serial_error(path):
+    with pytest.raises(VecFormatError) as info:
+        load_space(path)
+    return str(info.value)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every target with rows loads in a forked child; the returned list
+    collects the pid of each fork."""
+    monkeypatch.setattr(embeddings, "_FORK_MIN_VALUES", 0)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+class TestLoadSpaces:
+    """``load_spaces`` returns what two ``load_space`` calls return, with
+    the target parsed in a forked child above the floor."""
+
+    @pytest.mark.parametrize("max_words", [None, 7])
+    @pytest.mark.parametrize("preprocessed", [False, True])
+    def test_spaces_equal_the_serial_ones_bit_for_bit(self, tmp_path, forks, max_words, preprocessed):
+        src = random_vec_file(tmp_path / "s.vec", 10, 4, seed=1, zero=5)
+        tgt = random_vec_file(tmp_path / "t.vec", 12, 3, seed=2, duplicate=4, zero=2)
+        got = load_spaces(src, tgt, max_words, preprocessed=preprocessed)
+        assert len(forks) == 1
+        for space, path in zip(got, (src, tgt)):
+            want = load_space(path, max_words, preprocessed=preprocessed)
+            assert space.words == want.words
+            assert space.vectors.shape == want.vectors.shape
+            assert space.vectors.tobytes() == want.vectors.tobytes()
+            assert not space.vectors.flags.writeable
+            if preprocessed:
+                assert space.center.tobytes() == want.center.tobytes()
+                assert not space.center.flags.writeable
+            else:
+                assert space.center is None
+
+    def test_small_target_loads_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the floor"))
+        src = random_vec_file(tmp_path / "s.vec", 4, 2, seed=1)
+        tgt = random_vec_file(tmp_path / "t.vec", 4, 2, seed=2)
+        source, target = load_spaces(src, tgt)
+        assert (source.words, target.words) == (load_space(src).words, load_space(tgt).words)
+
+    @pytest.mark.parametrize(
+        "count, bad_row",
+        [(12, None), (10, "w9 1.0 nan 2.0"), (10, "w9 1.0 2.0"), (10, "w9 1.0 x 2.0")],
+        ids=["short", "non-finite", "malformed", "non-numeric"],
+    )
+    def test_bad_target_raises_the_serial_error(self, tmp_path, forks, count, bad_row):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1)
+        tgt = random_vec_file(tmp_path / "t.vec", 10, 3, seed=2, bad_row=bad_row, count=count)
+        with pytest.raises(VecFormatError) as info:
+            load_spaces(src, tgt)
+        assert len(forks) == 1
+        assert str(info.value) == serial_error(tgt)
+
+    @pytest.mark.parametrize("header", [None, "10", "ten 3"], ids=["missing", "short", "non-integer"])
+    def test_unreadable_target_header_loads_after_the_source(self, tmp_path, forks, caplog, header):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1, duplicate=3)
+        tgt = str(tmp_path / "t.vec")
+        if header is not None:
+            write(tmp_path / "t.vec", f"{header}\nw0 1.0 2.0 3.0\n")
+        with caplog.at_level(logging.WARNING), pytest.raises((VecFormatError, FileNotFoundError)) as info:
+            load_spaces(src, tgt)
+        assert forks == []
+        assert [r.name for r in caplog.records] == ["morphlex.textio"]
+        with pytest.raises(type(info.value)) as serial:
+            load_space(tgt)
+        assert str(info.value) == str(serial.value)
+        bad_src = random_vec_file(tmp_path / "b.vec", 10, 3, seed=1, bad_row="w9 1.0 2.0")
+        with pytest.raises(VecFormatError, match="b.vec"):
+            load_spaces(bad_src, tgt)
+
+    def test_source_error_wins(self, tmp_path, forks):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1, bad_row="w9 1.0 nan 2.0")
+        tgt = random_vec_file(tmp_path / "t.vec", 10, 3, seed=2, bad_row="w9 1.0 2.0")
+        with pytest.raises(VecFormatError) as info:
+            load_spaces(src, tgt)
+        assert len(forks) == 1
+        assert str(info.value) == serial_error(src)
+
+    @pytest.mark.parametrize("bad_row", [None, "w9 1.0 inf 2.0"])
+    def test_warnings_reach_the_log_in_serial_order(self, tmp_path, forks, caplog, bad_row):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1, duplicate=3, zero=6)
+        tgt = random_vec_file(
+            tmp_path / "t.vec", 10, 3, seed=2, duplicate=2, zero=4, bad_row=bad_row
+        )
+
+        def warnings(load):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                try:
+                    load()
+                except VecFormatError:
+                    pass
+            return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+        def serial():
+            load_space(src, preprocessed=True)
+            load_space(tgt, preprocessed=True)
+
+        forked = warnings(lambda: load_spaces(src, tgt, preprocessed=True))
+        assert len(forks) == 1
+        expected = warnings(serial)
+        assert forked == expected
+        assert [name for name, _, message in expected if "duplicate" in message] == [
+            "morphlex.textio", "morphlex.textio"
+        ]
+        assert len(expected) == (4 if bad_row is None else 3)
+
+    def test_source_error_drops_the_target_warnings(self, tmp_path, forks, caplog):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1, bad_row="w9 1.0 2.0")
+        tgt = random_vec_file(tmp_path / "t.vec", 10, 3, seed=2, duplicate=2)
+        with caplog.at_level(logging.WARNING), pytest.raises(VecFormatError, match="s.vec"):
+            load_spaces(src, tgt)
+        assert caplog.records == []
+
+    def test_source_error_kills_a_child_still_parsing(self, tmp_path, forks):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1)
+        tgt = random_vec_file(tmp_path / "t.vec", 10, 3, seed=2)
+
+        def load(path, *args, **kwargs):
+            if path == tgt:
+                time.sleep(60)
+            raise VecFormatError("source refused")
+
+        start = time.perf_counter()
+        with pytest.raises(VecFormatError, match="source refused"):
+            load_spaces(src, tgt, load=load)
+        assert time.perf_counter() - start < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_child_that_dies_is_replaced_by_an_in_process_load(self, tmp_path, forks):
+        src = random_vec_file(tmp_path / "s.vec", 10, 3, seed=1)
+        tgt = random_vec_file(tmp_path / "t.vec", 10, 3, seed=2)
+        parent = os.getpid()
+
+        def load(path, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return load_space(path, *args, **kwargs)
+
+        source, target = load_spaces(src, tgt, load=load)
+        assert len(forks) == 1
+        assert target.vectors.tobytes() == load_space(tgt).vectors.tobytes()
+
+    @pytest.mark.parametrize("floor", [0, None])
+    def test_verbose_names_each_load_and_where_it_ran(self, tmp_path, caplog, monkeypatch, floor):
+        if floor is not None:
+            monkeypatch.setattr(embeddings, "_FORK_MIN_VALUES", floor)
+        src = random_vec_file(tmp_path / "s.vec", 10, 4, seed=1)
+        tgt = random_vec_file(tmp_path / "t.vec", 12, 3, seed=2)
+        with caplog.at_level(logging.INFO, logger="morphlex.embeddings"):
+            load_spaces(src, tgt, 11)
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphlex.embeddings"]
+        child = "in-process" if floor is None else "in a forked child"
+        assert len(lines) == 2
+        assert re.fullmatch(rf"{re.escape(src)}: 10 x 4 loaded in \d+\.\d{{3}} s, in-process", lines[0])
+        assert re.fullmatch(rf"{re.escape(tgt)}: 11 x 3 loaded in \d+\.\d{{3}} s, {child}", lines[1])
