@@ -12,7 +12,7 @@ from .embeddings import EmbeddingSpace, compose_oov
 from .morph import MorphTag, UniMorphEntry, parse_tag, tag_translate
 from .translator import TranslationModel, TrainConfig, train
 from .baseline import procrustes_fit
-from .pipeline import JointConfig, TranslationCandidate, translate, translate_many
+from .pipeline import JointConfig, TranslationCandidate, translate_many
 from .evaluation import EvalDictionary, EvalReport, precision_at_1, extract_identical_seed
 
 __all__ = [
@@ -32,6 +32,5 @@ __all__ = [
     "procrustes_fit",
     "tag_translate",
     "train",
-    "translate",
     "translate_many",
 ]

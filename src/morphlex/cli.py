@@ -108,6 +108,7 @@ _DATA_ERRORS = (
     TagParseError,
     FileNotFoundError,
     IsADirectoryError,
+    NotADirectoryError,
     PermissionError,
     UnicodeDecodeError,
 )
@@ -187,11 +188,23 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
     write_json(f"{output_path}.manifest.json", manifest)
 
 
-def _require_directory(path: str) -> None:
-    """Raise the FileNotFoundError that writing ``path`` would raise when
-    its directory does not exist, before any input is read."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _require_output_path(path: str) -> None:
+    """Raise, before any input is read, the error that opening ``path`` for
+    writing would raise when it is a directory (IsADirectoryError) or its
+    parent is missing (FileNotFoundError) or not a directory
+    (NotADirectoryError)."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.isdir(parent):
+        return
+    else:
+        try:
+            os.stat(parent)
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+    raise OSError(code, os.strerror(code), path)  # the subclass that errno names
 
 
 def _load_spaces(args: argparse.Namespace, preprocessed: bool):
@@ -204,7 +217,7 @@ def _load_spaces(args: argparse.Namespace, preprocessed: bool):
 
 def cmd_train_translator(args: argparse.Namespace) -> int:
     _echo_overrides(args)
-    _require_directory(args.out)
+    _require_output_path(args.out)
     source_space, target_space = _load_spaces(args, preprocessed=True)
     seed_pairs = read_seed_dictionary(args.seed_dict)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
@@ -316,7 +329,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     if args.output != "-":
-        _require_directory(args.output)
+        _require_output_path(args.output)
     config = _build_joint_config(args)
     in_handle = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     out_handle = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
@@ -368,7 +381,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.mode == MODE_ORACLE and not args.oracle_analyses:
         print("error: mode 'oracle' needs --oracle-analyses", file=sys.stderr)
         return EXIT_USAGE
-    _require_directory(args.out_prefix)
+    _require_output_path(f"{args.out_prefix}.summary.tsv")
     config = _build_joint_config(args)
     dictionary = read_eval_dictionary(args.dict)
     gold = _read_oracle_analyses(args.oracle_analyses) if args.mode == MODE_ORACLE else {}
@@ -396,7 +409,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_extract_seed(args: argparse.Namespace) -> int:
-    _require_directory(args.out)
+    _require_output_path(args.out)
     source_space, target_space = _load_spaces(args, preprocessed=False)
     pairs = extract_identical_seed(source_space, target_space)
     write_tsv(args.out, None, pairs)

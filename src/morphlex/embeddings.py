@@ -124,9 +124,6 @@ class EmbeddingSpace:
         """Row index, which is also the frequency rank; None when absent."""
         return self._index.get(word)
 
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self.index(word)]
-
     def preprocessed_rows(self, rows: np.ndarray) -> np.ndarray:
         """A fresh copy of rows from outside the space (composed OOV
         vectors) in the space's state: unchanged for a raw space; for a
@@ -240,7 +237,9 @@ def load_spaces(
     is not needed; a child that dies without a whole reply is replaced by
     an in-process load. A smaller target, one whose header does not parse
     or that is too short for it, and every target on a platform without
-    ``os.fork`` load in-process after the source.
+    ``os.fork`` load in-process after the source; so does a target whose
+    shared mapping, pipe or fork fails, with one warning naming the error
+    and nothing of the attempt left open.
 
     Python 3.12 and later warn (DeprecationWarning) on ``os.fork`` in a
     process with more than one thread, such as one with a multi-threaded
@@ -252,23 +251,17 @@ def load_spaces(
     except (OSError, ValueError):
         rows = dim = size = 0  # the in-process load raises the same error
     # A row holds a word and dim values, so 2 * dim + 1 bytes at least.
+    forked = None
     if (
-        not hasattr(os, "fork")
-        or rows * dim < _FORK_MIN_VALUES
-        or not 0 < rows * (2 * dim + 1) <= size
+        hasattr(os, "fork")
+        and rows * dim >= _FORK_MIN_VALUES
+        and 0 < rows * (2 * dim + 1) <= size
     ):
+        forked = _fork_loader(rows * dim, load, tgt, max_words, preprocessed)
+    if forked is None:
         source = _timed_load(load, src, max_words, preprocessed, "in-process")
         return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
-
-    mapping = mmap.mmap(-1, rows * dim * 8)
-    read_fd, write_fd = os.pipe()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _load_in_child(write_fd, mapping, load, tgt, max_words, preprocessed)
-    os.close(write_fd)
+    mapping, read_fd, pid = forked
     reply = None
     try:
         with open(read_fd, "rb") as pipe:
@@ -288,6 +281,34 @@ def load_spaces(
     words, center = outcome
     vectors = np.frombuffer(mapping, np.float64, len(words) * dim).reshape(len(words), dim)
     return source, EmbeddingSpace(words, vectors, center, _adopt=True)
+
+
+def _fork_loader(values, load, path, max_words, preprocessed):
+    """The anonymous shared mapping of ``values`` floats, the read end of a
+    pipe and the pid of a forked child loading ``path`` into them (see
+    ``_load_in_child``); or None, with a warning naming the OS error, when
+    the mapping, the pipe or the fork fails (EAGAIN, ENOMEM). A failed
+    attempt leaves nothing open."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    mapping = read_fd = None
+    try:
+        mapping = mmap.mmap(-1, values * 8)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError as exc:
+        if read_fd is not None:
+            os.close(read_fd)
+            os.close(write_fd)
+        if mapping is not None:
+            mapping.close()
+        logger.warning("%s: cannot load in a forked child (%s), loading it in-process", path, exc)
+        return None
+    if pid == 0:
+        os.close(read_fd)
+        _load_in_child(write_fd, mapping, load, path, max_words, preprocessed)
+    os.close(write_fd)
+    return mapping, read_fd, pid
 
 
 def _timed_load(load, path, max_words, preprocessed, where) -> EmbeddingSpace:

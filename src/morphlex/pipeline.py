@@ -294,19 +294,6 @@ def translate_many(
     return [results[key] for key in keys]
 
 
-def translate(
-    config: JointConfig,
-    source_form: str,
-    gold: tuple[str, MorphTag] | None = None,
-) -> TranslationCandidate:
-    """Translate one source form: ``translate_many`` of one item, with the
-    slot's declared error raised."""
-    result = translate_many(config, [source_form], [gold])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def joint_log_prob(candidate: TranslationCandidate) -> float:
     """Sum of the candidate's recorded component log-scores.
 

@@ -120,14 +120,18 @@ def read_float_rows(
     value in a kept row raise ``error`` naming the first offending line;
     a second, line-by-line pass finds the malformed or non-numeric one.
     """
-    seen: dict[str, None] = {}  # the kept keys, in order
-    dropped: list[int] = []  # positions of the rows dropped as repeats
-    count = 0  # rows read
+    # One handle for every pass, closed on every error path: the raised
+    # error must not keep the file open through a suspended generator.
+    with open(path, encoding="utf-8") as handle:
+        seen: dict[str, None] = {}  # the kept keys, in order
+        dropped: list[int] = []  # positions of the rows dropped as repeats
+        count = 0  # rows read
 
-    def rows() -> Iterator[tuple[int, str | None, str]]:
-        """(line number, key, values text) of each row line."""
-        stop = None if limit is None else first_lineno - 1 + limit
-        with open(path, encoding="utf-8") as handle:
+        def rows() -> Iterator[tuple[int, str | None, str]]:
+            """(line number, key, values text) of each row line, read from the
+            start of the file."""
+            handle.seek(0)
+            stop = None if limit is None else first_lineno - 1 + limit
             lines = itertools.islice(handle, first_lineno - 1, stop)
             for lineno, line in enumerate(lines, start=first_lineno):
                 if limit is None and line.isspace():
@@ -138,58 +142,58 @@ def read_float_rows(
                     match = _KEY.match(line)
                     yield lineno, match.group(1), line[match.end():]
 
-    def values() -> Iterator[str]:
-        nonlocal count
-        for position, (lineno, row_key, text) in enumerate(rows()):
-            if not text or text.isspace():
-                raise ValueError("no values")  # loadtxt would skip the line
-            if row_key in seen:
-                logger.warning(
-                    "%s: line %d: duplicate %r, keeping the first occurrence",
-                    path, lineno, row_key,
-                )
-                dropped.append(position)
-            elif row_key is not None:
-                seen[row_key] = None
-            count += 1
-            yield text
+        def values() -> Iterator[str]:
+            nonlocal count
+            for position, (lineno, row_key, text) in enumerate(rows()):
+                if not text or text.isspace():
+                    raise ValueError("no values")  # loadtxt would skip the line
+                if row_key in seen:
+                    logger.warning(
+                        "%s: line %d: duplicate %r, keeping the first occurrence",
+                        path, lineno, row_key,
+                    )
+                    dropped.append(position)
+                elif row_key is not None:
+                    seen[row_key] = None
+                count += 1
+                yield text
 
-    def first_fault(cause: ValueError | None) -> NoReturn:
-        """Parse the rows again one at a time, with the same parser, and
-        raise ``error`` for the first malformed or non-numeric one."""
-        expected = f"{dim} values" if key is None else f"{key} and {dim} values"
-        for lineno, _, text in rows():
-            found = len(text.split())
-            try:
-                row = np.loadtxt([text], **_LOADTXT) if found == dim else None
-            except ValueError as exc:
-                raise error(f"{path}: line {lineno}: non-numeric value") from exc
-            if row is None or row.shape != (1, dim):
-                raise error(f"{path}: line {lineno}: expected {expected}, found {found} values")
-        raise error(f"{path}: unreadable rows") from cause
+        def first_fault(cause: ValueError | None) -> NoReturn:
+            """Parse the rows again one at a time, with the same parser, and
+            raise ``error`` for the first malformed or non-numeric one."""
+            expected = f"{dim} values" if key is None else f"{key} and {dim} values"
+            for lineno, _, text in rows():
+                found = len(text.split())
+                try:
+                    row = np.loadtxt([text], **_LOADTXT) if found == dim else None
+                except ValueError as exc:
+                    raise error(f"{path}: line {lineno}: non-numeric value") from exc
+                if row is None or row.shape != (1, dim):
+                    raise error(f"{path}: line {lineno}: expected {expected}, found {found} values")
+            raise error(f"{path}: unreadable rows") from cause
 
-    stream = values()
-    try:
-        first = next(stream, None)  # loadtxt warns on an empty stream
-        matrix = (
-            np.zeros((0, dim))
-            if first is None
-            else np.loadtxt(itertools.chain([first], stream), **_LOADTXT)
-        )
-    except ValueError as exc:
-        first_fault(exc)
-    if matrix.shape != (count, dim):
-        first_fault(None)
-    if limit is not None and count < limit:
-        raise error(f"{path}: expected {limit} rows after the header, found {count}")
-    if dropped:
-        matrix = np.delete(matrix, dropped, axis=0)
-    keys = list(seen)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        where = f" in the vector of {keys[bad]!r}" if keys else ""
-        position = int(np.delete(np.arange(count), dropped)[bad])
-        lineno = next(itertools.islice(rows(), position, None))[0]
-        raise error(f"{path}: line {lineno}: non-finite value{where}")
-    return keys, matrix
+        stream = values()
+        try:
+            first = next(stream, None)  # loadtxt warns on an empty stream
+            matrix = (
+                np.zeros((0, dim))
+                if first is None
+                else np.loadtxt(itertools.chain([first], stream), **_LOADTXT)
+            )
+        except ValueError as exc:
+            first_fault(exc)
+        if matrix.shape != (count, dim):
+            first_fault(None)
+        if limit is not None and count < limit:
+            raise error(f"{path}: expected {limit} rows after the header, found {count}")
+        if dropped:
+            matrix = np.delete(matrix, dropped, axis=0)
+        keys = list(seen)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            where = f" in the vector of {keys[bad]!r}" if keys else ""
+            position = int(np.delete(np.arange(count), dropped)[bad])
+            lineno = next(itertools.islice(rows(), position, None))[0]
+            raise error(f"{path}: line {lineno}: non-finite value{where}")
+        return keys, matrix

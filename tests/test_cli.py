@@ -1,4 +1,5 @@
 import argparse
+import errno
 import functools
 import io
 import itertools
@@ -612,6 +613,23 @@ class TestEvaluate:
         lines = [r.getMessage() for r in caplog.records if r.name == "morphlex.cli"]
         assert len(lines) == 1 and lines[0].startswith(f"evaluate: {n} forms, {n} distinct, ")
 
+    @pytest.mark.parametrize(
+        "mode, flags, message",
+        [
+            ("base", ["--inflector", "x.rules"], "mode 'base' needs --analyzer and --inflector"),
+            ("oracle", ["--inflector", "x.rules"], "mode 'oracle' needs --oracle-analyses"),
+        ],
+        ids=["missing-component", "missing-oracle-analyses"],
+    )
+    def test_usage_error_before_any_input_is_read(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, mode, flags, message
+    ):
+        argv = command_argv("evaluate", corpus, trained, str(tmp_path / "run"))
+        argv[argv.index("--mode") + 1] = mode
+        assert main(["evaluate", *argv, *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_empty_dictionary_is_unevaluable(self, corpus, trained, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
@@ -905,24 +923,95 @@ def command_argv(command, corpus, trained, out):
     }[command]
 
 
+def first_output(command, out):
+    """The file ``command`` writes first to ``out``, its output argument."""
+    return f"{out}.summary.tsv" if command == "evaluate" else out
+
+
+@pytest.fixture
+def refuse_inputs(monkeypatch):
+    """Reading a space or a model fails the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("load_space", "load_spaces", "load_model"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 class TestOutputDirectoryChecked:
-    """An output whose directory does not exist is a data error raised
-    before any input is read, not after training or loading."""
+    """An output that cannot be opened for writing, because its directory
+    is missing or is a regular file or because it is a directory itself,
+    is a data error raised before any input is read, not after training
+    or loading. ``evaluate`` checks its first output, the summary."""
 
     @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
     def test_missing_directory_fails_before_loading(
-        self, corpus, trained, tmp_path, capsys, monkeypatch, command
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, command
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("an input was read")
-
-        for name in ("load_spaces", "load_model"):
-            monkeypatch.setattr(cli, name, refuse)
         out = str(tmp_path / "missing" / "out")
         assert main([command, *command_argv(command, corpus, trained, out)]) == EXIT_DATA
         assert capsys.readouterr().err.splitlines()[-1] == (
-            f"error: [Errno 2] No such file or directory: {out!r}"
+            f"error: [Errno 2] No such file or directory: {first_output(command, out)!r}"
         )
+
+    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
+    def test_directory_that_is_a_file_fails_before_loading(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, command
+    ):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        assert main([command, *command_argv(command, corpus, trained, out)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 20] Not a directory: {first_output(command, out)!r}"
+        )
+
+    @pytest.mark.parametrize("command", ["train-translator", "translate", "extract-seed"])
+    def test_output_that_is_a_directory_fails_before_loading(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, command
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([command, *command_argv(command, corpus, trained, str(out))]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 21] Is a directory: {str(out)!r}"
+        )
+        assert not list(out.iterdir())
+
+    def test_evaluate_prefix_that_is_a_directory_writes_beside_it(self, corpus, trained, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert main(["evaluate", *command_argv("evaluate", corpus, trained, str(out))]) == EXIT_OK
+        assert (tmp_path / "run.summary.tsv").exists()
+        assert not list(out.iterdir())
+
+    def test_summary_that_is_a_directory_fails_before_loading(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs
+    ):
+        (tmp_path / "run.summary.tsv").mkdir()
+        out = str(tmp_path / "run")
+        assert main(["evaluate", *command_argv("evaluate", corpus, trained, out)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 21] Is a directory: {out + '.summary.tsv'!r}"
+        )
+
+
+class TestInputUnderAFile:
+    """An input path under a regular file is a data error naming the path."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("extract-seed", "--src"), ("extract-seed", "--tgt"), ("translate", "--model"),
+         ("evaluate", "--dict"), ("train-translator", "--seed-dict")],
+    )
+    def test_is_a_data_error_without_traceback(self, corpus, trained, tmp_path, capsys, command, flag):
+        argv = command_argv(command, corpus, trained, str(tmp_path / "out"))
+        bad = str(pathlib.Path(corpus["src"]) / "under-a-file")
+        argv[argv.index(flag) + 1] = bad
+        assert main([command, *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"error: [Errno 20] Not a directory: {bad!r}"
 
 
 class TestForkedLoad:
@@ -956,6 +1045,26 @@ class TestForkedLoad:
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {tgt}: line 4: non-finite value in the vector of {words[0]!r}"
         )
+
+    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
+    def test_failed_fork_loads_in_process(
+        self, corpus, trained, tmp_path, monkeypatch, caplog, command
+    ):
+        def fail():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        argv = command_argv(command, corpus, trained, str(tmp_path / "out"))
+        tgt = corpus["tgt"]
+        if command == "extract-seed":  # the corpus's two languages share no word
+            argv[argv.index(tgt)] = corpus["src"]
+            tgt = corpus["src"]
+        with caplog.at_level(logging.WARNING, logger="morphlex.embeddings"):
+            assert main([command, *argv]) == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if r.name == "morphlex.embeddings"] == [
+            f"{tgt}: cannot load in a forked child ([Errno 11] Resource temporarily "
+            "unavailable), loading it in-process"
+        ]
 
     def test_verbose_logs_each_load_and_leaves_output_unchanged(
         self, corpus, trained, tmp_path, caplog

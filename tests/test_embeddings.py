@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -76,7 +77,7 @@ class TestLoadVecFile:
         assert space.words == ("a", "b", "c")
         assert space.dim == 2
         assert space.index_or_none("a") == 0
-        np.testing.assert_array_equal(space.vector("c"), [1.0, 1.0])
+        np.testing.assert_array_equal(space.vectors[space.index("c")], [1.0, 1.0])
 
     def test_max_words_truncates(self, tmp_path):
         path = write(tmp_path / "a.vec", "3 2\na 1 0\nb 0 1\nc 1 1\n")
@@ -103,7 +104,7 @@ class TestLoadVecFile:
         with caplog.at_level("WARNING"):
             space = load_space(path)
         assert space.words == ("a", "b")
-        np.testing.assert_array_equal(space.vector("a"), [1.0, 0.0])
+        np.testing.assert_array_equal(space.vectors[space.index("a")], [1.0, 0.0])
         assert any("duplicate" in rec.message for rec in caplog.records)
 
     def test_non_numeric_value(self, tmp_path):
@@ -166,7 +167,7 @@ class TestLoadVecFile:
         space = load_space(path)
         assert len(space) == 1999
         assert space.words[:10] == tuple(f"w{n}" for n in range(2, 11)) + ("w12",)
-        np.testing.assert_array_equal(space.vector("w2"), [2.0, 0.5, -1.0])
+        np.testing.assert_array_equal(space.vectors[space.index("w2")], [2.0, 0.5, -1.0])
         np.testing.assert_array_equal(space.vectors[:, 0], [n for n in range(2, 2002) if n != 11])
 
     @settings(max_examples=200, deadline=None)
@@ -408,7 +409,7 @@ class TestComposeOov:
         assert sorted(expected_grams) == sorted(ngrams("abc"))
         rng = np.random.default_rng(5)
         table = EmbeddingSpace(tuple(expected_grams), rng.normal(size=(len(expected_grams), 4)))
-        expected = sum(table.vector(g) for g in expected_grams)
+        expected = sum(table.vectors[table.index(g)] for g in expected_grams)
         np.testing.assert_allclose(compose_oov("abc", table), expected)
 
     def test_absent_ngrams_contribute_nothing(self):
@@ -431,7 +432,8 @@ class TestComposeOov:
         total = None
         for gram in ngrams(form):
             if gram in table:
-                total = table.vector(gram) if total is None else total + table.vector(gram)
+                row = table.vectors[table.index(gram)]
+                total = row if total is None else total + row
         assert compose_oov(form, table).tobytes() == total.tobytes()
 
     @given(st.text(alphabet="abcd", min_size=1, max_size=8), st.integers(0, 2**32 - 1))
@@ -459,7 +461,7 @@ class TestNgramTable:
         table = load_ngram_table(path, dim=2)
         assert isinstance(table, EmbeddingSpace)
         assert set(table.words) == {"<ab", "ab>"}
-        np.testing.assert_array_equal(table.vector("<ab"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.vectors[table.index("<ab")], [1.0, 0.0])
 
     def test_dim_mismatch(self, tmp_path):
         path = write(tmp_path / "t.ngrams", "<ab 1 0 3\n")
@@ -483,7 +485,7 @@ class TestNgramTable:
         path = write(tmp_path / "t.ngrams", "\n<ab 1 0\n\n<ab 5 5\nb\u00a0c> 0 1\n")
         table = load_ngram_table(path, dim=2)
         assert list(table.words) == ["<ab", "b\u00a0c>"]
-        np.testing.assert_array_equal(table.vector("<ab"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.vectors[table.index("<ab")], [1.0, 0.0])
 
 
 def nearest_word(space, query):
@@ -743,3 +745,32 @@ class TestLoadSpaces:
         assert len(lines) == 2
         assert re.fullmatch(rf"{re.escape(src)}: 10 x 4 loaded in \d+\.\d{{3}} s, in-process", lines[0])
         assert re.fullmatch(rf"{re.escape(tgt)}: 11 x 3 loaded in \d+\.\d{{3}} s, {child}", lines[1])
+
+    @pytest.mark.parametrize("failing", ["mmap", "pipe", "fork"])
+    def test_failed_fork_loads_the_target_after_the_source(
+        self, tmp_path, monkeypatch, caplog, descriptors, failing
+    ):
+        monkeypatch.setattr(embeddings, "_FORK_MIN_VALUES", 0)
+
+        def fail(*args):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        owner = {"mmap": embeddings.mmap, "pipe": os, "fork": os}[failing]
+        monkeypatch.setattr(owner, failing, fail)
+        src = random_vec_file(tmp_path / "s.vec", 10, 4, seed=1, zero=5)
+        tgt = random_vec_file(tmp_path / "t.vec", 12, 3, seed=2, duplicate=4)
+        before = descriptors()
+        with caplog.at_level(logging.WARNING):
+            got = load_spaces(src, tgt, preprocessed=True)
+        assert descriptors() == before
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{tgt}: cannot load in a forked child ([Errno 11] Resource temporarily "
+            "unavailable), loading it in-process",
+            f"{src}: 1 zero vectors could not be normalized",
+            f"{tgt}: line 6: duplicate 'w0', keeping the first occurrence",
+        ]
+        for space, path in zip(got, (src, tgt)):
+            want = load_space(path, preprocessed=True)
+            assert space.words == want.words
+            assert space.vectors.tobytes() == want.vectors.tobytes()
+            assert space.center.tobytes() == want.center.tobytes()

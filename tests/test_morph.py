@@ -312,3 +312,42 @@ class TestFiles:
         path.write_text("NOT-A-TABLE\n")
         with pytest.raises(MorphFormatError):
             load_rule_table(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("MORPHLEX-RULES v1 sideways\n", "unknown direction 'sideways'"),
+            ("MORPHLEX-RULES v1 inflect\nV;PRS;1;SG\tar\to\ttwo\n", "line 2: bad count"),
+            ("MORPHLEX-RULES v1 inflect\nV;PRS;1;SG\tar\to\t0\n", "line 2: count must be positive"),
+            ("MORPHLEX-RULES v1 analyze\no\tar\tV;PRS;1;SG\t-3\n", "line 2: count must be positive"),
+        ],
+        ids=["direction", "non-integer-count", "zero-count", "negative-count"],
+    )
+    def test_rule_table_bad_direction_or_count(self, tmp_path, text, message):
+        path = tmp_path / "rules.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MorphFormatError) as info:
+            load_rule_table(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+
+class TestAccuracy:
+    """An entry the table cannot handle is a miss, not an error."""
+
+    def test_inflector_misses_unknown_tags_and_wrong_forms(self):
+        table = learn_inflector([UniMorphEntry("cantar", "canto", TAG_1SG)])
+        entries = [
+            UniMorphEntry("cantar", "canto", TAG_1SG),
+            UniMorphEntry("cantar", "canto", parse_tag("N;PL")),  # UnknownTagError
+            UniMorphEntry("cantar", "cantamos", TAG_1SG),  # a wrong form
+        ]
+        with pytest.raises(UnknownTagError):
+            inflect(table, "cantar", parse_tag("N;PL"))
+        assert inflector_accuracy(table, entries) == pytest.approx(1 / 3)
+
+    def test_analyzer_misses_unanalyzable_forms(self):
+        table = learn_analyzer([UniMorphEntry("cantar", "canto", TAG_1SG)])
+        entries = [UniMorphEntry("cantar", "canto", TAG_1SG), UniMorphEntry("qqq", "qqq", TAG_1SG)]
+        with pytest.raises(NoAnalysisError):
+            analyze(table, "qqq")
+        assert analyzer_accuracy(table, entries) == 0.5

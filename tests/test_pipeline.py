@@ -30,7 +30,6 @@ from morphlex.pipeline import (
     TranslationCandidate,
     UntranslatableError,
     joint_log_prob,
-    translate,
     translate_many,
 )
 from morphlex.synthetic import build_bilingual_task
@@ -73,7 +72,7 @@ def tiny_setup():
 class TestTranslateBase:
     def test_composes_the_three_stages(self):
         config = tiny_setup()
-        candidate = translate(config, "salto")
+        candidate = translate_many(config, ["salto"])[0]
         assert candidate.form == "springe"
         assert candidate.tag == TAG
         assert candidate.route == ROUTE_LEMMA
@@ -101,13 +100,12 @@ class TestTranslateBase:
             learn_analyzer(entries),
             learn_inflector(entries),
         )
-        assert translate(config, "canto").form == "canto"
-        assert translate(config, "cantar").form == "cantar"
+        assert translate_many(config, ["canto"])[0].form == "canto"
+        assert translate_many(config, ["cantar"])[0].form == "cantar"
 
     def test_junk_is_untranslatable(self):
         config = tiny_setup()
-        with pytest.raises(UntranslatableError):
-            translate(config, "zzzz")
+        assert isinstance(translate_many(config, ["zzzz"])[0], UntranslatableError)
 
     def test_unanalyzable_in_vocab_form_falls_back_to_direct(self):
         config = tiny_setup()
@@ -119,7 +117,7 @@ class TestTranslateBase:
             np.vstack([config.source_space.vectors, [[1.0, 1.0]]]),
         )
         config = replace(config, source_space=source, analyzer=analyzer)
-        candidate = translate(config, "xyz")
+        candidate = translate_many(config, ["xyz"])[0]
         assert candidate.route == ROUTE_DIRECT
         assert candidate.analyzer_log_prob is None
         assert candidate.inflector_log_prob is None
@@ -141,7 +139,7 @@ class TestTranslateBase:
     def test_direct_and_oracle_modes_take_no_analyzer(self):
         replace(tiny_setup(), mode=MODE_ORACLE, analyzer=None)
         config = replace(tiny_setup(), mode=MODE_DIRECT, analyzer=None, inflector=None)
-        assert translate(config, "salto").route == ROUTE_DIRECT
+        assert translate_many(config, ["salto"])[0].route == ROUTE_DIRECT
 
     def test_oov_lemma_composed_from_ngrams(self):
         config = tiny_setup()
@@ -150,7 +148,7 @@ class TestTranslateBase:
         source = EmbeddingSpace(("salto",), np.array([[0.0, 1.0]]))
         table = EmbeddingSpace(("<sal", "tar>"), np.array([[1.0, 0.0], [0.0, 0.0]]))
         config = replace(config, source_space=source, ngram_table=table)
-        candidate = translate(config, "salto")
+        candidate = translate_many(config, ["salto"])[0]
         assert candidate.route == ROUTE_LEMMA
         assert candidate.form == "springe"
 
@@ -200,21 +198,21 @@ class TestTranslateHybrid:
         config = JointConfig(
             MODE_HYBRID, TranslationModel(np.eye(2), 2), source, target, analyzer, inflector
         )
-        candidate = translate(config, "dice")
+        candidate = translate_many(config, ["dice"])[0]
         assert candidate.route == ROUTE_DIRECT
         assert candidate.form == "sagt"
 
     def test_rare_regular_equals_base(self):
         config = replace(tiny_setup(), mode=MODE_HYBRID)
         # rank(saltar)=0 < rank(salto)=1: identical to the base output.
-        hybrid = translate(config, "salto")
-        base = translate(replace(config, mode=MODE_BASE), "salto")
+        hybrid = translate_many(config, ["salto"])[0]
+        base = translate_many(replace(config, mode=MODE_BASE), ["salto"])[0]
         assert hybrid == base
 
     def test_form_equal_to_its_lemma_goes_direct(self):
         config = replace(tiny_setup(), mode=MODE_HYBRID)
         # "saltar" analyzes to itself: equal rank, strict inequality fails.
-        candidate = translate(config, "saltar")
+        candidate = translate_many(config, ["saltar"])[0]
         assert candidate.route == ROUTE_DIRECT
 
     def test_lemma_absent_from_space_goes_direct(self):
@@ -225,7 +223,7 @@ class TestTranslateHybrid:
         config = JointConfig(
             MODE_HYBRID, TranslationModel(np.eye(2), 1), source, target, analyzer, inflector
         )
-        candidate = translate(config, "salto")
+        candidate = translate_many(config, ["salto"])[0]
         assert candidate.route == ROUTE_DIRECT
         assert candidate.form == "springe"
 
@@ -247,7 +245,7 @@ class TestTranslateHybrid:
         source = EmbeddingSpace(("saltar",), np.array([[1.0, 0.0]]))
         config = replace(config, source_space=source)
         # "salto" has no rank at all; the lemma is rank 0, so inf > 0.
-        candidate = translate(config, "salto")
+        candidate = translate_many(config, ["salto"])[0]
         assert candidate.route == ROUTE_LEMMA
         assert candidate.form == "springe"
 
@@ -256,8 +254,8 @@ class TestTranslateOracle:
     def test_matches_base_with_certain_analyzer(self):
         config = tiny_setup()
         oracle_config = replace(config, mode=MODE_ORACLE)
-        base = translate(config, "salto")
-        oracle = translate(oracle_config, "salto", ("saltar", TAG))
+        base = translate_many(config, ["salto"])[0]
+        oracle = translate_many(oracle_config, ["salto"], [("saltar", TAG)])[0]
         assert oracle.form == base.form == "springe"
         assert oracle.analyzer_log_prob == 0.0
         assert oracle.translator_log_prob == base.translator_log_prob
@@ -265,20 +263,17 @@ class TestTranslateOracle:
 
     def test_unknown_gold_tag_propagates(self):
         config = replace(tiny_setup(), mode=MODE_ORACLE)
-        from morphlex.morph import UnknownTagError
-
-        with pytest.raises(UnknownTagError):
-            translate(config, "salto", ("saltar", parse_tag("N;PL")))
+        slot = translate_many(config, ["salto"], [("saltar", parse_tag("N;PL"))])[0]
+        assert isinstance(slot, UnknownTagError)
 
     def test_missing_gold_is_untranslatable(self):
         config = replace(tiny_setup(), mode=MODE_ORACLE)
-        with pytest.raises(UntranslatableError):
-            translate(config, "salto")
+        assert isinstance(translate_many(config, ["salto"])[0], UntranslatableError)
 
     def test_unresolvable_gold_lemma_has_no_fallback(self):
         config = replace(tiny_setup(), mode=MODE_ORACLE)
-        with pytest.raises(UntranslatableError):
-            translate(config, "salto", ("zzzz", TAG))
+        slot = translate_many(config, ["salto"], [("zzzz", TAG)])[0]
+        assert isinstance(slot, UntranslatableError)
 
 
 class TestJointLogProb:
@@ -303,7 +298,7 @@ class TestJointLogProb:
 
     def test_pipeline_candidate_decomposition(self):
         config = tiny_setup()
-        candidate = translate(config, "salto")
+        candidate = translate_many(config, ["salto"])[0]
         expected = (
             candidate.analyzer_log_prob
             + candidate.translator_log_prob
@@ -314,7 +309,7 @@ class TestJointLogProb:
     def test_all_scores_nonpositive(self):
         config = tiny_setup()
         for form in ("salto", "saltar"):
-            candidate = translate(config, form)
+            candidate = translate_many(config, [form])[0]
             for part in (
                 candidate.analyzer_log_prob,
                 candidate.translator_log_prob,
@@ -327,7 +322,7 @@ class TestJointLogProb:
 class TestDirect:
     def test_direct_never_uses_morphology(self):
         config = tiny_setup()
-        candidate = translate(replace(config, mode=MODE_DIRECT), "salto")
+        candidate = translate_many(replace(config, mode=MODE_DIRECT), ["salto"])[0]
         assert candidate.route == ROUTE_DIRECT
         assert candidate.tag is None
         assert candidate.analyzer_log_prob is None
@@ -337,8 +332,9 @@ class TestDirect:
         # Anything the direct translator handles never raises in base mode.
         config = tiny_setup()
         for word in config.source_space.words:
-            translate(replace(config, mode=MODE_DIRECT), word)  # must not raise
-            translate(config, word)  # must not raise either
+            for mode in (MODE_DIRECT, MODE_BASE):
+                slot = translate_many(replace(config, mode=mode), [word])[0]
+                assert isinstance(slot, TranslationCandidate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,14 +376,14 @@ class TestTranslateMany:
     @settings(max_examples=150, deadline=None)
     @given(batches())
     def test_equals_one_translate_per_form(self, batch):
+        # One batch gives each slot what a batch of that one form gives.
         config, forms, golds = batch
         results = translate_many(config, forms, golds)
         assert len(results) == len(forms)
         for form, gold, result in zip(forms, golds, results):
-            try:
-                expected = translate(config, form, gold)
-            except TRANSLATION_ERRORS as error:
-                assert type(result) is type(error) and result.args == error.args
+            expected = translate_many(config, [form], [gold])[0]
+            if isinstance(expected, TRANSLATION_ERRORS):
+                assert type(result) is type(expected) and result.args == expected.args
                 continue
             assert isinstance(result, TranslationCandidate)
             # One query at a time and a batch of queries sum the same

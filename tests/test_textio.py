@@ -3,8 +3,10 @@
 import pytest
 
 from morphlex import cli
+from morphlex.embeddings import VecFormatError, load_ngram_table, load_space
 from morphlex.evaluation import DictionaryFormatError, read_eval_dictionary, read_seed_dictionary
 from morphlex.morph import MorphFormatError, load_rule_table, read_unimorph
+from morphlex.translator import ModelFormatError, load_model
 
 # name: (reader, its error, header lines, a good row, a row with a wrong
 # column count, a row with a bad tag or None when the format has no tag)
@@ -58,3 +60,28 @@ def test_blank_and_whitespace_lines_are_skipped(tmp_path, name):
     plain = reader(str(path))
     path.write_text(header + f"\n  \n{good}\n\t\n\t\t\t\n \t \n", encoding="utf-8")
     assert reader(str(path)) == plain
+
+
+# name: (reader of a float-row file, its error, the file's text). Each
+# text has a fault that the line-by-line pass, or the non-finite check,
+# reports after the streaming pass.
+FLOAT_ROW_FAULTS = {
+    "vec-malformed": (load_space, VecFormatError, "2 2\na 1 2\nb 1\n"),
+    "vec-non-numeric": (load_space, VecFormatError, "2 2\na 1 2\nb 1 x\n"),
+    "vec-non-finite": (load_space, VecFormatError, "2 2\na 1 2\nb 1 nan\n"),
+    "ngrams-malformed": (lambda path: load_ngram_table(path, 2), VecFormatError, "<ab 1 2\nab> 1\n"),
+    "model-non-numeric": (load_model, ModelFormatError, "MORPHLEX-OMEGA v1 2 2 2\n1 0\n0 x\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ROW_FAULTS))
+def test_float_row_error_leaves_the_file_closed(tmp_path, descriptors, name):
+    # The error is held, as a caller reporting it holds it: its traceback
+    # must not keep the file open.
+    reader, error, text = FLOAT_ROW_FAULTS[name]
+    path = tmp_path / "rows.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=r": line \d+: ") as info:
+        reader(str(path))
+    assert info.value.__traceback__ is not None
+    assert str(path) not in descriptors().values()

@@ -261,6 +261,19 @@ class TestTrain:
         assert np.array_equal(first.model.omega, second.model.omega)
         assert first.dev_losses == second.dev_losses
 
+    def test_one_pair_schedules_on_its_training_loss(self):
+        # With one pair there is nothing to hold out: the pair is both the
+        # training and the development set.
+        rng = np.random.default_rng(14)
+        source, target, pairs, _ = rotation_task(rng, 10, 4)
+        config = TrainConfig(alpha=0.0, max_epochs=3, seed=0)
+        result = train(pairs[:1], source, target, config)
+        start = TranslationModel(np.eye(4), len(target))
+        loss, _ = loss_and_gradient(start, pairs[:1], source, target, config)
+        assert result.dev_losses[0] == pytest.approx(loss, rel=1e-12)
+        assert result.epochs_run == 3
+        assert result.best_dev_loss < result.dev_losses[0]
+
     def test_unresolvable_pairs_dropped_and_counted(self):
         rng = np.random.default_rng(13)
         source, target, pairs, _ = rotation_task(rng, 10, 4)
@@ -398,11 +411,8 @@ class TestPredict:
         target = EmbeddingSpace(raw.words, raw.vectors / np.linalg.norm(raw.vectors, axis=1)[:, None])
         source = toy_space(rng, 3, 5, prefix="s")
         model = TranslationModel(rng.normal(size=(5, 5)), 20)
-        for word, top in zip(source.words, top_words(model, source, target, source.words)):
-            scores = [
-                bilinear_score(model, target.vector(t), source.vector(word))
-                for t in target.words
-            ]
+        for row, top in zip(source.vectors, top_words(model, source, target, source.words)):
+            scores = [bilinear_score(model, target.vectors[i], row) for i in range(len(target))]
             assert top == target.words[int(np.argmax(scores))]
 
     def test_top1_invariant_to_target_row_reordering(self):
