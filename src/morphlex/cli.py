@@ -2,16 +2,25 @@
 extraction.
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage
-error, 2 data/format error, 3 untrainable or unevaluable condition.
-Every subcommand writes a run manifest (inputs, flags, seed, versions)
-next to its primary output. A ``train-translator`` hyperparameter (one
-flag per ``TrainConfig`` field) or ``--max-words`` that overrides its
-stock default is echoed to stderr for provenance.
+error, 2 data/format error (a ``DataError``, any ``OSError`` or
+undecodable UTF-8), 3 untrainable or unevaluable condition (an
+``UntrainableError``).
+
+Each subparser declares ``outputs``: a function of the parsed arguments
+that raises the command's usage error or returns the paths that get a
+run manifest (inputs, flags, seed, versions). ``main`` does every
+command's bookkeeping once: it echoes to stderr, for provenance, each
+``train-translator`` hyperparameter (one flag per ``TrainConfig`` field)
+and ``--max-words`` that overrides its stock default, runs the usage
+check, checks each output path before any input is read, runs the
+command, maps its errors to exit codes and, on success, writes the
+manifests.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import itertools
 import logging
@@ -24,20 +33,12 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .embeddings import (
-    DEFAULT_MAX_WORDS,
-    VecFormatError,
-    load_ngram_table,
-    load_space,
-    load_spaces,
-)
+from .embeddings import DEFAULT_MAX_WORDS, load_ngram_table, load_space, load_spaces
 from .evaluation import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_MIN_TAG_COUNT,
     DEFAULT_NUM_BINS,
     DictionaryFormatError,
-    EmptyDictionaryError,
-    NoOverlapError,
     extract_identical_seed,
     precision_at_1,
     read_eval_dictionary,
@@ -45,7 +46,6 @@ from .evaluation import (
     write_report,
 )
 from .morph import (
-    MorphFormatError,
     MorphTag,
     TagParseError,
     analyzer_accuracy,
@@ -64,20 +64,12 @@ from .pipeline import (
     MODES,
     BatchStats,
     JointConfig,
-    SupportMismatchError,
     TranslationCandidate,
     joint_log_prob,
     translate_many,
 )
-from .textio import read_tsv, write_json, write_tsv
-from .translator import (
-    ModelFormatError,
-    NoTrainablePairsError,
-    TrainConfig,
-    load_model,
-    save_model,
-    train,
-)
+from .textio import DataError, UntrainableError, read_tsv, write_json, write_tsv
+from .translator import TrainConfig, load_model, save_model, train
 
 logger = logging.getLogger(__name__)
 
@@ -99,25 +91,12 @@ INPUT_BLOCK_LINES = 1024
 # flat on an unbounded stream while repeated forms are translated once.
 LINE_CACHE_KEYS = 16 * INPUT_BLOCK_LINES
 
-_DATA_ERRORS = (
-    VecFormatError,
-    ModelFormatError,
-    SupportMismatchError,
-    MorphFormatError,
-    DictionaryFormatError,
-    TagParseError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    PermissionError,
-    UnicodeDecodeError,
-)
+_DATA_ERRORS = (DataError, OSError, UnicodeDecodeError)
 
-_UNTRAINABLE_ERRORS = (
-    NoTrainablePairsError,
-    EmptyDictionaryError,
-    NoOverlapError,
-)
+
+class _UsageError(Exception):
+    """A command's flags are inconsistent: its outputs declaration raises
+    this, and ``main`` prints it and exits 1 before any file is touched."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,22 +168,18 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
 
 
 def _require_output_path(path: str) -> None:
-    """Raise, before any input is read, the error that opening ``path`` for
-    writing would raise when it is a directory (IsADirectoryError) or its
-    parent is missing (FileNotFoundError) or not a directory
-    (NotADirectoryError)."""
-    parent = os.path.dirname(path) or "."
+    """Raise, before any input is read, the OSError naming ``path`` that
+    opening it for writing would raise because it is a directory or cannot
+    be looked up: its parent is missing or not a directory, it loops, its
+    name is too long. A path that does not exist yet in an existing
+    directory passes."""
     if os.path.isdir(path):
-        code = errno.EISDIR
-    elif os.path.isdir(parent):
-        return
-    else:
-        try:
-            os.stat(parent)
-            code = errno.ENOTDIR
-        except OSError as exc:
-            code = exc.errno
-    raise OSError(code, os.strerror(code), path)  # the subclass that errno names
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(path)
+    except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise
 
 
 def _load_spaces(args: argparse.Namespace, preprocessed: bool):
@@ -215,9 +190,7 @@ def _load_spaces(args: argparse.Namespace, preprocessed: bool):
     )
 
 
-def cmd_train_translator(args: argparse.Namespace) -> int:
-    _echo_overrides(args)
-    _require_output_path(args.out)
+def cmd_train_translator(args: argparse.Namespace) -> None:
     source_space, target_space = _load_spaces(args, preprocessed=True)
     seed_pairs = read_seed_dictionary(args.seed_dict)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
@@ -225,25 +198,25 @@ def cmd_train_translator(args: argparse.Namespace) -> int:
     metadata = {
         "source_path": args.src,
         "target_path": args.tgt,
-        "unit_normalized": True,
-        "source_center": source_space.center.tolist(),
-        "target_center": target_space.center.tolist(),
         "dropped_pairs": result.dropped_pairs,
     }
     save_model(result.model, args.out, metadata=metadata)
-    _write_manifest(args.out, args)
     print(
         f"epochs run: {result.epochs_run}; final dev loss: {result.dev_losses[-1]:.6f}; "
         f"best dev loss: {result.best_dev_loss:.6f} (epoch {result.best_epoch}); "
         f"dropped pairs: {result.dropped_pairs}"
     )
-    return EXIT_OK
 
 
-def cmd_train_morph(args: argparse.Namespace) -> int:
-    if not args.analyzer_out and not args.inflector_out:
-        print("error: provide --analyzer-out and/or --inflector-out", file=sys.stderr)
-        return EXIT_USAGE
+def _train_morph_outputs(args: argparse.Namespace) -> list[str]:
+    """The rule tables train-morph is asked for: at least one."""
+    outputs = [path for path in (args.analyzer_out, args.inflector_out) if path]
+    if not outputs:
+        raise _UsageError("provide --analyzer-out and/or --inflector-out")
+    return outputs
+
+
+def cmd_train_morph(args: argparse.Namespace) -> None:
     entries = read_unimorph(args.data)
     if args.exclude:
         excluded = read_eval_dictionary(args.exclude)
@@ -253,8 +226,7 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
         entries = [e for e in entries if e.form not in drop]
         print(f"exclusion: removed {before - len(entries)} of {before} entries", file=sys.stderr)
     if not entries:
-        print("error: no training entries remain after exclusion", file=sys.stderr)
-        return EXIT_UNTRAINABLE
+        raise UntrainableError("no training entries remain after exclusion")
     dev_entries = read_unimorph(args.dev) if args.dev else None
     for name, out, learn, accuracy in (
         ("analyzer", args.analyzer_out, learn_analyzer, analyzer_accuracy),
@@ -263,12 +235,10 @@ def cmd_train_morph(args: argparse.Namespace) -> int:
         if out:
             table = learn(entries)
             save_rule_table(table, out)
-            _write_manifest(out, args)
             line = f"{name}: {table.num_rules()} rules, {len(table.tags)} tags"
             if dev_entries:
                 line += f", dev accuracy {accuracy(table, dev_entries):.4f}"
             print(line)
-    return EXIT_OK
 
 
 def _build_joint_config(args: argparse.Namespace) -> JointConfig:
@@ -286,15 +256,6 @@ def _build_joint_config(args: argparse.Namespace) -> JointConfig:
         inflector=inflector,
         ngram_table=ngram_table,
     )
-
-
-def _require_components(args: argparse.Namespace) -> str | None:
-    """The usage error of a mode without its components, checked before any
-    file is read; each component's flag is named after its field."""
-    needed = MODE_COMPONENTS[args.mode]
-    if all(getattr(args, name) for name in needed):
-        return None
-    return f"mode {args.mode!r} needs " + " and ".join(f"--{name}" for name in needed)
 
 
 def _oracle_row(row: list[str]) -> tuple[str, tuple[str, MorphTag]]:
@@ -322,23 +283,18 @@ def _oracle_gold(line: str) -> tuple[str, MorphTag] | None:
         return None
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
-    _echo_overrides(args)
-    problem = _require_components(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.output != "-":
-        _require_output_path(args.output)
+def cmd_translate(args: argparse.Namespace) -> None:
     config = _build_joint_config(args)
-    in_handle = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-    out_handle = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     oracle = config.mode == MODE_ORACLE
     stats = BatchStats()
     # (form, gold) -> output line; gold is None outside oracle mode, as in
     # translate_many's own deduplication.
     cache: OrderedDict[tuple, str] = OrderedDict()
-    try:
+    with contextlib.ExitStack() as files:
+        in_handle = (sys.stdin if args.input == "-"
+                     else files.enter_context(open(args.input, encoding="utf-8")))
+        out_handle = (sys.stdout if args.output == "-"
+                      else files.enter_context(open(args.output, "w", encoding="utf-8")))
         lines = (raw.rstrip("\n") for raw in in_handle if raw.strip())
         for block in iter(lambda: list(itertools.islice(lines, INPUT_BLOCK_LINES)), []):
             keys = [(line.partition("\t")[0], _oracle_gold(line) if oracle else None)
@@ -361,27 +317,18 @@ def cmd_translate(args: argparse.Namespace) -> int:
                 cache[form, gold] = line
             stats.forms += len(keys) - len(fresh)
             out_handle.write("".join(block_lines[key] for key in keys))
-    finally:
-        if in_handle is not sys.stdin:
-            in_handle.close()
-        if out_handle is not sys.stdout:
-            out_handle.close()
     logger.info("translate: %s", stats)
-    if args.output != "-":
-        _write_manifest(args.output, args)
-    return EXIT_OK
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    _echo_overrides(args)
-    problem = _require_components(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+def _evaluate_outputs(args: argparse.Namespace) -> list[str]:
+    """evaluate's first output, the summary, once oracle mode has its
+    analyses."""
     if args.mode == MODE_ORACLE and not args.oracle_analyses:
-        print("error: mode 'oracle' needs --oracle-analyses", file=sys.stderr)
-        return EXIT_USAGE
-    _require_output_path(f"{args.out_prefix}.summary.tsv")
+        raise _UsageError("mode 'oracle' needs --oracle-analyses")
+    return [f"{args.out_prefix}.summary.tsv"]
+
+
+def cmd_evaluate(args: argparse.Namespace) -> None:
     config = _build_joint_config(args)
     dictionary = read_eval_dictionary(args.dict)
     gold = _read_oracle_analyses(args.oracle_analyses) if args.mode == MODE_ORACLE else {}
@@ -399,23 +346,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         min_tag_count=args.min_tag_count,
     )
     write_report(report, args.out_prefix)
-    _write_manifest(f"{args.out_prefix}.summary.tsv", args)
     print(
         f"precision@1: voc {report.voc.accuracy:.4f} ({report.voc.total}), "
         f"all {report.all.accuracy:.4f} ({report.all.total}), "
         f"untranslatable {report.untranslatable}"
     )
-    return EXIT_OK
 
 
-def cmd_extract_seed(args: argparse.Namespace) -> int:
-    _require_output_path(args.out)
+def cmd_extract_seed(args: argparse.Namespace) -> None:
     source_space, target_space = _load_spaces(args, preprocessed=False)
     pairs = extract_identical_seed(source_space, target_space)
     write_tsv(args.out, None, pairs)
-    _write_manifest(args.out, args)
     print(f"{len(pairs)} identical strings written to {args.out}")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -436,7 +378,7 @@ def build_parser() -> _Parser:
         p.add_argument(f"--{f.name.replace('_', '-')}", type=_train_config_value(f), default=f.default,
                        help="(default %(default)s)")
     add_max_words(p)
-    p.set_defaults(func=cmd_train_translator)
+    p.set_defaults(func=cmd_train_translator, outputs=lambda args: [args.out])
 
     p = commands.add_parser("train-morph", help="learn suffix-rule transducers")
     p.add_argument("--data", required=True, help="UniMorph TSV (lemma, form, tag)")
@@ -444,9 +386,20 @@ def build_parser() -> _Parser:
     p.add_argument("--inflector-out", help="output inflector rule table")
     p.add_argument("--exclude", help="evaluation dictionary whose forms are excluded")
     p.add_argument("--dev", help="UniMorph TSV for held-out accuracy reporting")
-    p.set_defaults(func=cmd_train_morph)
+    p.set_defaults(func=cmd_train_morph, outputs=_train_morph_outputs)
 
-    def add_pipeline_flags(p):
+    def add_pipeline_flags(p, outputs):
+        """The flags of the joint pipeline, and ``outputs`` after the usage
+        check of a mode without its components, each component's flag
+        named after its field."""
+
+        def checked_outputs(args):
+            needed = MODE_COMPONENTS[args.mode]
+            if not all(getattr(args, name) for name in needed):
+                flags = " and ".join(f"--{name}" for name in needed)
+                raise _UsageError(f"mode {args.mode!r} needs {flags}")
+            return outputs(args)
+
         p.add_argument("--model", required=True, help="trained omega file")
         p.add_argument("--src", required=True, help="source .vec file")
         p.add_argument("--tgt", required=True, help="target .vec file")
@@ -455,15 +408,16 @@ def build_parser() -> _Parser:
         p.add_argument("--ngrams", help="source n-gram table for OOV composition")
         p.add_argument("--mode", choices=MODES, default=MODE_BASE)
         add_max_words(p)
+        p.set_defaults(outputs=checked_outputs)
 
     p = commands.add_parser("translate", help="translate forms, one per line")
-    add_pipeline_flags(p)
+    add_pipeline_flags(p, lambda args: [] if args.output == "-" else [args.output])
     p.add_argument("--input", default="-", help="input file, '-' for stdin")
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
     p.set_defaults(func=cmd_translate)
 
     p = commands.add_parser("evaluate", help="precision@1 with breakdowns")
-    add_pipeline_flags(p)
+    add_pipeline_flags(p, _evaluate_outputs)
     p.add_argument("--dict", required=True, help="evaluation dictionary TSV")
     p.add_argument("--out-prefix", required=True, help="prefix for report files")
     p.add_argument("--oracle-analyses", help="form<TAB>lemma<TAB>tag file for oracle mode")
@@ -477,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--out", required=True)
     add_max_words(p)
-    p.set_defaults(func=cmd_extract_seed)
+    p.set_defaults(func=cmd_extract_seed, outputs=lambda args: [args.out])
 
     return parser
 
@@ -488,11 +442,22 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    _echo_overrides(args)
     try:
-        return args.func(args)
-    except _DATA_ERRORS + _UNTRAINABLE_ERRORS as exc:
+        outputs = args.outputs(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        for path in outputs:
+            _require_output_path(path)
+        args.func(args)
+        for path in outputs:
+            _write_manifest(path, args)
+    except (*_DATA_ERRORS, UntrainableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_UNTRAINABLE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

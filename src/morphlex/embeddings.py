@@ -19,7 +19,7 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .textio import read_float_rows, sidecar_path, write_float_rows
+from .textio import DataError, read_float_rows, sidecar_path, write_float_rows
 
 logger = logging.getLogger(__name__)
 
@@ -28,7 +28,7 @@ NGRAM_MIN = 3
 NGRAM_MAX = 6
 
 
-class VecFormatError(ValueError):
+class VecFormatError(DataError):
     """A word-vector file or n-gram table violates the text format."""
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .embeddings import EmbeddingSpace
 from .morph import MorphTag, parse_tag
-from .textio import read_tsv, write_json, write_tsv
+from .textio import DataError, UntrainableError, read_tsv, write_json, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -26,15 +26,15 @@ DEFAULT_MIN_TAG_COUNT = 5
 OOV_BIN_LABEL = "oov"
 
 
-class DictionaryFormatError(ValueError):
+class DictionaryFormatError(DataError):
     """A dictionary TSV violates its format."""
 
 
-class EmptyDictionaryError(ValueError):
+class EmptyDictionaryError(UntrainableError):
     """Evaluation was requested on an empty dictionary."""
 
 
-class NoOverlapError(ValueError):
+class NoOverlapError(UntrainableError):
     """The two vocabularies share no identically spelled string."""
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .textio import read_tsv, write_tsv
+from .textio import DataError, read_tsv, write_tsv
 
 DIRECTION_INFLECT = "inflect"
 DIRECTION_ANALYZE = "analyze"
@@ -25,7 +25,7 @@ RULES_MAGIC = "MORPHLEX-RULES"
 RULES_VERSION = "v1"
 
 
-class TagParseError(ValueError):
+class TagParseError(DataError):
     """A raw tag string cannot be parsed into features."""
 
 
@@ -41,7 +41,7 @@ class NoAnalysisError(LookupError):
     """No rule suffix matches the surface form."""
 
 
-class MorphFormatError(ValueError):
+class MorphFormatError(DataError):
     """A UniMorph or rule-table file violates its format."""
 
 

@@ -27,6 +27,7 @@ from .morph import (
     analyze,
     inflect,
 )
+from .textio import DataError
 from .translator import TranslationModel, retrieve, score_block_rows
 
 MODE_BASE = "base"
@@ -51,7 +52,7 @@ class UntranslatableError(ValueError):
     """Neither the lemma route nor direct translation can handle the form."""
 
 
-class SupportMismatchError(ValueError):
+class SupportMismatchError(DataError):
     """The model does not fit the spaces: omega's shape is not the spaces'
     dimensions, or the softmax support exceeds the target's file rows."""
 

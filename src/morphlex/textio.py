@@ -1,10 +1,12 @@
 """The text rules every on-disk format shares: tab-separated rows, rows of
 floats, JSON documents and the path of a model file's ``.meta.json``
-sidecar.
+sidecar, and the two error bases the CLI maps to exit codes.
 
 Each format's own details (headers, magic strings, what a column means)
 stay in the module that owns the format; this module only reads and
-writes the lines. Every file is UTF-8.
+writes the lines. Every file is UTF-8. Each format's error subclasses
+``DataError`` (exit 2) and each condition that leaves nothing to train
+or score subclasses ``UntrainableError`` (exit 3).
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _Row = TypeVar("_Row")
+
+
+class DataError(ValueError):
+    """An input file violates its format or does not fit the other inputs."""
+
+
+class UntrainableError(ValueError):
+    """The inputs are well formed but leave nothing to train or score."""
 
 
 def sidecar_path(path: str) -> str:

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace
-from .textio import read_float_rows, sidecar_path, write_float_rows, write_json
+from .textio import (
+    DataError,
+    UntrainableError,
+    read_float_rows,
+    sidecar_path,
+    write_float_rows,
+    write_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -39,11 +46,11 @@ _PENALTY_NORM_FLOOR = 1e-12
 SCORE_BLOCK_BYTES = 1 << 16
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(DataError):
     """A model file violates the text format."""
 
 
-class NoTrainablePairsError(ValueError):
+class NoTrainablePairsError(UntrainableError):
     """No seed pair is left to fit on (see ``seed_rows``)."""
 
 

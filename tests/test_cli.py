@@ -125,8 +125,9 @@ class TestTrainTranslator:
         assert code == EXIT_OK
         assert (tmp_path / "m.omega").exists()
         meta = json.loads((tmp_path / "m.omega.meta.json").read_text())
-        assert meta["unit_normalized"] is True
-        assert len(meta["source_center"]) == 10
+        assert meta == {
+            "source_path": corpus["src"], "target_path": corpus["tgt"], "dropped_pairs": 0,
+        }
         manifest = json.loads((tmp_path / "m.omega.manifest.json").read_text())
         assert manifest["command"] == "train-translator"
         assert manifest["seed"] == 1
@@ -215,7 +216,7 @@ class TestTrainMorph:
         assert code == EXIT_OK
         assert "dev accuracy 1.0000" in capsys.readouterr().out
 
-    def test_empty_after_exclusion(self, corpus, tmp_path):
+    def test_empty_after_exclusion(self, corpus, tmp_path, capsys):
         # The exclusion dictionary lists every training form.
         kill = tmp_path / "kill.tsv"
         with open(corpus["unimorph_src"]) as handle:
@@ -226,6 +227,10 @@ class TestTrainMorph:
             "--analyzer-out", str(tmp_path / "a.rules"), "--exclude", str(kill),
         ])
         assert code == EXIT_UNTRAINABLE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no training entries remain after exclusion"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["kill.tsv"]  # no manifest
 
     def test_no_output_flag_is_usage_error(self, corpus):
         code = main(["train-morph", "--data", corpus["unimorph_src"]])
@@ -651,6 +656,18 @@ class TestExtractSeed:
         assert code == EXIT_OK
         assert out.read_text() == "casa\tcasa\ntaxi\ttaxi\n"
 
+    def test_max_words_override_is_echoed(self, tmp_path, capsys):
+        a = tmp_path / "a.vec"
+        a.write_text("2 2\ncasa 1 0\ntaxi 1 1\n")
+        out = tmp_path / "seed.tsv"
+        code = main(["extract-seed", "--src", str(a), "--tgt", str(a), "--out", str(out),
+                     "--max-words", "1"])
+        assert code == EXIT_OK
+        assert out.read_text() == "casa\tcasa\n"
+        assert capsys.readouterr().err == (
+            f"note: --max-words 1 overrides the default {embeddings.DEFAULT_MAX_WORDS}\n"
+        )
+
     def test_disjoint_vocabularies_exit_3(self, tmp_path):
         a, b = tmp_path / "a.vec", tmp_path / "b.vec"
         a.write_text("1 2\nuno 1 0\n")
@@ -920,6 +937,7 @@ def command_argv(command, corpus, trained, out):
         "train-translator": [*spaces, "--seed-dict", corpus["seed"], "--out", out,
                              "--max-epochs", "1"],
         "extract-seed": [*spaces, "--out", out],
+        "train-morph": ["--data", corpus["unimorph_src"], "--analyzer-out", out],
     }[command]
 
 
@@ -930,12 +948,12 @@ def first_output(command, out):
 
 @pytest.fixture
 def refuse_inputs(monkeypatch):
-    """Reading a space or a model fails the test."""
+    """Reading a space, a model or UniMorph triples fails the test."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    for name in ("load_space", "load_spaces", "load_model"):
+    for name in ("load_space", "load_spaces", "load_model", "read_unimorph"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -945,7 +963,9 @@ class TestOutputDirectoryChecked:
     is a data error raised before any input is read, not after training
     or loading. ``evaluate`` checks its first output, the summary."""
 
-    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
+    @pytest.mark.parametrize(
+        "command", ["train-translator", "train-morph", "translate", "evaluate", "extract-seed"]
+    )
     def test_missing_directory_fails_before_loading(
         self, corpus, trained, tmp_path, capsys, refuse_inputs, command
     ):
@@ -955,7 +975,9 @@ class TestOutputDirectoryChecked:
             f"error: [Errno 2] No such file or directory: {first_output(command, out)!r}"
         )
 
-    @pytest.mark.parametrize("command", ["train-translator", "translate", "evaluate", "extract-seed"])
+    @pytest.mark.parametrize(
+        "command", ["train-translator", "train-morph", "translate", "evaluate", "extract-seed"]
+    )
     def test_directory_that_is_a_file_fails_before_loading(
         self, corpus, trained, tmp_path, capsys, refuse_inputs, command
     ):
@@ -966,7 +988,7 @@ class TestOutputDirectoryChecked:
             f"error: [Errno 20] Not a directory: {first_output(command, out)!r}"
         )
 
-    @pytest.mark.parametrize("command", ["train-translator", "translate", "extract-seed"])
+    @pytest.mark.parametrize("command", ["train-translator", "train-morph", "translate", "extract-seed"])
     def test_output_that_is_a_directory_fails_before_loading(
         self, corpus, trained, tmp_path, capsys, refuse_inputs, command
     ):
@@ -977,6 +999,50 @@ class TestOutputDirectoryChecked:
             f"error: [Errno 21] Is a directory: {str(out)!r}"
         )
         assert not list(out.iterdir())
+
+    def test_train_morph_checks_its_second_output_before_writing_the_first(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs
+    ):
+        inflector = tmp_path / "i.rules"
+        inflector.mkdir()
+        argv = [*command_argv("train-morph", corpus, trained, str(tmp_path / "a.rules")),
+                "--inflector-out", str(inflector)]
+        assert main(["train-morph", *argv]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 21] Is a directory: {str(inflector)!r}"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == ["i.rules"]
+        assert not list(inflector.iterdir())
+
+    @pytest.mark.parametrize("code", [errno.ENAMETOOLONG, errno.ELOOP])
+    def test_unusable_name_is_a_data_error_without_traceback(self, corpus, tmp_path, code):
+        if code == errno.ELOOP:
+            out = tmp_path / "loop"
+            out.symlink_to("loop")
+        else:
+            out = tmp_path / ("x" * 300)
+        result = run_cli_process("train-morph", "--data", corpus["unimorph_src"],
+                                 "--analyzer-out", str(out))
+        assert result.returncode == EXIT_DATA
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}"
+        )
+
+    def test_translate_closes_its_input_when_its_output_fails_to_open(
+        self, corpus, trained, tmp_path, capsys
+    ):
+        # A dangling link into a missing directory passes the check (the
+        # path does not exist yet, its directory does) but cannot be opened.
+        # An input left open fails the test through the ResourceWarning
+        # filter in pyproject.toml or the descriptor guard in conftest.py.
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "missing" / "preds.tsv")
+        argv = command_argv("translate", corpus, trained, str(out))
+        assert main(["translate", *argv]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}"
+        )
 
     def test_evaluate_prefix_that_is_a_directory_writes_beside_it(self, corpus, trained, tmp_path):
         out = tmp_path / "run"
@@ -994,6 +1060,30 @@ class TestOutputDirectoryChecked:
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: [Errno 21] Is a directory: {out + '.summary.tsv'!r}"
         )
+
+
+class TestManifests:
+    """A command that succeeds writes one manifest beside each output it
+    declares."""
+
+    @pytest.mark.parametrize(
+        "command, manifests",
+        [("train-translator", ["out"]), ("translate", ["out"]),
+         ("evaluate", ["out.summary.tsv"]), ("extract-seed", ["out"]),
+         ("train-morph", ["i.rules", "out"])],
+    )
+    def test_one_manifest_per_declared_output(self, corpus, trained, tmp_path, command, manifests):
+        argv = command_argv(command, corpus, trained, str(tmp_path / "out"))
+        if command == "train-morph":
+            argv += ["--inflector-out", str(tmp_path / "i.rules")]
+        if command == "extract-seed":  # the corpus spaces share no string
+            argv[argv.index("--tgt") + 1] = corpus["src"]
+        assert main([command, *argv]) == EXIT_OK
+        written = sorted(path.name for path in tmp_path.glob("*.manifest.json"))
+        assert written == [f"{name}.manifest.json" for name in manifests]
+        for name in manifests:
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert manifest["command"] == command
 
 
 class TestInputUnderAFile:
