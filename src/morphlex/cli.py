@@ -2,9 +2,11 @@
 extraction.
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage
-error, 2 data/format error (a ``DataError``, any ``OSError`` or
-undecodable UTF-8), 3 untrainable or unevaluable condition (an
-``UntrainableError``).
+error, 2 data/format error (a ``DataError``, undecodable UTF-8 among
+them, or any ``OSError``), 3 untrainable or unevaluable condition (an
+``UntrainableError``). A reader that closes stdout early, as ``head``
+does, is no failure: the command stops quietly with exit 0. A broken pipe
+on any other handle, such as a FIFO given as an output, is exit 2.
 
 Each subparser declares ``outputs``: a function of the parsed arguments
 that raises the command's usage error or returns the paths that get a
@@ -26,6 +28,7 @@ import itertools
 import logging
 import os
 import platform
+import select
 import sys
 from collections import OrderedDict
 from dataclasses import asdict, fields
@@ -68,7 +71,15 @@ from .pipeline import (
     joint_log_prob,
     translate_many,
 )
-from .textio import DataError, UntrainableError, read_tsv, write_json, write_tsv
+from .textio import (
+    DataError,
+    UntrainableError,
+    decode_errors_named,
+    open_text,
+    read_tsv,
+    write_json,
+    write_tsv,
+)
 from .translator import TrainConfig, load_model, save_model, train
 
 logger = logging.getLogger(__name__)
@@ -91,7 +102,12 @@ INPUT_BLOCK_LINES = 1024
 # flat on an unbounded stream while repeated forms are translated once.
 LINE_CACHE_KEYS = 16 * INPUT_BLOCK_LINES
 
-_DATA_ERRORS = (DataError, OSError, UnicodeDecodeError)
+_DATA_ERRORS = (DataError, OSError)
+
+# The environment variables that set the BLAS thread count. Model bytes are
+# identical for equal seeds and inputs only under the same numpy/BLAS build
+# and thread count, so each manifest records them.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -148,6 +164,16 @@ def _echo_overrides(args: argparse.Namespace) -> None:
             )
 
 
+def _blas_build() -> dict | None:
+    """The name and version of the BLAS numpy was built with, or None where
+    numpy does not report it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 takes no mode
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
     arguments = {
         key: value
@@ -162,7 +188,9 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
             "morphlex": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "blas": _blas_build(),
         },
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
     write_json(f"{output_path}.manifest.json", manifest)
 
@@ -172,14 +200,26 @@ def _require_output_path(path: str) -> None:
     opening it for writing would raise because it is a directory or cannot
     be looked up: its parent is missing or not a directory, it loops, its
     name is too long. A path that does not exist yet in an existing
-    directory passes."""
+    directory passes; for a dangling symlink, that is the directory of the
+    path it resolves to."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         os.stat(path)
     except FileNotFoundError:
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
             raise
+
+
+def _stdout_closed() -> bool:
+    """stdout is a pipe whose reader has gone: polling its write end
+    reports an error."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, OSError, ValueError):  # no poll(), or no descriptor
+        return False
+    return any(events & select.POLLERR for _, events in poller.poll(0))
 
 
 def _load_spaces(args: argparse.Namespace, preprocessed: bool):
@@ -291,8 +331,13 @@ def cmd_translate(args: argparse.Namespace) -> None:
     # translate_many's own deduplication.
     cache: OrderedDict[tuple, str] = OrderedDict()
     with contextlib.ExitStack() as files:
-        in_handle = (sys.stdin if args.input == "-"
-                     else files.enter_context(open(args.input, encoding="utf-8")))
+        if args.input == "-":
+            in_handle = sys.stdin
+            if hasattr(in_handle, "reconfigure"):  # strict UTF-8, whatever the locale
+                in_handle.reconfigure(encoding="utf-8", errors="strict")
+            files.enter_context(decode_errors_named("-"))
+        else:
+            in_handle = files.enter_context(open_text(args.input))
         out_handle = (sys.stdout if args.output == "-"
                       else files.enter_context(open(args.output, "w", encoding="utf-8")))
         lines = (raw.rstrip("\n") for raw in in_handle if raw.strip())
@@ -454,7 +499,14 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
         for path in outputs:
             _write_manifest(path, args)
+        sys.stdout.flush()
     except (*_DATA_ERRORS, UntrainableError) as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            # What stdout still buffers goes nowhere, so the exit flush is quiet.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_OK
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_UNTRAINABLE
     return EXIT_OK

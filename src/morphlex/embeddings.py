@@ -19,7 +19,7 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .textio import DataError, read_float_rows, sidecar_path, write_float_rows
+from .textio import DataError, open_text, read_float_rows, sidecar_path, write_float_rows
 
 logger = logging.getLogger(__name__)
 
@@ -139,7 +139,7 @@ class EmbeddingSpace:
 def _read_header(path: str, max_words: int | None) -> tuple[int, int]:
     """The rows a load of a .vec file reads, ``min(count, max_words)``, and
     its dim, from the header line."""
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline()
     fields = header.split()
     if len(fields) != 2:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .textio import DataError, read_tsv, write_tsv
+from .textio import DataError, open_text, read_tsv, write_tsv
 
 DIRECTION_INFLECT = "inflect"
 DIRECTION_ANALYZE = "analyze"
@@ -288,7 +288,7 @@ def save_rule_table(table: SuffixRuleTable, path: str) -> None:
 
 
 def load_rule_table(path: str) -> SuffixRuleTable:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline().split()
     if len(header) != 3 or header[0] != RULES_MAGIC or header[1] != RULES_VERSION:
         raise MorphFormatError(f"{path}: bad rule-table header")

@@ -28,7 +28,7 @@ from .morph import (
     inflect,
 )
 from .textio import DataError
-from .translator import TranslationModel, retrieve, score_block_rows
+from .translator import TranslationModel, require_support, retrieve, score_block_rows
 
 MODE_BASE = "base"
 MODE_HYBRID = "hybrid"
@@ -54,7 +54,7 @@ class UntranslatableError(ValueError):
 
 class SupportMismatchError(DataError):
     """The model does not fit the spaces: omega's shape is not the spaces'
-    dimensions, or the softmax support exceeds the target's file rows."""
+    dimensions, or its softmax support is not the target's rows."""
 
 
 # The declared per-form failures: callers that report a miss or <NONE>
@@ -66,7 +66,7 @@ TRANSLATION_ERRORS = (UntranslatableError, UnknownTagError, NoRuleError)
 class TranslationCandidate:
     """One decoded target form with its score decomposition.
 
-    Absent components (e.g. analyzer and inflector scores on the direct
+    Absent components (the analyzer and inflector scores on the direct
     route) are recorded as None.
     """
 
@@ -74,7 +74,7 @@ class TranslationCandidate:
     tag: MorphTag | None
     route: str
     analyzer_log_prob: float | None
-    translator_log_prob: float | None
+    translator_log_prob: float
     inflector_log_prob: float | None
 
 
@@ -103,7 +103,8 @@ class JointConfig:
     """Component bundle for one translation direction. A mode without
     the components ``MODE_COMPONENTS`` lists for it is a ValueError; a
     model or n-gram table that does not fit the spaces is a
-    SupportMismatchError."""
+    SupportMismatchError: a model applies only to the target rows it was
+    fit on."""
 
     mode: str
     model: TranslationModel
@@ -130,12 +131,10 @@ class JointConfig:
                 f"the n-gram table has dimension {self.ngram_table.dim}, "
                 f"the source space {source.dim}"
             )
-        support = self.model.normalizer_vocab_size
-        if support > len(target):
-            raise SupportMismatchError(
-                f"the model's softmax support of {support} words exceeds the "
-                f"{len(target)} rows of the target space"
-            )
+        try:
+            require_support(model, target)
+        except ValueError as exc:
+            raise SupportMismatchError(f"{exc}; pass the --max-words it was trained with") from None
 
 
 def _source_vectors(config: JointConfig, words: Sequence[str]) -> tuple[list[str], np.ndarray]:
@@ -168,15 +167,11 @@ def _source_vectors(config: JointConfig, words: Sequence[str]) -> tuple[list[str
 
 def _retrieve_many(
     config: JointConfig, source_words: list[str], stats: BatchStats | None
-) -> dict[str, tuple[str, float | None]]:
+) -> dict[str, tuple[str, float]]:
     """The 1-best target word and its log-probability for every source
-    word that has a vector, from one batched ``retrieve``.
-
-    Retrieval ranges over the whole target space, so a row outside the
-    model's softmax support can win; its probability is undefined under
-    the fixed normalizer and is recorded as None. Words without a vector
-    are left out, and so are those ``retrieve`` marks as zero queries
-    (winner -1), which have no cosine neighbour.
+    word that has a vector, from one batched ``retrieve``. Words without a
+    vector are left out, and so are those ``retrieve`` marks as zero
+    queries (winner -1), which have no cosine neighbour.
     """
     words, sources = _source_vectors(config, source_words)
     if not words:

@@ -4,18 +4,22 @@ sidecar, and the two error bases the CLI maps to exit codes.
 
 Each format's own details (headers, magic strings, what a column means)
 stay in the module that owns the format; this module only reads and
-writes the lines. Every file is UTF-8. Each format's error subclasses
+writes the lines. Every file is UTF-8, and every reader opens its file
+with ``open_text``, so a byte sequence that does not decode is a
+``DataError`` naming the file and line. Each format's error subclasses
 ``DataError`` (exit 2) and each condition that leaves nothing to train
 or score subclasses ``UntrainableError`` (exit 3).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
+import os
 import re
-from typing import Callable, Collection, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, NoReturn, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -30,6 +34,39 @@ class DataError(ValueError):
 
 class UntrainableError(ValueError):
     """The inputs are well formed but leave nothing to train or score."""
+
+
+# What a byte that does not decode becomes under the surrogateescape
+# error handler; strict UTF-8 never decodes to these code points.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+@contextlib.contextmanager
+def decode_errors_named(path: str) -> Iterator[None]:
+    """Raise a UnicodeDecodeError from the block as a DataError naming
+    ``path`` and its first line that does not decode: ``<path>: line N: not
+    UTF-8``. The text decoder works in 8 KB chunks, so the error cannot tell
+    the line; a second pass over the file, each bad byte escaped, finds it.
+    Standard input, ``-``, is named ``<stdin>``; it and any other path that
+    is not a regular file, such as a FIFO, cannot be read twice and are
+    named without a line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        where = "<stdin>" if path == "-" else path
+        if path != "-" and os.path.isfile(path):
+            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+                found = (n for n, line in enumerate(handle, start=1) if _UNDECODED.search(line))
+                where += f": line {next(found, '?')}"  # "?" if the file changed in between
+        raise DataError(f"{where}: not UTF-8") from exc
+
+
+@contextlib.contextmanager
+def open_text(path: str) -> Iterator[TextIO]:
+    """``path`` opened to read UTF-8 text, its decode errors named as
+    ``decode_errors_named`` names them."""
+    with open(path, encoding="utf-8") as handle, decode_errors_named(path):
+        yield handle
 
 
 def sidecar_path(path: str) -> str:
@@ -63,7 +100,7 @@ def read_tsv(
     allowed = {columns} if isinstance(columns, int) else set(columns)
     expected = " or ".join(map(str, sorted(allowed)))
     rows: list[_Row] = []
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         lines = itertools.islice(handle, first_lineno - 1, None)
         for lineno, line in enumerate(lines, start=first_lineno):
             if line.isspace():
@@ -132,7 +169,7 @@ def read_float_rows(
     """
     # One handle for every pass, closed on every error path: the raised
     # error must not keep the file open through a suspended generator.
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         seen: dict[str, None] = {}  # the kept keys, in order
         dropped: list[int] = []  # positions of the rows dropped as repeats
         count = 0  # rows read
@@ -190,6 +227,8 @@ def read_float_rows(
                 if first is None
                 else np.loadtxt(itertools.chain([first], stream), **_LOADTXT)
             )
+        except UnicodeDecodeError:
+            raise  # not a row fault: open_text names its line
         except ValueError as exc:
             first_fault(exc)
         if matrix.shape != (count, dim):

@@ -2,7 +2,9 @@
 
 The score of a candidate pair is e(target)^T Omega e(source); the
 conditional distribution over target words is a softmax of these scores
-over the first ``normalizer_vocab_size`` rows of the target space.
+over every row of the target space. A model applies only to the target
+rows it was fit on: its ``normalizer_vocab_size`` must be the target's
+row count.
 Training maximizes seed-pair log-likelihood with a Frobenius penalty
 pulling Omega toward the orthogonal manifold, optimized by Adam; the
 learning rate halves after every epoch whose development loss went up,
@@ -22,6 +24,7 @@ from .embeddings import EmbeddingSpace
 from .textio import (
     DataError,
     UntrainableError,
+    open_text,
     read_float_rows,
     sidecar_path,
     write_float_rows,
@@ -56,7 +59,8 @@ class NoTrainablePairsError(UntrainableError):
 
 @dataclass
 class TranslationModel:
-    """The mapping matrix plus the size of its softmax support."""
+    """The mapping matrix plus the size of its softmax support: the number
+    of target rows it was fit on, the only target it scores."""
 
     omega: np.ndarray
     normalizer_vocab_size: int
@@ -149,6 +153,15 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted)))
 
 
+def require_support(model: TranslationModel, target_space: EmbeddingSpace) -> None:
+    """ValueError unless ``target_space`` has the rows the model was fit on."""
+    if model.normalizer_vocab_size != len(target_space):
+        raise ValueError(
+            f"the model's softmax support of {model.normalizer_vocab_size} words differs "
+            f"from the {len(target_space)} rows of the target space"
+        )
+
+
 def log_prob(
     model: TranslationModel,
     target_space: EmbeddingSpace,
@@ -156,15 +169,10 @@ def log_prob(
     source_vec: np.ndarray,
 ) -> float:
     """log p(target_word | source) under the softmax normalizer."""
-    index = target_space.index(target_word)
-    size = model.normalizer_vocab_size
-    if size > len(target_space):
-        raise ValueError("normalizer support exceeds the target space")
-    if index >= size:
-        raise ValueError(f"{target_word!r} lies outside the normalizer support")
+    require_support(model, target_space)
     source = np.asarray(source_vec, dtype=np.float64)
-    scores = target_space.vectors[:size] @ (model.omega @ source)
-    return float(log_softmax(scores)[index])
+    scores = target_space.vectors @ (model.omega @ source)
+    return float(log_softmax(scores)[target_space.index(target_word)])
 
 
 def orth_penalty(model: TranslationModel, alpha: float) -> float:
@@ -233,7 +241,7 @@ def _dev_loss(
     for lo, hi in zip(bounds, bounds[1:]):
         # Unnamed, a block's scores are freed before the next block's.
         log_probs[lo:hi] = _log_softmax_at(
-            projected[lo:hi] @ normalizer_rows.T, target_indices[lo:hi], len(normalizer_rows)
+            projected[lo:hi] @ normalizer_rows.T, target_indices[lo:hi]
         )
     loss = -float(log_probs.mean())
     if alpha > 0.0:
@@ -257,24 +265,15 @@ def loss_and_gradient(
     """
     if not batch:
         raise ValueError("empty batch")
-    size = model.normalizer_vocab_size
-    source_rows = []
-    target_indices = []
-    for source_word, target_word in batch:
-        source_rows.append(source_space.vectors[source_space.index(source_word)])
-        index = target_space.index(target_word)
-        if index >= size:
-            raise ValueError(f"{target_word!r} lies outside the normalizer support")
-        target_indices.append(index)
-    loss, grad = _loss_and_grad_indexed(
+    require_support(model, target_space)
+    return _loss_and_grad_indexed(
         model.omega,
-        np.vstack(source_rows),
-        np.asarray(target_indices),
-        target_space.vectors[:size],
+        source_space.vectors[[source_space.index(source) for source, _ in batch]],
+        np.asarray([target_space.index(target) for _, target in batch]),
+        target_space.vectors,
         config.alpha,
         config.batch_size,
     )
-    return loss, grad
 
 
 @dataclass
@@ -332,7 +331,8 @@ def train(
     is then the best snapshot before it.
 
     The pairs are those ``seed_rows`` keeps; the dropped ones are counted.
-    Runs with equal seeds and inputs are bit-identical.
+    Runs with equal seeds and inputs are bit-identical under one numpy/BLAS
+    build and BLAS thread count.
     """
     pairs = seed_rows(seed_dict, source_space, target_space)
 
@@ -429,16 +429,14 @@ def retrieve(
     One product P = S Omega^T maps the sources; each row block of
     R = P V^T then gives both the cosine winner (``_cosine_winners``: ties
     to the lower rank, zero rows never win, a query mapped to zero or over
-    a space of zero rows is -1) and the log-softmax at the winner over the
-    first ``normalizer_vocab_size`` columns, which is None when the winner
-    lies outside that support: a query without a neighbour is (-1, None).
+    a space of zero rows is -1) and the log-softmax at the winner over every
+    column: a query without a neighbour is (-1, None). A target space other
+    than the rows the model was fit on is a ValueError.
     """
     sources = np.asarray(source_vecs, dtype=np.float64)
     if sources.ndim != 2 or sources.shape[1] != model.source_dim:
         raise ValueError(f"sources have shape {sources.shape}, expected (n, {model.source_dim})")
-    size = model.normalizer_vocab_size
-    if size > len(target_space):
-        raise ValueError("normalizer support exceeds the target space")
+    require_support(model, target_space)
     projected = sources @ model.omega.T
     query_norms = np.linalg.norm(projected, axis=1)
     step = score_block_rows(target_space)
@@ -447,9 +445,9 @@ def retrieve(
     for lo in range(0, len(sources), step):
         block = slice(lo, lo + step)
         winners[block], log_probs[block] = _retrieve_block(
-            projected[block], query_norms[block], target_space, size
+            projected[block], query_norms[block], target_space
         )
-    return winners, [float(lp) if 0 <= i < size else None for i, lp in zip(winners, log_probs)]
+    return winners, [float(lp) if i >= 0 else None for i, lp in zip(winners, log_probs)]
 
 
 def _cosine_winners(
@@ -474,26 +472,23 @@ def _cosine_winners(
 
 
 def _retrieve_block(
-    projected: np.ndarray, query_norms: np.ndarray, target_space: EmbeddingSpace, size: int
+    projected: np.ndarray, query_norms: np.ndarray, target_space: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Winners, and their log-softmax over the first ``size`` columns, for
-    one block of mapped queries. The softmax runs in place on the block's
-    scores once the winners' scores are read, so the block costs two
-    score-sized arrays at most."""
+    """Winners, and their log-softmax, for one block of mapped queries. The
+    softmax runs in place on the block's scores once the winners' scores
+    are read, so the block costs two score-sized arrays at most."""
     scores = projected @ target_space.vectors.T
     best = _cosine_winners(target_space, scores, query_norms)
-    return best, _log_softmax_at(scores, best, size)
+    return best, _log_softmax_at(scores, best)
 
 
-def _log_softmax_at(scores: np.ndarray, columns: np.ndarray, size: int) -> np.ndarray:
-    """Each row's log-softmax over its first ``size`` columns, at its entry
-    of ``columns`` (a column may lie past ``size``). The softmax runs in
-    place, so ``scores`` is overwritten and no score-sized array is made."""
+def _log_softmax_at(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each row's log-softmax at its entry of ``columns``. The softmax runs
+    in place, so ``scores`` is overwritten and no score-sized array is made."""
     picked = scores[np.arange(len(columns)), columns]
-    support = scores[:, :size]
-    shift = support.max(axis=1)
-    support -= shift[:, None]
-    log_z = np.log(np.exp(support, out=support).sum(axis=1))
+    shift = scores.max(axis=1)
+    scores -= shift[:, None]
+    log_z = np.log(np.exp(scores, out=scores).sum(axis=1))
     return picked - shift - log_z
 
 
@@ -509,7 +504,7 @@ def save_model(model: TranslationModel, path: str, metadata: dict | None = None)
 
 
 def load_model(path: str) -> TranslationModel:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline().split()
         if len(header) != 5 or header[0] != MODEL_MAGIC or header[1] != MODEL_VERSION:
             raise ModelFormatError(f"{path}: bad model header")

@@ -8,8 +8,10 @@ import logging
 import os
 import pathlib
 import re
+import select
 import subprocess
 import sys
+import threading
 from collections import OrderedDict
 from dataclasses import replace
 from unittest import mock
@@ -734,6 +736,66 @@ class TestEmptyVecFile:
         assert f"error: {empty}: no vectors to preprocess" in result.stderr
 
 
+@pytest.fixture(scope="module")
+def seed_zero_world(tmp_path_factory):
+    """The default seed-0 world on disk, with a model trained through the
+    CLI on the first 600 of its 960 target rows."""
+    root = tmp_path_factory.mktemp("seed0")
+    task = build_bilingual_task(seed=0, apply_preprocessing=False)
+    paths = {name: str(root / name) for name in ("src.vec", "tgt.vec", "seed.tsv", "eval.tsv",
+                                                 "forms.txt", "model.omega")}
+    save_vec_file(task.source_space, paths["src.vec"])
+    save_vec_file(task.target_space, paths["tgt.vec"])
+    pathlib.Path(paths["seed.tsv"]).write_text("".join(f"{s}\t{t}\n" for s, t in task.seed_pairs))
+    entries = task.eval_dictionary.entries
+    pathlib.Path(paths["eval.tsv"]).write_text("".join(
+        f"{entry.source}\t{gold}\n" for entry in entries for gold in sorted(entry.golds)
+    ))
+    pathlib.Path(paths["forms.txt"]).write_text("".join(f"{e.source}\n" for e in entries))
+    assert len(task.target_space) == 960
+    code = main([
+        "train-translator", "--src", paths["src.vec"], "--tgt", paths["tgt.vec"],
+        "--seed-dict", paths["seed.tsv"], "--out", paths["model.omega"], "--max-words", "600",
+    ])
+    assert code == EXIT_OK
+    return paths
+
+
+class TestModelFitOnFewerTargetRows:
+    """A model scores only the target rows it was fit on: applied to more
+    rows, a winner past its support would print a made-up joint score of
+    0.000000, so the command is a data error naming both counts, and
+    writes nothing."""
+
+    @pytest.mark.parametrize("command", ["translate", "evaluate"])
+    def test_data_error_naming_both_counts(self, seed_zero_world, tmp_path, capsys, command):
+        paths = seed_zero_world
+        out = str(tmp_path / "out")
+        argv = ["--model", paths["model.omega"], "--src", paths["src.vec"],
+                "--tgt", paths["tgt.vec"], "--mode", "direct", "--max-words", "960"]
+        argv += {
+            "translate": ["--input", paths["forms.txt"], "--output", out],
+            "evaluate": ["--dict", paths["eval.tsv"], "--out-prefix", out],
+        }[command]
+        assert main([command, *argv]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: the model's softmax support of 600 words differs from the 960 rows of "
+            "the target space; pass the --max-words it was trained with"
+        )
+        assert not list(tmp_path.iterdir())
+
+    def test_the_training_max_words_translates(self, seed_zero_world, tmp_path):
+        paths = seed_zero_world
+        out = tmp_path / "preds.tsv"
+        assert main([
+            "translate", "--model", paths["model.omega"], "--src", paths["src.vec"],
+            "--tgt", paths["tgt.vec"], "--mode", "direct", "--max-words", "600",
+            "--input", paths["forms.txt"], "--output", str(out),
+        ]) == EXIT_OK
+        scores = [line.split("\t")[3] for line in out.read_text().splitlines()]
+        assert len(scores) == 210 and "0.000000" not in scores
+
+
 class TestModelDoesNotFitTheSpaces:
     """An omega whose shape differs from the spaces' dimensions is a data
     error naming both shapes, not a traceback from inside retrieval."""
@@ -742,7 +804,7 @@ class TestModelDoesNotFitTheSpaces:
     @pytest.mark.parametrize("shape", [(6, 10), (10, 6)])
     def test_data_error_without_traceback(self, corpus, tmp_path, command, shape):
         model = tmp_path / "model.omega"
-        save_model(TranslationModel(np.eye(*shape), 5), str(model))
+        save_model(TranslationModel(np.eye(*shape), len(corpus["task"].target_space)), str(model))
         pipeline = ["--model", str(model), "--src", corpus["src"], "--tgt", corpus["tgt"],
                     "--mode", "direct"]
         argv = {
@@ -804,8 +866,9 @@ class TestZeroQuery:
     def zero_model(corpus, tmp_path):
         """A model file whose omega is finite and all zeros."""
         model = tmp_path / "zero.omega"
-        dim = corpus["task"].source_space.dim
-        save_model(TranslationModel(np.zeros((dim, dim)), 5), str(model))
+        task = corpus["task"]
+        dim = task.source_space.dim
+        save_model(TranslationModel(np.zeros((dim, dim)), len(task.target_space)), str(model))
         return str(model)
 
     def test_zero_omega_maps_every_source_to_zero(self, corpus, trained, tmp_path):
@@ -1029,13 +1092,39 @@ class TestOutputDirectoryChecked:
             f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}"
         )
 
-    def test_translate_closes_its_input_when_its_output_fails_to_open(
-        self, corpus, trained, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "command", ["train-translator", "train-morph", "translate", "evaluate", "extract-seed"]
+    )
+    def test_dangling_link_into_a_missing_directory_fails_before_loading(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, command
     ):
-        # A dangling link into a missing directory passes the check (the
-        # path does not exist yet, its directory does) but cannot be opened.
-        # An input left open fails the test through the ResourceWarning
-        # filter in pyproject.toml or the descriptor guard in conftest.py.
+        # The link's own directory exists; the one it points into does not.
+        out = str(tmp_path / "out")
+        link = first_output(command, out)
+        os.symlink(tmp_path / "missing" / "x", link)
+        assert main([command, *command_argv(command, corpus, trained, out)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: {link!r}"
+        )
+
+    def test_dangling_link_is_named_before_a_missing_model(self, corpus, trained, tmp_path):
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "missing" / "preds.tsv")
+        argv = command_argv("translate", corpus, {**trained, "model": str(tmp_path / "no")},
+                            str(out))
+        result = run_cli_process("translate", *argv)
+        assert result.returncode == EXIT_DATA
+        assert result.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_translate_closes_its_input_when_its_output_fails_to_open(
+        self, corpus, trained, tmp_path, capsys, monkeypatch
+    ):
+        # An output that passes the check but cannot be opened: the check
+        # is switched off, so a dangling link into a missing directory gets
+        # as far as open. An input left open fails the test through the
+        # ResourceWarning filter in pyproject.toml or the descriptor guard
+        # in conftest.py.
+        monkeypatch.setattr(cli, "_require_output_path", lambda path: None)
         out = tmp_path / "link"
         out.symlink_to(tmp_path / "missing" / "preds.tsv")
         argv = command_argv("translate", corpus, trained, str(out))
@@ -1084,6 +1173,29 @@ class TestManifests:
         for name in manifests:
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
             assert manifest["command"] == command
+
+
+    def test_records_the_blas_build_and_thread_variables(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        # Model bytes depend on the BLAS build and thread count, so the
+        # manifest records both; the package pins no thread count itself.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        out = tmp_path / "m.omega"
+        assert main([
+            "train-translator", "--src", corpus["src"], "--tgt", corpus["tgt"],
+            "--seed-dict", corpus["seed"], "--out", str(out), "--max-epochs", "1",
+        ]) == EXIT_OK
+        manifest = json.loads((tmp_path / "m.omega.manifest.json").read_text())
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "3",
+        }
+        blas = manifest["versions"]["blas"]
+        assert blas is None or set(blas) == {"name", "version"}
+        if "Build Dependencies" in np.show_config(mode="dicts"):
+            assert blas["name"] and blas["version"]
 
 
 class TestInputUnderAFile:
@@ -1173,3 +1285,146 @@ class TestForkedLoad:
         assert [line.split(": ")[0] for line in lines] == [corpus["src"], corpus["tgt"]]
         assert lines[0].endswith(", in-process")
         assert lines[1].endswith(", in a forked child")
+
+
+def write_undecodable(path, header, body):
+    """``header`` lines, then ``body`` lines repeated past 12 KB, with byte
+    0xff opening the first body line that starts past the text decoder's
+    first 8 KB chunk. Returns that line's number."""
+    lines = [line.encode() for line in header]
+    while sum(map(len, lines)) <= 12 * 1024:
+        lines += [line.encode() for line in body]
+    offsets = itertools.accumulate(map(len, lines), initial=0)
+    bad = next(i for i, offset in enumerate(offsets) if i >= len(header) and offset > 8192)
+    lines[bad] = b"\xff" + lines[bad]
+    path.write_bytes(b"".join(lines))
+    return bad + 1
+
+
+def file_lines(path):
+    return pathlib.Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a data error naming the file and its
+    first line that does not decode, whichever reader meets it."""
+
+    @pytest.mark.parametrize(
+        "case", ["seed", "eval", "unimorph", "vec", "ngrams", "model", "rules", "input"]
+    )
+    def test_names_the_file_and_line(self, corpus, trained, tmp_path, capsys, case):
+        bad = tmp_path / f"bad.{case}"
+        spaces = ["--src", corpus["src"], "--tgt", corpus["tgt"]]
+        pipeline = ["--model", trained["model"], *spaces, "--mode", "direct"]
+        translate = ["translate", *pipeline, "--input", corpus["forms"],
+                     "--output", str(tmp_path / "out")]
+        if case == "seed":
+            lineno = write_undecodable(bad, [], file_lines(corpus["seed"]))
+            argv = ["train-translator", *spaces, "--seed-dict", str(bad),
+                    "--out", str(tmp_path / "out")]
+        elif case == "eval":
+            lineno = write_undecodable(bad, [], file_lines(corpus["eval"]))
+            argv = ["evaluate", *pipeline, "--dict", str(bad), "--out-prefix", str(tmp_path / "r")]
+        elif case == "unimorph":
+            lineno = write_undecodable(bad, [], file_lines(corpus["unimorph_src"]))
+            argv = ["train-morph", "--data", str(bad), "--analyzer-out", str(tmp_path / "out")]
+        elif case == "vec":
+            header, *rows = file_lines(corpus["src"])
+            lineno = write_undecodable(bad, [header], rows)
+            argv = ["extract-seed", "--src", str(bad), "--tgt", corpus["tgt"],
+                    "--out", str(tmp_path / "out")]
+        elif case == "ngrams":
+            words = corpus["task"].source_space.words
+            grams = sorted({g for word in words for g in ngrams(word)})
+            rows = [f"{g} " + " ".join(["0.5"] * 10) + "\n" for g in grams]
+            lineno = write_undecodable(bad, [], rows)
+            argv = [*translate, "--ngrams", str(bad)]
+        elif case == "model":
+            rows = [" ".join([repr(0.1 + i)] * 10) + "\n" for i in range(100)]
+            lineno = write_undecodable(bad, ["MORPHLEX-OMEGA v1 100 10 240\n"], rows)
+            argv = translate
+            argv[argv.index(trained["model"])] = str(bad)
+        elif case == "rules":
+            header, *rows = file_lines(trained["analyzer"])
+            lineno = write_undecodable(bad, [header], rows)
+            argv = [*translate, "--analyzer", str(bad), "--inflector", trained["inflector"],
+                    "--mode", "base"]
+        else:
+            lineno = write_undecodable(bad, [], file_lines(corpus["forms"]))
+            argv = translate
+            argv[argv.index(corpus["forms"])] = str(bad)
+        assert lineno > 1
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"error: {bad}: line {lineno}: not UTF-8"
+
+    def test_fifo_is_named_without_a_line(self, corpus, trained, tmp_path, capsys):
+        # A FIFO cannot be read a second time to find the line.
+        data = tmp_path / "bad.txt"
+        write_undecodable(data, [], file_lines(corpus["forms"]))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data.read_bytes()), daemon=True)
+        writer.start()
+        argv = command_argv("translate", corpus, trained, str(tmp_path / "out"))
+        argv[argv.index(corpus["forms"])] = str(fifo)
+        try:
+            assert main(["translate", *argv]) == EXIT_DATA
+        finally:
+            writer.join(timeout=60)
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {fifo}: not UTF-8"
+
+    def test_standard_input_is_named_stdin(self, corpus, trained):
+        forms = pathlib.Path(corpus["forms"]).read_bytes()
+        argv = command_argv("translate", corpus, trained, "-")
+        argv[argv.index(corpus["forms"])] = "-"
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "LC_ALL": "C"}
+        result = subprocess.run(
+            [sys.executable, "-m", "morphlex.cli", "translate", *argv],
+            input=forms * 400 + b"ab\xffc\n", capture_output=True, env=env, timeout=120,
+        )
+        assert result.returncode == EXIT_DATA
+        assert result.stderr.decode() == "error: <stdin>: not UTF-8\n"
+
+
+def translate_process(corpus, trained, tmp_path, output):
+    """A child ``translate`` of 30,000 input lines, far more output than a
+    pipe buffers, writing to ``output``, its stdout and stderr piped."""
+    forms = pathlib.Path(corpus["forms"]).read_text().split()
+    lines = tmp_path / "many-forms.txt"
+    lines.write_text("".join(f"{form}\n" for form in forms) * 10_000)
+    argv = command_argv("translate", corpus, trained, output)
+    argv[argv.index(corpus["forms"])] = str(lines)
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    return subprocess.Popen(
+        [sys.executable, "-m", "morphlex.cli", "translate", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+class TestClosedPipe:
+    def test_closed_stdout_ends_quietly(self, corpus, trained, tmp_path):
+        # As `morphlex translate ... | head -1` closes the pipe.
+        with translate_process(corpus, trained, tmp_path, "-") as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=120) == EXIT_OK
+        assert first.split("\t")[0] == pathlib.Path(corpus["forms"]).read_text().split()[0]
+        assert err == ""
+
+    def test_closed_output_fifo_is_a_data_error(self, corpus, trained, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with translate_process(corpus, trained, tmp_path, str(fifo)) as child:
+            # Opening without blocking lets a child that fails early be seen.
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            try:
+                assert select.select([reader], [], [], 120)[0]
+                assert os.read(reader, 1)
+            finally:
+                os.close(reader)
+            out, err = child.communicate(timeout=120)
+        assert child.returncode == EXIT_DATA
+        assert out == "" and err == "error: [Errno 32] Broken pipe\n"

@@ -159,6 +159,30 @@ class TestTranslateBase:
         with pytest.raises(SupportMismatchError, match="n-gram table has dimension 3"):
             replace(tiny_setup(), ngram_table=table)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 6),
+        support=st.integers(1, 8),
+        mode=st.sampled_from([MODE_BASE, MODE_HYBRID, MODE_ORACLE, MODE_DIRECT]),
+    )
+    def test_support_other_than_the_target_rows_rejected(self, n_rows, support, mode):
+        # A model applies only to the target rows it was fit on: under a
+        # smaller support a winner past it would have no score, and under a
+        # larger one the normalizer would miss rows.
+        rng = np.random.default_rng(n_rows)
+        target = EmbeddingSpace(tuple(f"t{i}" for i in range(n_rows)), rng.normal(size=(n_rows, 2)))
+        build = functools.partial(
+            replace, tiny_setup(), mode=mode, model=TranslationModel(np.eye(2), support),
+            target_space=target,
+        )
+        if support == n_rows:
+            assert build().target_space is target
+        else:
+            with pytest.raises(SupportMismatchError) as info:
+                build()
+            assert f"support of {support} words differs from the {n_rows} rows" in str(info.value)
+            assert "--max-words" in str(info.value)
+
     def test_composed_vectors_follow_space_preprocessing(self):
         # A preprocessed space normalizes composed vectors and shifts them
         # by the stored training mean before mapping.

@@ -111,12 +111,15 @@ class TestLogProb:
         )
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_word_outside_support(self):
+    @pytest.mark.parametrize("support", [3, 6])
+    def test_target_other_than_the_fitted_rows(self, support):
+        # A model fit on 3 (or 6) target rows scores no 5-row target, not
+        # even a word among its first 3 rows.
         rng = np.random.default_rng(4)
         space = toy_space(rng, 5, 3)
-        model = TranslationModel(rng.normal(size=(3, 3)), 3)
-        with pytest.raises(ValueError, match="support"):
-            log_prob(model, space, "w4", rng.normal(size=3))
+        model = TranslationModel(rng.normal(size=(3, 3)), support)
+        with pytest.raises(ValueError, match=f"support of {support} words differs from the 5 rows"):
+            log_prob(model, space, "w0", rng.normal(size=3))
 
     def test_unknown_word(self):
         rng = np.random.default_rng(5)
@@ -203,6 +206,13 @@ class TestLossAndGradient:
         )
         assert with_alpha[0] == pytest.approx(without[0])
         np.testing.assert_allclose(with_alpha[1], without[1])
+
+    def test_target_other_than_the_fitted_rows(self):
+        rng = np.random.default_rng(10)
+        space = toy_space(rng, 3, 2)
+        model = TranslationModel(np.eye(2), 2)
+        with pytest.raises(ValueError, match="support of 2 words differs from the 3 rows"):
+            loss_and_gradient(model, [("w0", "w0")], space, space, TrainConfig())
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(9)
@@ -444,11 +454,10 @@ class TestPredict:
             top_words(model, space, space, ["nope"])
 
 
-def reference_retrieval(omega, sources, targets, support):
+def reference_retrieval(omega, sources, targets):
     """Per-query cosine argmax (first maximum, zero rows at -inf) and the
-    log-softmax at the winner over the first ``support`` rows, by loops;
-    (-1, None) for a query that ``omega`` maps to zero or whose every
-    target row is zero."""
+    log-softmax at the winner over every row, by loops; (-1, None) for a
+    query that ``omega`` maps to zero or whose every target row is zero."""
     out = []
     for source in sources:
         mapped = omega @ source
@@ -468,9 +477,9 @@ def reference_retrieval(omega, sources, targets, support):
         if cosines[best] == -math.inf:
             out.append((-1, None))
             continue
-        top = max(raw[:support])
-        log_z = top + math.log(math.fsum(math.exp(r - top) for r in raw[:support]))
-        out.append((best, raw[best] - log_z if best < support else None))
+        top = max(raw)
+        log_z = top + math.log(math.fsum(math.exp(r - top) for r in raw))
+        out.append((best, raw[best] - log_z))
     return out
 
 
@@ -493,9 +502,8 @@ def retrieval_cases(draw):
     targets[zeroed] = 0.0
     omega = draw(integer_matrices(n_t, n_s))
     sources = draw(integer_matrices(n_queries, n_s))
-    support = draw(st.integers(1, len(targets)))
     block_rows = draw(st.integers(1, 4))
-    return omega, sources, targets, support, block_rows
+    return omega, sources, targets, block_rows
 
 
 class TestRetrieve:
@@ -510,13 +518,13 @@ class TestRetrieve:
     @settings(max_examples=300, deadline=None)
     @given(retrieval_cases())
     def test_matches_per_query_reference(self, case):
-        omega, sources, targets, support, block_rows = case
+        omega, sources, targets, block_rows = case
         space = EmbeddingSpace(tuple(f"t{i}" for i in range(len(targets))), targets)
-        model = TranslationModel(omega, support)
+        model = TranslationModel(omega, len(targets))
         budget = block_rows * 8 * len(targets)
         with mock.patch.object(translator, "SCORE_BLOCK_BYTES", budget):
             winners, log_probs = retrieve(model, sources, space)
-        expected = reference_retrieval(omega, sources, targets, support)
+        expected = reference_retrieval(omega, sources, targets)
         assert list(winners) == [best for best, _ in expected]
         for got, (_, want) in zip(log_probs, expected):
             if want is None:
@@ -536,19 +544,24 @@ class TestRetrieve:
         # as the per-query reference.
         rng = np.random.default_rng(24)
         space = toy_space(rng, 6, 3, prefix="t")
-        model = TranslationModel(rng.normal(size=(3, 3)), 5)
+        model = TranslationModel(rng.normal(size=(3, 3)), 6)
         sources = rng.normal(size=(7, 3))
         with mock.patch.object(translator, "SCORE_BLOCK_BYTES", 2 * 8 * 6):
             assert translator.score_block_rows(space) == 2
             winners, log_probs = retrieve(model, sources, space)
-        expected = reference_retrieval(model.omega, sources, space.vectors, 5)
+        expected = reference_retrieval(model.omega, sources, space.vectors)
         for source, winner, lp, (best, _) in zip(sources, winners, log_probs, expected):
             word = space.words[winner]
             assert winner == best
-            if winner < 5:
-                assert lp == pytest.approx(log_prob(model, space, word, source), abs=1e-12)
-            else:
-                assert lp is None
+            assert lp == pytest.approx(log_prob(model, space, word, source), abs=1e-12)
+
+    @pytest.mark.parametrize("support", [5, 7])
+    def test_target_other_than_the_fitted_rows(self, support):
+        rng = np.random.default_rng(25)
+        space = toy_space(rng, 6, 3, prefix="t")
+        model = TranslationModel(np.eye(3), support)
+        with pytest.raises(ValueError, match=f"support of {support} words differs from the 6 rows"):
+            retrieve(model, rng.normal(size=(2, 3)), space)
 
 
 class TestModelFiles:
