@@ -9,14 +9,16 @@ does, is no failure: the command stops quietly with exit 0. A broken pipe
 on any other handle, such as a FIFO given as an output, is exit 2.
 
 Each subparser declares ``outputs``: a function of the parsed arguments
-that raises the command's usage error or returns the paths that get a
-run manifest (inputs, flags, seed, versions). ``main`` does every
+that raises the command's usage error or returns the paths it writes. A
+command writes those files, a run manifest (inputs, flags, seed,
+versions, results) beside each, and nothing else. ``main`` does every
 command's bookkeeping once: it echoes to stderr, for provenance, each
 ``train-translator`` hyperparameter (one flag per ``TrainConfig`` field)
 and ``--max-words`` that overrides its stock default, runs the usage
-check, checks each output path before any input is read, runs the
-command, maps its errors to exit codes and, on success, writes the
-manifests.
+check, refuses two of those paths that name one file, checks each of
+them before any input is read, runs the command, maps its errors to exit
+codes and, on success, writes the manifests with the command's return
+value as their ``results``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .evaluation import (
     precision_at_1,
     read_eval_dictionary,
     read_seed_dictionary,
+    report_paths,
     write_report,
 )
 from .morph import (
@@ -75,6 +78,7 @@ from .textio import (
     DataError,
     UntrainableError,
     decode_errors_named,
+    open_output,
     open_text,
     read_tsv,
     write_json,
@@ -174,7 +178,7 @@ def _blas_build() -> dict | None:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
+def _write_manifest(path: str, args: argparse.Namespace, results: dict | None) -> None:
     arguments = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -184,6 +188,7 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
         "command": args.command,
         "arguments": arguments,
         "seed": getattr(args, "seed", None),
+        "results": results,
         "versions": {
             "morphlex": __version__,
             "numpy": np.__version__,
@@ -192,7 +197,16 @@ def _write_manifest(output_path: str, args: argparse.Namespace) -> None:
         },
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
-    write_json(f"{output_path}.manifest.json", manifest)
+    write_json(path, manifest)
+
+
+def _same_file(first: str, second: str) -> bool:
+    """The two paths name one file: the same file when both exist, else the
+    same resolved path."""
+    try:
+        return os.path.samefile(first, second)
+    except OSError:
+        return os.path.realpath(first) == os.path.realpath(second)
 
 
 def _require_output_path(path: str) -> None:
@@ -230,22 +244,18 @@ def _load_spaces(args: argparse.Namespace, preprocessed: bool):
     )
 
 
-def cmd_train_translator(args: argparse.Namespace) -> None:
+def cmd_train_translator(args: argparse.Namespace) -> dict:
     source_space, target_space = _load_spaces(args, preprocessed=True)
     seed_pairs = read_seed_dictionary(args.seed_dict)
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     result = train(seed_pairs, source_space, target_space, config)
-    metadata = {
-        "source_path": args.src,
-        "target_path": args.tgt,
-        "dropped_pairs": result.dropped_pairs,
-    }
-    save_model(result.model, args.out, metadata=metadata)
+    save_model(result.model, args.out)
     print(
         f"epochs run: {result.epochs_run}; final dev loss: {result.dev_losses[-1]:.6f}; "
         f"best dev loss: {result.best_dev_loss:.6f} (epoch {result.best_epoch}); "
         f"dropped pairs: {result.dropped_pairs}"
     )
+    return {"dropped_pairs": result.dropped_pairs}
 
 
 def _train_morph_outputs(args: argparse.Namespace) -> list[str]:
@@ -339,7 +349,7 @@ def cmd_translate(args: argparse.Namespace) -> None:
         else:
             in_handle = files.enter_context(open_text(args.input))
         out_handle = (sys.stdout if args.output == "-"
-                      else files.enter_context(open(args.output, "w", encoding="utf-8")))
+                      else files.enter_context(open_output(args.output)))
         lines = (raw.rstrip("\n") for raw in in_handle if raw.strip())
         for block in iter(lambda: list(itertools.islice(lines, INPUT_BLOCK_LINES)), []):
             keys = [(line.partition("\t")[0], _oracle_gold(line) if oracle else None)
@@ -365,12 +375,20 @@ def cmd_translate(args: argparse.Namespace) -> None:
     logger.info("translate: %s", stats)
 
 
+def _translate_outputs(args: argparse.Namespace) -> list[str]:
+    """translate's output file, which is not its input, if it has one."""
+    if args.output == "-":
+        return []
+    if args.input != "-" and _same_file(args.input, args.output):
+        raise _UsageError(f"--output {args.output!r} is the --input file")
+    return [args.output]
+
+
 def _evaluate_outputs(args: argparse.Namespace) -> list[str]:
-    """evaluate's first output, the summary, once oracle mode has its
-    analyses."""
+    """evaluate's four reports, once oracle mode has its analyses."""
     if args.mode == MODE_ORACLE and not args.oracle_analyses:
         raise _UsageError("mode 'oracle' needs --oracle-analyses")
-    return [f"{args.out_prefix}.summary.tsv"]
+    return list(report_paths(args.out_prefix).values())
 
 
 def cmd_evaluate(args: argparse.Namespace) -> None:
@@ -456,7 +474,7 @@ def build_parser() -> _Parser:
         p.set_defaults(outputs=checked_outputs)
 
     p = commands.add_parser("translate", help="translate forms, one per line")
-    add_pipeline_flags(p, lambda args: [] if args.output == "-" else [args.output])
+    add_pipeline_flags(p, _translate_outputs)
     p.add_argument("--input", default="-", help="input file, '-' for stdin")
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
     p.set_defaults(func=cmd_translate)
@@ -490,15 +508,19 @@ def main(argv: list[str] | None = None) -> int:
     _echo_overrides(args)
     try:
         outputs = args.outputs(args)
+        manifests = [f"{path}.manifest.json" for path in outputs]
+        for first, second in itertools.combinations(outputs + manifests, 2):
+            if _same_file(first, second):
+                raise _UsageError(f"two outputs name one file: {first!r} and {second!r}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        for path in outputs:
+        for path in outputs + manifests:
             _require_output_path(path)
-        args.func(args)
-        for path in outputs:
-            _write_manifest(path, args)
+        results = args.func(args)
+        for path in manifests:
+            _write_manifest(path, args, results)
         sys.stdout.flush()
     except (*_DATA_ERRORS, UntrainableError) as exc:
         if isinstance(exc, BrokenPipeError) and _stdout_closed():

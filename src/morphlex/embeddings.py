@@ -19,7 +19,7 @@ from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .textio import DataError, open_text, read_float_rows, sidecar_path, write_float_rows
+from .textio import DataError, open_text, read_float_rows, write_float_rows
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def load_space(
     the composed rows it lists would otherwise load as ranked vocabulary
     rows and move the center.
     """
-    meta_file = sidecar_path(path)
+    meta_file = f"{path}.meta.json"
     if os.path.exists(meta_file):
         raise VecFormatError(
             f"{meta_file}: spaces with stored composed rows are no longer read; "

@@ -230,9 +230,17 @@ def _tsv_field(value: object) -> object:
     return f"{value:.6f}" if isinstance(value, float) else value
 
 
+def report_paths(prefix: str) -> dict[str, str]:
+    """The file of each report ``write_report`` writes, by name: one TSV
+    per table, then ``<prefix>.report.json``."""
+    return {**{name: f"{prefix}.{name}.tsv" for name in _TABLE_COLUMNS},
+            "report": f"{prefix}.report.json"}
+
+
 def write_report(report: EvalReport, prefix: str) -> None:
-    """Write ``<prefix>.summary.tsv``, ``.bins.tsv``, ``.tags.tsv`` and
-    ``.report.json``, all from one set of rows."""
+    """Write the files of ``report_paths(prefix)``, all from one set of
+    rows."""
+    paths = report_paths(prefix)
     tables = {"summary": [report.voc, report.all], "bins": report.bins, "tags": report.tags}
     rows = {
         name: [
@@ -245,7 +253,7 @@ def write_report(report: EvalReport, prefix: str) -> None:
         lines = [[_tsv_field(value) for value in row.values()] for row in rows[name]]
         if name == "summary":
             lines.append(("untranslatable", "-", report.untranslatable, "-"))
-        write_tsv(f"{prefix}.{name}.tsv", columns, lines)
+        write_tsv(paths[name], columns, lines)
     document = {row.pop("population"): row for row in rows.pop("summary")}
     document.update(rows, untranslatable=report.untranslatable)
-    write_json(f"{prefix}.report.json", document)
+    write_json(paths["report"], document)

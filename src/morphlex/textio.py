@@ -1,19 +1,21 @@
 """The text rules every on-disk format shares: tab-separated rows, rows of
-floats, JSON documents and the path of a model file's ``.meta.json``
-sidecar, and the two error bases the CLI maps to exit codes.
+floats and JSON documents, and the two error bases the CLI maps to exit
+codes.
 
 Each format's own details (headers, magic strings, what a column means)
 stay in the module that owns the format; this module only reads and
-writes the lines. Every file is UTF-8, and every reader opens its file
-with ``open_text``, so a byte sequence that does not decode is a
-``DataError`` naming the file and line. Each format's error subclasses
-``DataError`` (exit 2) and each condition that leaves nothing to train
-or score subclasses ``UntrainableError`` (exit 3).
+writes the lines. Every file is UTF-8. Every reader opens its file with
+``open_text``, so a byte sequence that does not decode is a
+``DataError`` naming the file and line; every writer opens its file with
+``open_output``, so an error a write raises names the file. Each
+format's error subclasses ``DataError`` (exit 2) and each condition that
+leaves nothing to train or score subclasses ``UntrainableError`` (exit 3).
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import logging
@@ -69,16 +71,30 @@ def open_text(path: str) -> Iterator[TextIO]:
         yield handle
 
 
-def sidecar_path(path: str) -> str:
-    """The JSON sidecar written next to a model file. ``load_space``
-    refuses a .vec file that has one."""
-    return f"{path}.meta.json"
+class _NamedFileOutput(io.FileIO):
+    """A file opened to write whose write errors name it: the OSError a
+    write raises, such as a broken pipe on a FIFO, names no file itself."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            if exc.filename is not None:
+                raise
+            raise type(exc)(exc.errno, exc.strerror, self.name) from exc
+
+
+def open_output(path: str) -> TextIO:
+    """``path`` opened to write UTF-8 text, the writing twin of
+    ``open_text``: an OSError that opening, writing or closing it raises
+    names ``path``."""
+    return io.TextIOWrapper(io.BufferedWriter(_NamedFileOutput(path, "w")), encoding="utf-8")
 
 
 def write_json(path: str, obj: object) -> None:
     """Keys sorted, two-space indent and a final newline, so equal objects
     give equal bytes."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         json.dump(obj, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
@@ -118,7 +134,7 @@ def read_tsv(
 def write_tsv(path: str, header: Sequence[str] | None, rows: Iterable[Sequence[object]]) -> None:
     """One line per row, fields joined by tabs, after the ``header``
     fields when there are any."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         if header is not None:
             handle.write("\t".join(header) + "\n")
         handle.writelines("\t".join(map(str, row)) + "\n" for row in rows)
@@ -130,7 +146,7 @@ def write_float_rows(
     """The ``header`` line, then one line of space-separated values per
     row, after the row's key when ``keys`` are given. Floats are written
     with repr, so ``read_float_rows`` gets every bit back."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         handle.write(header + "\n")
         for i, row in enumerate(matrix):
             text = " ".join(map(repr, row.tolist())) + "\n"

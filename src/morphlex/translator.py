@@ -26,9 +26,7 @@ from .textio import (
     UntrainableError,
     open_text,
     read_float_rows,
-    sidecar_path,
     write_float_rows,
-    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -188,34 +186,31 @@ def _orth_gap(omega: np.ndarray) -> tuple[np.ndarray, float]:
     return gram_minus_i, float(np.linalg.norm(gram_minus_i, "fro"))
 
 
-def _loss_and_grad_indexed(
+def _gradient_indexed(
     omega: np.ndarray,
     source_vecs: np.ndarray,
     target_indices: np.ndarray,
     normalizer_rows: np.ndarray,
     alpha: float,
     alpha_batch_size: int,
-) -> tuple[float, np.ndarray]:
-    """One batch's loss and gradient. The softmax runs in place on the
-    batch's scores, so the batch costs two score-sized arrays at most."""
+) -> np.ndarray:
+    """The gradient of one batch's ``_dev_loss`` with respect to omega. The
+    softmax runs in place on the batch's scores, so the batch costs two
+    score-sized arrays at most."""
     batch = source_vecs.shape[0]
     projected = source_vecs @ omega.T                    # (B, N_t)
     scores = projected @ normalizer_rows.T               # (B, support)
     scores -= scores.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(scores).sum(axis=1))
-    log_probs = scores[np.arange(batch), target_indices] - log_z
-    loss = -float(log_probs.mean())
-    scores -= log_z[:, None]
+    scores -= np.log(np.exp(scores).sum(axis=1))[:, None]
     probs = np.exp(scores, out=scores)
     expected = probs @ normalizer_rows                   # (B, N_t)
     residual = expected - normalizer_rows[target_indices]
     grad = residual.T @ source_vecs / batch
     if alpha > 0.0:
         gram_minus_i, norm = _orth_gap(omega)
-        loss += alpha / alpha_batch_size * norm
         if norm >= _PENALTY_NORM_FLOOR:
             grad = grad + (alpha / alpha_batch_size) * 2.0 * (omega @ gram_minus_i) / norm
-    return loss, grad
+    return grad
 
 
 def _dev_loss(
@@ -227,11 +222,11 @@ def _dev_loss(
     alpha_batch_size: int,
     block_rows: int,
 ) -> float:
-    """The float ``_loss_and_grad_indexed`` gives as its loss, computed
-    in row blocks of ``block_rows`` (two or more), so memory is one
-    block's scores however many pairs there are. A 1-row tail joins the
-    block before it: numpy sends a 1-row product to gemv, whose bits
-    differ from the full product's."""
+    """The mean NLL of the pairs plus the scaled orthogonality penalty,
+    computed in row blocks of ``block_rows``, so memory is one block's
+    scores however many pairs there are. A 1-row tail joins the block
+    before it: numpy sends a 1-row product to gemv, whose bits differ from
+    the full product's."""
     n = len(source_vecs)
     projected = source_vecs @ omega.T
     bounds = list(range(0, n, block_rows)) + [n]
@@ -266,7 +261,7 @@ def loss_and_gradient(
     if not batch:
         raise ValueError("empty batch")
     require_support(model, target_space)
-    return _loss_and_grad_indexed(
+    arguments = (
         model.omega,
         source_space.vectors[[source_space.index(source) for source, _ in batch]],
         np.asarray([target_space.index(target) for _, target in batch]),
@@ -274,6 +269,7 @@ def loss_and_gradient(
         config.alpha,
         config.batch_size,
     )
+    return _dev_loss(*arguments, block_rows=len(batch)), _gradient_indexed(*arguments)
 
 
 @dataclass
@@ -374,7 +370,7 @@ def train(
         permutation = rng.permutation(len(train_pairs))
         for lo in range(0, len(permutation), config.batch_size):
             chosen = permutation[lo : lo + config.batch_size]
-            _, grad = _loss_and_grad_indexed(
+            grad = _gradient_indexed(
                 omega,
                 source_space.vectors[train_sources[chosen]],
                 train_targets[chosen],
@@ -492,15 +488,13 @@ def _log_softmax_at(scores: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return picked - shift - log_z
 
 
-def save_model(model: TranslationModel, path: str, metadata: dict | None = None) -> None:
-    """Write the omega text format, plus an optional metadata sidecar.
+def save_model(model: TranslationModel, path: str) -> None:
+    """Write the omega text format.
 
     Floats use repr, so a reload reproduces the matrix bit-exactly.
     """
     header = f"{MODEL_MAGIC} {MODEL_VERSION} {model.target_dim} {model.source_dim}"
     write_float_rows(path, f"{header} {model.normalizer_vocab_size}", model.omega)
-    if metadata is not None:
-        write_json(sidecar_path(path), metadata)
 
 
 def load_model(path: str) -> TranslationModel:

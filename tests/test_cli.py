@@ -125,14 +125,15 @@ class TestTrainTranslator:
             "--max-epochs", "2", "--seed", "1",
         ])
         assert code == EXIT_OK
-        assert (tmp_path / "m.omega").exists()
-        meta = json.loads((tmp_path / "m.omega.meta.json").read_text())
-        assert meta == {
-            "source_path": corpus["src"], "target_path": corpus["tgt"], "dropped_pairs": 0,
-        }
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "m.omega", "m.omega.manifest.json",
+        ]
         manifest = json.loads((tmp_path / "m.omega.manifest.json").read_text())
         assert manifest["command"] == "train-translator"
         assert manifest["seed"] == 1
+        assert manifest["results"] == {"dropped_pairs": 0}
+        arguments = manifest["arguments"]
+        assert (arguments["src"], arguments["tgt"]) == (corpus["src"], corpus["tgt"])
         assert "final dev loss" in capsys.readouterr().out
 
     def test_max_epochs_zero_writes_initial_model(self, corpus, tmp_path):
@@ -1009,6 +1010,35 @@ def first_output(command, out):
     return f"{out}.summary.tsv" if command == "evaluate" else out
 
 
+# The outputs each command declares, in order, when ``written_argv`` runs it
+# in a directory: ``out`` is its output argument, and ``i.rules`` is
+# train-morph's second output.
+DECLARED = {
+    "train-translator": ["out"],
+    "train-morph": ["out", "i.rules"],
+    "translate": ["out"],
+    "evaluate": ["out.summary.tsv", "out.bins.tsv", "out.tags.tsv", "out.report.json"],
+    "extract-seed": ["out"],
+}
+
+# Every path a command writes there: its declared outputs, then their manifests.
+WRITTEN = {
+    command: [*names, *(f"{name}.manifest.json" for name in names)]
+    for command, names in DECLARED.items()
+}
+
+
+def written_argv(command, corpus, trained, directory):
+    """The arguments that make ``command`` succeed writing ``DECLARED[command]``
+    into ``directory``."""
+    argv = command_argv(command, corpus, trained, str(directory / "out"))
+    if command == "train-morph":
+        argv += ["--inflector-out", str(directory / "i.rules")]
+    if command == "extract-seed":  # the corpus spaces share no string
+        argv[argv.index("--tgt") + 1] = corpus["src"]
+    return argv
+
+
 @pytest.fixture
 def refuse_inputs(monkeypatch):
     """Reading a space, a model or UniMorph triples fails the test."""
@@ -1024,7 +1054,23 @@ class TestOutputDirectoryChecked:
     """An output that cannot be opened for writing, because its directory
     is missing or is a regular file or because it is a directory itself,
     is a data error raised before any input is read, not after training
-    or loading. ``evaluate`` checks its first output, the summary."""
+    or loading. Every declared output is checked, ``evaluate``'s four
+    reports among them, and so is each output's manifest."""
+
+    @pytest.mark.parametrize(
+        "command, name", [(command, name) for command, names in WRITTEN.items() for name in names]
+    )
+    def test_each_written_path_is_checked_before_loading(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, command, name
+    ):
+        blocked = tmp_path / name
+        blocked.mkdir()
+        assert main([command, *written_argv(command, corpus, trained, tmp_path)]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: [Errno 21] Is a directory: {str(blocked)!r}"
+        )
+        assert list(tmp_path.iterdir()) == [blocked]
+        assert not list(blocked.iterdir())
 
     @pytest.mark.parametrize(
         "command", ["train-translator", "train-morph", "translate", "evaluate", "extract-seed"]
@@ -1151,28 +1197,63 @@ class TestOutputDirectoryChecked:
         )
 
 
+class TestOneFileNamedTwice:
+    """translate's output that is its input, and two paths a command writes
+    that name one file, are a usage error before any file is opened."""
+
+    @pytest.mark.parametrize("spelling", ["same", "symlink", "hardlink"])
+    def test_translate_output_that_is_its_input(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, spelling
+    ):
+        forms = tmp_path / "forms.txt"
+        forms.write_bytes(pathlib.Path(corpus["forms"]).read_bytes())
+        output = forms if spelling == "same" else tmp_path / spelling
+        if spelling == "symlink":
+            output.symlink_to(forms)
+        elif spelling == "hardlink":
+            os.link(forms, output)
+        listing = sorted(tmp_path.iterdir())
+        argv = command_argv("translate", corpus, trained, str(output))
+        argv[argv.index(corpus["forms"])] = str(forms)
+        assert main(["translate", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --output {str(output)!r} is the --input file\n"
+        assert forms.read_bytes() == pathlib.Path(corpus["forms"]).read_bytes()
+        assert sorted(tmp_path.iterdir()) == listing
+
+    @pytest.mark.parametrize("inflector", ["x.rules", "x.rules.manifest.json"])
+    def test_two_outputs_that_name_one_file(
+        self, corpus, tmp_path, capsys, refuse_inputs, inflector
+    ):
+        analyzer, inflector = str(tmp_path / "x.rules"), str(tmp_path / inflector)
+        assert main(["train-morph", "--data", corpus["unimorph_src"],
+                     "--analyzer-out", analyzer, "--inflector-out", inflector]) == EXIT_USAGE
+        # The inflector table is the analyzer table, or the analyzer's manifest.
+        assert capsys.readouterr().err == (
+            f"error: two outputs name one file: {inflector!r} and {inflector!r}\n"
+        )
+        assert not list(tmp_path.iterdir())
+
+
 class TestManifests:
-    """A command that succeeds writes one manifest beside each output it
-    declares."""
+    """A command that succeeds writes the outputs it declares, one manifest
+    beside each, and nothing else: a sidecar fails here."""
 
     @pytest.mark.parametrize(
         "command, manifests",
         [("train-translator", ["out"]), ("translate", ["out"]),
-         ("evaluate", ["out.summary.tsv"]), ("extract-seed", ["out"]),
-         ("train-morph", ["i.rules", "out"])],
+         ("evaluate", ["out.bins.tsv", "out.report.json", "out.summary.tsv", "out.tags.tsv"]),
+         ("extract-seed", ["out"]), ("train-morph", ["i.rules", "out"])],
     )
     def test_one_manifest_per_declared_output(self, corpus, trained, tmp_path, command, manifests):
-        argv = command_argv(command, corpus, trained, str(tmp_path / "out"))
-        if command == "train-morph":
-            argv += ["--inflector-out", str(tmp_path / "i.rules")]
-        if command == "extract-seed":  # the corpus spaces share no string
-            argv[argv.index("--tgt") + 1] = corpus["src"]
+        argv = written_argv(command, corpus, trained, tmp_path)
+        args = cli.build_parser().parse_args([command, *argv])
+        assert args.outputs(args) == [str(tmp_path / name) for name in DECLARED[command]]
         assert main([command, *argv]) == EXIT_OK
-        written = sorted(path.name for path in tmp_path.glob("*.manifest.json"))
-        assert written == [f"{name}.manifest.json" for name in manifests]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(WRITTEN[command])
+        results = {"dropped_pairs": 0} if command == "train-translator" else None
         for name in manifests:
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
-            assert manifest["command"] == command
+            assert (manifest["command"], manifest["results"]) == (command, results)
 
 
     def test_records_the_blas_build_and_thread_variables(
@@ -1427,4 +1508,4 @@ class TestClosedPipe:
                 os.close(reader)
             out, err = child.communicate(timeout=120)
         assert child.returncode == EXIT_DATA
-        assert out == "" and err == "error: [Errno 32] Broken pipe\n"
+        assert out == "" and err == f"error: [Errno 32] Broken pipe: {str(fifo)!r}\n"

@@ -1,11 +1,17 @@
-"""The shared tab-separated reader, through every format that uses it."""
+"""The shared tab-separated reader, through every format that uses it, and
+the writers' errors."""
 
+import errno
+import os
+
+import numpy as np
 import pytest
 
 from morphlex import cli
 from morphlex.embeddings import VecFormatError, load_ngram_table, load_space
 from morphlex.evaluation import DictionaryFormatError, read_eval_dictionary, read_seed_dictionary
 from morphlex.morph import MorphFormatError, load_rule_table, read_unimorph
+from morphlex.textio import write_float_rows, write_json, write_tsv
 from morphlex.translator import ModelFormatError, load_model
 
 # name: (reader, its error, header lines, a good row, a row with a wrong
@@ -85,3 +91,20 @@ def test_float_row_error_leaves_the_file_closed(tmp_path, descriptors, name):
         reader(str(path))
     assert info.value.__traceback__ is not None
     assert str(path) not in descriptors().values()
+
+
+WRITERS = {
+    "json": lambda path: write_json(path, {"rows": list(range(5000))}),
+    "tsv": lambda path: write_tsv(path, ["a", "b"], [(i, i) for i in range(5000)]),
+    "float-rows": lambda path: write_float_rows(path, "5000 2", np.ones((5000, 2))),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_write_error_names_the_file(name):
+    # Every write to /dev/full fails with ENOSPC, an error that names no
+    # file by itself.
+    with pytest.raises(OSError) as info:
+        WRITERS[name]("/dev/full")
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, "/dev/full")

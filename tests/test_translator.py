@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 import os
@@ -569,12 +568,10 @@ class TestModelFiles:
         rng = np.random.default_rng(21)
         model = TranslationModel(rng.normal(size=(4, 3)), 99)
         path = str(tmp_path / "m.omega")
-        save_model(model, path, metadata={"source_center": [0.0, 0.1, 0.2]})
+        save_model(model, path)
         reloaded = load_model(path)
         assert np.array_equal(reloaded.omega, model.omega)
         assert reloaded.normalizer_vocab_size == 99
-        with open(f"{path}.meta.json", encoding="utf-8") as handle:
-            assert json.load(handle) == {"source_center": [0.0, 0.1, 0.2]}
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -622,7 +619,7 @@ class TestModelFiles:
         model = TranslationModel(np.eye(2), 1)
         path = str(tmp_path / "m.omega")
         save_model(model, path)
-        assert not os.path.exists(f"{path}.meta.json")
+        assert os.listdir(tmp_path) == ["m.omega"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.omega"
