@@ -9,16 +9,17 @@ does, is no failure: the command stops quietly with exit 0. A broken pipe
 on any other handle, such as a FIFO given as an output, is exit 2.
 
 Each subparser declares ``outputs``: a function of the parsed arguments
-that raises the command's usage error or returns the paths it writes. A
-command writes those files, a run manifest (inputs, flags, seed,
-versions, results) beside each, and nothing else. ``main`` does every
-command's bookkeeping once: it echoes to stderr, for provenance, each
-``train-translator`` hyperparameter (one flag per ``TrainConfig`` field)
-and ``--max-words`` that overrides its stock default, runs the usage
-check, refuses two of those paths that name one file, checks each of
-them before any input is read, runs the command, maps its errors to exit
-codes and, on success, writes the manifests with the command's return
-value as their ``results``.
+that raises the command's usage error or returns the paths it writes; and
+``inputs``: the flags of the files it reads. A command writes those
+files, a run manifest (inputs, flags, seed, versions, results) beside
+each, and nothing else. ``main`` does every command's bookkeeping once:
+it echoes to stderr, for provenance, each ``train-translator``
+hyperparameter (one flag per ``TrainConfig`` field) and ``--max-words``
+that overrides its stock default, runs the usage check, refuses two of
+those paths that name one file and one that names an input file, checks
+each of them before any input is read, runs the command, maps its errors
+to exit codes and, on success, writes the manifests with the command's
+return value as their ``results``.
 """
 
 from __future__ import annotations
@@ -225,6 +226,21 @@ def _require_output_path(path: str) -> None:
             raise
 
 
+def _given(*names: str):
+    """The ``inputs`` declaration of a command that reads the files of the
+    flags ``names`` (argparse dests): a function of the parsed arguments
+    that returns each given one as (flag, path), standard input left out."""
+
+    def given(args: argparse.Namespace) -> list[tuple[str, str]]:
+        return [
+            (f"--{name.replace('_', '-')}", path)
+            for name in names
+            if (path := getattr(args, name)) not in (None, "-")
+        ]
+
+    return given
+
+
 def _stdout_closed() -> bool:
     """stdout is a pipe whose reader has gone: polling its write end
     reports an error."""
@@ -376,12 +392,8 @@ def cmd_translate(args: argparse.Namespace) -> None:
 
 
 def _translate_outputs(args: argparse.Namespace) -> list[str]:
-    """translate's output file, which is not its input, if it has one."""
-    if args.output == "-":
-        return []
-    if args.input != "-" and _same_file(args.input, args.output):
-        raise _UsageError(f"--output {args.output!r} is the --input file")
-    return [args.output]
+    """translate's output file, if it has one."""
+    return [] if args.output == "-" else [args.output]
 
 
 def _evaluate_outputs(args: argparse.Namespace) -> list[str]:
@@ -441,7 +453,8 @@ def build_parser() -> _Parser:
         p.add_argument(f"--{f.name.replace('_', '-')}", type=_train_config_value(f), default=f.default,
                        help="(default %(default)s)")
     add_max_words(p)
-    p.set_defaults(func=cmd_train_translator, outputs=lambda args: [args.out])
+    p.set_defaults(func=cmd_train_translator, outputs=lambda args: [args.out],
+                   inputs=_given("src", "tgt", "seed_dict"))
 
     p = commands.add_parser("train-morph", help="learn suffix-rule transducers")
     p.add_argument("--data", required=True, help="UniMorph TSV (lemma, form, tag)")
@@ -449,12 +462,14 @@ def build_parser() -> _Parser:
     p.add_argument("--inflector-out", help="output inflector rule table")
     p.add_argument("--exclude", help="evaluation dictionary whose forms are excluded")
     p.add_argument("--dev", help="UniMorph TSV for held-out accuracy reporting")
-    p.set_defaults(func=cmd_train_morph, outputs=_train_morph_outputs)
+    p.set_defaults(func=cmd_train_morph, outputs=_train_morph_outputs,
+                   inputs=_given("data", "exclude", "dev"))
 
-    def add_pipeline_flags(p, outputs):
-        """The flags of the joint pipeline, and ``outputs`` after the usage
+    def add_pipeline_flags(p, outputs, *inputs):
+        """The flags of the joint pipeline, ``outputs`` after the usage
         check of a mode without its components, each component's flag
-        named after its field."""
+        named after its field, and the pipeline's input flags with the
+        command's own ``inputs``."""
 
         def checked_outputs(args):
             needed = MODE_COMPONENTS[args.mode]
@@ -471,16 +486,19 @@ def build_parser() -> _Parser:
         p.add_argument("--ngrams", help="source n-gram table for OOV composition")
         p.add_argument("--mode", choices=MODES, default=MODE_BASE)
         add_max_words(p)
-        p.set_defaults(outputs=checked_outputs)
+        p.set_defaults(
+            outputs=checked_outputs,
+            inputs=_given("model", "src", "tgt", "analyzer", "inflector", "ngrams", *inputs),
+        )
 
     p = commands.add_parser("translate", help="translate forms, one per line")
-    add_pipeline_flags(p, _translate_outputs)
+    add_pipeline_flags(p, _translate_outputs, "input")
     p.add_argument("--input", default="-", help="input file, '-' for stdin")
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
     p.set_defaults(func=cmd_translate)
 
     p = commands.add_parser("evaluate", help="precision@1 with breakdowns")
-    add_pipeline_flags(p, _evaluate_outputs)
+    add_pipeline_flags(p, _evaluate_outputs, "dict", "oracle_analyses")
     p.add_argument("--dict", required=True, help="evaluation dictionary TSV")
     p.add_argument("--out-prefix", required=True, help="prefix for report files")
     p.add_argument("--oracle-analyses", help="form<TAB>lemma<TAB>tag file for oracle mode")
@@ -494,7 +512,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--out", required=True)
     add_max_words(p)
-    p.set_defaults(func=cmd_extract_seed, outputs=lambda args: [args.out])
+    p.set_defaults(func=cmd_extract_seed, outputs=lambda args: [args.out],
+                   inputs=_given("src", "tgt"))
 
     return parser
 
@@ -512,6 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         for first, second in itertools.combinations(outputs + manifests, 2):
             if _same_file(first, second):
                 raise _UsageError(f"two outputs name one file: {first!r} and {second!r}")
+        for path, (flag, source) in itertools.product(outputs + manifests, args.inputs(args)):
+            if _same_file(path, source):
+                raise _UsageError(f"output {path!r} is the {flag} file")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

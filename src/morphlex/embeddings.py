@@ -7,19 +7,26 @@ frequency rank (row 0 = most frequent word).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import mmap
 import os
 import pickle
-import signal
-import sys
 import time
 from dataclasses import InitVar, dataclass, replace
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .textio import DataError, open_text, read_float_rows, write_float_rows
+from .textio import (
+    _FORK_MIN_VALUES,
+    DataError,
+    _forked,
+    open_text,
+    read_float_rows,
+    write_float_rows,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -203,16 +210,6 @@ def load_space(
     return EmbeddingSpace(tuple(words), vectors, center, _adopt=True)
 
 
-# A target with fewer values (rows x dim, from its header) loads in-process
-# after the source: the fork's copy-on-write faults cost tens of ms, which a
-# small parse does not win back. Loading two preprocessed spaces in a fresh
-# process, forked against serial (2 vCPUs, one BLAS thread, medians of
-# 8-15 alternating pairs): 960 x 24 took the same wall time and 4% more CPU
-# time; 1000 x 100, -8% wall and +6% CPU; 2000 x 150, -27% and -7%;
-# 4000 x 250, -35% and -3%. The floor keeps a margin above that crossover.
-_FORK_MIN_VALUES = 1_000_000
-
-
 def load_spaces(
     src: str,
     tgt: str,
@@ -240,10 +237,6 @@ def load_spaces(
     ``os.fork`` load in-process after the source; so does a target whose
     shared mapping, pipe or fork fails, with one warning naming the error
     and nothing of the attempt left open.
-
-    Python 3.12 and later warn (DeprecationWarning) on ``os.fork`` in a
-    process with more than one thread, such as one with a multi-threaded
-    BLAS pool; the tests turn that warning into an error.
     """
     try:
         rows, dim = _read_header(tgt, max_words)
@@ -251,29 +244,27 @@ def load_spaces(
     except (OSError, ValueError):
         rows = dim = size = 0  # the in-process load raises the same error
     # A row holds a word and dim values, so 2 * dim + 1 bytes at least.
-    forked = None
-    if (
-        hasattr(os, "fork")
-        and rows * dim >= _FORK_MIN_VALUES
-        and 0 < rows * (2 * dim + 1) <= size
-    ):
-        forked = _fork_loader(rows * dim, load, tgt, max_words, preprocessed)
-    if forked is None:
+    if not (rows * dim >= _FORK_MIN_VALUES and 0 < rows * (2 * dim + 1) <= size):
         source = _timed_load(load, src, max_words, preprocessed, "in-process")
         return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
-    mapping, read_fd, pid = forked
-    reply = None
+
+    def cannot_fork(exc: OSError) -> None:
+        logger.warning("%s: cannot load in a forked child (%s), loading it in-process", tgt, exc)
+
     try:
-        with open(read_fd, "rb") as pipe:
-            source = _timed_load(load, src, max_words, preprocessed, "in-process")
-            reply = pipe.read()
-    finally:
-        if reply is None:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:  # the child died before its whole reply was written
+        mapping = mmap.mmap(-1, rows * dim * 8)
+    except OSError as exc:
+        cannot_fork(exc)
+        child = contextlib.nullcontext(lambda: None)
+    else:
+        task = functools.partial(_load_in_child, mapping, load, tgt, max_words, preprocessed)
+        child = _forked(task, cannot_fork)
+    with child as reply:
+        source = _timed_load(load, src, max_words, preprocessed, "in-process")
+        pickled = reply()
+    if pickled is None:  # no fork, or the child died before its whole reply
         return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
-    outcome, records = pickle.loads(reply)
+    outcome, records = pickle.loads(pickled)
     for record in records:
         logging.getLogger(record.name).handle(record)
     if isinstance(outcome, Exception):
@@ -281,34 +272,6 @@ def load_spaces(
     words, center = outcome
     vectors = np.frombuffer(mapping, np.float64, len(words) * dim).reshape(len(words), dim)
     return source, EmbeddingSpace(words, vectors, center, _adopt=True)
-
-
-def _fork_loader(values, load, path, max_words, preprocessed):
-    """The anonymous shared mapping of ``values`` floats, the read end of a
-    pipe and the pid of a forked child loading ``path`` into them (see
-    ``_load_in_child``); or None, with a warning naming the OS error, when
-    the mapping, the pipe or the fork fails (EAGAIN, ENOMEM). A failed
-    attempt leaves nothing open."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    mapping = read_fd = None
-    try:
-        mapping = mmap.mmap(-1, values * 8)
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-    except OSError as exc:
-        if read_fd is not None:
-            os.close(read_fd)
-            os.close(write_fd)
-        if mapping is not None:
-            mapping.close()
-        logger.warning("%s: cannot load in a forked child (%s), loading it in-process", path, exc)
-        return None
-    if pid == 0:
-        os.close(read_fd)
-        _load_in_child(write_fd, mapping, load, path, max_words, preprocessed)
-    os.close(write_fd)
-    return mapping, read_fd, pid
 
 
 def _timed_load(load, path, max_words, preprocessed, where) -> EmbeddingSpace:
@@ -332,29 +295,22 @@ class _RecordList(logging.Handler):
         self.records.append(record)
 
 
-def _load_in_child(write_fd, mapping, load, path, max_words, preprocessed) -> NoReturn:
-    """The forked child of ``load_spaces``: load the target, copy its rows
-    into the shared mapping and write ``(words, center)``, or the error,
-    with the package's log records down the pipe. It never returns, and
-    exits 0 only once the whole reply is written."""
-    code = 1
+def _load_in_child(mapping, load, path, max_words, preprocessed, pipe) -> None:
+    """The task of ``load_spaces``' forked child: load the target, copy its
+    rows into the shared mapping and write ``(words, center)``, or the
+    error, with the package's log records, pickled down the pipe."""
+    package = logging.getLogger(__package__)
+    collected = _RecordList()
+    package.handlers, package.propagate = [collected], False
     try:
-        package = logging.getLogger(__package__)
-        collected = _RecordList()
-        package.handlers, package.propagate = [collected], False
-        try:
-            space = _timed_load(load, path, max_words, preprocessed, "in a forked child")
-        except Exception as exc:  # sent back and raised by the parent
-            outcome: object = exc
-        else:
-            rows = np.frombuffer(mapping, np.float64, space.vectors.size)
-            rows.reshape(space.vectors.shape)[...] = space.vectors
-            outcome = (space.words, space.center)
-        with open(write_fd, "wb") as pipe:
-            pickle.dump((outcome, collected.records), pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
+        space = _timed_load(load, path, max_words, preprocessed, "in a forked child")
+    except Exception as exc:  # sent back and raised by the parent
+        outcome: object = exc
+    else:
+        rows = np.frombuffer(mapping, np.float64, space.vectors.size)
+        rows.reshape(space.vectors.shape)[...] = space.vectors
+        outcome = (space.words, space.center)
+    pickle.dump((outcome, collected.records), pipe, pickle.HIGHEST_PROTOCOL)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its

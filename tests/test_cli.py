@@ -1021,6 +1021,16 @@ DECLARED = {
     "extract-seed": ["out"],
 }
 
+# The flags of the files each command reads.
+PIPELINE_INPUTS = ["--model", "--src", "--tgt", "--analyzer", "--inflector", "--ngrams"]
+INPUT_FLAGS = {
+    "train-translator": ["--src", "--tgt", "--seed-dict"],
+    "train-morph": ["--data", "--exclude", "--dev"],
+    "translate": [*PIPELINE_INPUTS, "--input"],
+    "evaluate": [*PIPELINE_INPUTS, "--dict", "--oracle-analyses"],
+    "extract-seed": ["--src", "--tgt"],
+}
+
 # Every path a command writes there: its declared outputs, then their manifests.
 WRITTEN = {
     command: [*names, *(f"{name}.manifest.json" for name in names)]
@@ -1198,8 +1208,9 @@ class TestOutputDirectoryChecked:
 
 
 class TestOneFileNamedTwice:
-    """translate's output that is its input, and two paths a command writes
-    that name one file, are a usage error before any file is opened."""
+    """An output or manifest that is one of the command's input files, and
+    two paths a command writes that name one file, are a usage error before
+    any file is opened."""
 
     @pytest.mark.parametrize("spelling", ["same", "symlink", "hardlink"])
     def test_translate_output_that_is_its_input(
@@ -1216,9 +1227,31 @@ class TestOneFileNamedTwice:
         argv = command_argv("translate", corpus, trained, str(output))
         argv[argv.index(corpus["forms"])] = str(forms)
         assert main(["translate", *argv]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: --output {str(output)!r} is the --input file\n"
+        assert capsys.readouterr().err == f"error: output {str(output)!r} is the --input file\n"
         assert forms.read_bytes() == pathlib.Path(corpus["forms"]).read_bytes()
         assert sorted(tmp_path.iterdir()) == listing
+
+    @pytest.mark.parametrize("written", ["output", "manifest"])
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in INPUT_FLAGS.items() for flag in flags
+    ])
+    def test_output_that_is_an_input(
+        self, corpus, trained, tmp_path, capsys, refuse_inputs, command, flag, written
+    ):
+        out = str(tmp_path / "out")
+        path = first_output(command, out) + (".manifest.json" if written == "manifest" else "")
+        source = pathlib.Path(corpus["src"]).read_bytes()
+        pathlib.Path(path).write_bytes(source)
+        argv = command_argv(command, corpus, trained, out)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = path
+        else:
+            argv += [flag, path]
+        assert main([command, *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: output {path!r} is the {flag} file"
+        assert pathlib.Path(path).read_bytes() == source
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
 
     @pytest.mark.parametrize("inflector", ["x.rules", "x.rules.manifest.json"])
     def test_two_outputs_that_name_one_file(

@@ -1,14 +1,25 @@
-"""The shared tab-separated reader, through every format that uses it, and
-the writers' errors."""
+"""The shared tab-separated reader, through every format that uses it, the
+writers' errors and the two-process float-row writer."""
 
 import errno
+import logging
 import os
+import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from morphlex import cli
-from morphlex.embeddings import VecFormatError, load_ngram_table, load_space
+from morphlex import cli, textio
+from morphlex.embeddings import (
+    EmbeddingSpace,
+    VecFormatError,
+    load_ngram_table,
+    load_space,
+    save_vec_file,
+)
 from morphlex.evaluation import DictionaryFormatError, read_eval_dictionary, read_seed_dictionary
 from morphlex.morph import MorphFormatError, load_rule_table, read_unimorph
 from morphlex.textio import write_float_rows, write_json, write_tsv
@@ -108,3 +119,205 @@ def test_write_error_names_the_file(name):
     with pytest.raises(OSError) as info:
         WRITERS[name]("/dev/full")
     assert (info.value.errno, info.value.filename) == (errno.ENOSPC, "/dev/full")
+
+
+# Keys the .vec reader reads back, and keys it does not: empty, or holding
+# an ASCII space, a tab, a line break or a lone surrogate.
+any_keys = st.text(
+    st.characters(exclude_categories=("Cs",)) | st.sampled_from(" \t\n\r\x0b\u00a0\ud800"),
+    max_size=4,
+)
+special_floats = st.sampled_from([-0.0, 5e-324, 1e-05, 1e16, 1e22, -1.7976931348623157e308])
+
+
+def refused(words, values) -> bool:
+    """The space of ``words`` and ``values`` has a row the reader rejects."""
+    unreadable = set(" \t\n\r") | {chr(c) for c in range(0xD800, 0xE000)}
+    return any(not word or unreadable & set(word) for word in words) or not np.isfinite(values).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(any_keys, max_size=4, unique=True), data=st.data())
+def test_written_space_reloads_or_leaves_no_file(tmp_path_factory, words, data):
+    dim = data.draw(st.integers(1, 3))
+    values = np.array(
+        data.draw(st.lists(st.floats() | special_floats,
+                           min_size=len(words) * dim, max_size=len(words) * dim)),
+        dtype=np.float64,
+    ).reshape(len(words), dim)
+    space = EmbeddingSpace(tuple(words), values)
+    path = tmp_path_factory.mktemp("vec") / "out.vec"
+    try:
+        save_vec_file(space, str(path))
+    except ValueError as exc:
+        assert refused(words, values), exc
+        assert str(exc).startswith(f"{path}: row ")
+        assert not path.exists()
+        return
+    assert not refused(words, values)
+    reloaded = load_space(str(path), max_words=None)
+    assert reloaded.words == space.words
+    assert reloaded.vectors.tobytes() == space.vectors.tobytes()
+
+
+@pytest.mark.parametrize(
+    "words, value, message",
+    [
+        (("a", ""), 1.0, "row 1: empty key"),
+        (("a b", "c"), 1.0, "row 0: key 'a b' holds a space, tab, line break or lone surrogate"),
+        (("a", "b\rc"), 1.0, "row 1: key 'b\\rc' holds a space, tab, line break or lone surrogate"),
+        (("a", "b"), float("nan"), "row 1: non-finite value"),
+    ],
+    ids=["empty", "space", "carriage-return", "nan"],
+)
+def test_unreadable_row_is_refused_before_forking(tmp_path, monkeypatch, words, value, message):
+    monkeypatch.setattr(textio, "_FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a refused row"))
+    path = tmp_path / "out.vec"
+    with pytest.raises(ValueError) as info:
+        save_vec_file(EmbeddingSpace(words, [[1.0, 2.0], [3.0, value]]), str(path))
+    assert str(info.value) == f"{path}: {message}"
+    assert not path.exists()
+
+
+# Keys with U+00A0 and letters outside ASCII, which take several UTF-8 bytes.
+forked_keys = st.text(st.sampled_from("ab\u00a0\u00e9\u00df\u4e2d\U0001f600"), min_size=1, max_size=5)
+
+
+@st.composite
+def float_rows(draw):
+    """(matrix, keys or None): 0-9 rows of 1-5 values."""
+    rows, dim = draw(st.integers(0, 9)), draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | special_floats,
+                           min_size=rows * dim, max_size=rows * dim))
+    keys = draw(st.none() | st.lists(forked_keys, min_size=rows, max_size=rows, unique=True))
+    return np.array(values, dtype=np.float64).reshape(rows, dim), keys
+
+
+def written_bytes(path, matrix, keys, floor):
+    """The bytes ``write_float_rows`` writes to ``path`` with the fork
+    floor at ``floor``, and the number of forks it made."""
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(textio, "_FORK_MIN_VALUES", floor), \
+            mock.patch.object(os, "fork", recording_fork):
+        write_float_rows(str(path), f"{len(matrix)} 0", matrix, keys)
+    return path.read_bytes(), len(forks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=float_rows())
+def test_forked_bytes_equal_in_process_bytes(tmp_path_factory, rows):
+    directory = tmp_path_factory.mktemp("rows")
+    forked, forks = written_bytes(directory / "forked", *rows, floor=0)
+    serial, no_forks = written_bytes(directory / "serial", *rows, floor=10**12)
+    assert (forks, no_forks) == (1, 0)
+    assert forked == serial
+
+
+def sample_space():
+    rng = np.random.default_rng(7)
+    words = ("a", "b\u00a0c", "d\u00e9", "e", "f")
+    return EmbeddingSpace(words, rng.normal(size=(len(words), 3)))
+
+
+def in_process_bytes(tmp_path, space):
+    path = tmp_path / "serial.vec"
+    with mock.patch.object(textio, "_FORK_MIN_VALUES", 10**12):
+        save_vec_file(space, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("failing", ["pipe", "fork"])
+def test_failed_fork_writes_in_process(tmp_path, monkeypatch, caplog, descriptors, failing):
+    space = sample_space()
+    expected = in_process_bytes(tmp_path, space)
+    monkeypatch.setattr(textio, "_FORK_MIN_VALUES", 0)
+
+    def fail(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, failing, fail)
+    path = tmp_path / "out.vec"
+    before = descriptors()
+    with caplog.at_level(logging.WARNING):
+        save_vec_file(space, str(path))
+    assert descriptors() == before
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [(
+        "morphlex.textio", logging.WARNING,
+        f"{path}: cannot format rows in a forked child ([Errno 11] Resource temporarily "
+        "unavailable), formatting them in-process",
+    )]
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("death", ["exits", "raises", "partial-reply"])
+def test_child_that_dies_has_its_rows_written_in_process(tmp_path, monkeypatch, caplog, death):
+    space = sample_space()
+    expected = in_process_bytes(tmp_path, space)
+    monkeypatch.setattr(textio, "_FORK_MIN_VALUES", 0)
+    parent = os.getpid()
+    exit_now = os._exit
+
+    def dying_task(*args):
+        assert os.getpid() != parent, "the parent formatted through the child's task"
+        if death == "exits":
+            exit_now(1)
+        if death == "raises":
+            raise MemoryError
+        return bytearray(b"not the rows")  # written whole, then the child exits 1
+
+    monkeypatch.setattr(textio, "_encoded_lines", dying_task)
+    if death == "partial-reply":
+        monkeypatch.setattr(os, "_exit", lambda code: exit_now(1))
+    path = tmp_path / "out.vec"
+    with caplog.at_level(logging.WARNING):
+        save_vec_file(space, str(path))
+    assert path.read_bytes() == expected
+    assert caplog.records == []
+
+
+def test_small_matrix_is_written_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below the floor"))
+    space = sample_space()
+    path = tmp_path / "out.vec"
+    save_vec_file(space, str(path))
+    assert load_space(str(path)).vectors.tobytes() == space.vectors.tobytes()
+
+
+def test_output_that_is_a_directory_is_the_serial_error(tmp_path, monkeypatch):
+    space = sample_space()
+    blocked = tmp_path / "out.vec"
+    blocked.mkdir()
+    errors = []
+    for floor in (10**12, 0):
+        monkeypatch.setattr(textio, "_FORK_MIN_VALUES", floor)
+        with pytest.raises(IsADirectoryError) as info:
+            save_vec_file(space, str(blocked))
+        errors.append(str(info.value))
+    assert errors == [f"[Errno 21] Is a directory: {str(blocked)!r}"] * 2
+
+
+def test_fifo_whose_reader_leaves_is_the_serial_error(tmp_path, monkeypatch):
+    # More text than a pipe holds, so the write after the reader has left
+    # fails in this process while the child may still be formatting.
+    monkeypatch.setattr(textio, "_FORK_MIN_VALUES", 0)
+    rng = np.random.default_rng(3)
+    words = tuple(f"w{i}" for i in range(4000))
+    space = EmbeddingSpace(words, rng.normal(size=(len(words), 20)))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["head", "-c", "1", str(fifo)], stdout=subprocess.DEVNULL)
+    try:
+        with pytest.raises(BrokenPipeError) as info:
+            save_vec_file(space, str(fifo))
+    finally:
+        reader.wait(timeout=120)
+    assert str(info.value) == f"[Errno 32] Broken pipe: {str(fifo)!r}"
