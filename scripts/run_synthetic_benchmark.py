@@ -19,7 +19,7 @@ from morphlex.evaluation import precision_at_1, write_report
 from morphlex.morph import learn_analyzer, learn_inflector
 from morphlex.pipeline import JointConfig, translate_many
 from morphlex.synthetic import build_bilingual_task
-from morphlex.translator import TrainConfig, train
+from morphlex.translator import TrainConfig, seed_rows, train
 
 
 def main() -> int:
@@ -45,8 +45,7 @@ def main() -> int:
     analyzer = learn_analyzer(task.source_unimorph)
     inflector = learn_inflector(task.target_unimorph)
     result = train(
-        task.seed_pairs,
-        task.source_space,
+        seed_rows(task.seed_pairs, task.source_space, task.target_space),
         task.target_space,
         TrainConfig(alpha=args.alpha, max_epochs=args.max_epochs, seed=args.seed),
     )

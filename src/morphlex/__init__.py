@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .embeddings import EmbeddingSpace, compose_oov
 from .morph import MorphTag, UniMorphEntry, parse_tag, tag_translate
-from .translator import TranslationModel, TrainConfig, train
+from .translator import TranslationModel, TrainConfig, seed_rows, train
 from .baseline import procrustes_fit
 from .pipeline import JointConfig, TranslationCandidate, translate_many
 from .evaluation import EvalDictionary, EvalReport, precision_at_1, extract_identical_seed
@@ -30,6 +30,7 @@ __all__ = [
     "parse_tag",
     "precision_at_1",
     "procrustes_fit",
+    "seed_rows",
     "tag_translate",
     "train",
     "translate_many",

@@ -28,13 +28,13 @@ def procrustes_fit(
     """
     if source_space.dim != target_space.dim:
         raise ValueError("procrustes requires equal source and target dimensions")
-    pairs = seed_rows(seed_dict, source_space, target_space)
-    if len(pairs) < source_space.dim:
+    seeds = seed_rows(seed_dict, source_space, target_space)
+    if len(seeds.targets) < source_space.dim:
         logger.warning(
             "procrustes_fit: only %d pairs for dimension %d; the fit is underdetermined",
-            len(pairs), source_space.dim,
+            len(seeds.targets), source_space.dim,
         )
-    a = source_space.vectors[[si for si, _ in pairs]].T
-    b = target_space.vectors[[ti for _, ti in pairs]].T
+    a = seeds.sources.T
+    b = target_space.vectors[seeds.targets].T
     u, _, vt = np.linalg.svd(b @ a.T)
     return TranslationModel(u @ vt, len(target_space))

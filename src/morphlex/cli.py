@@ -85,7 +85,7 @@ from .textio import (
     write_json,
     write_tsv,
 )
-from .translator import TrainConfig, load_model, save_model, train
+from .translator import TrainConfig, load_model, save_model, seed_rows, train
 
 logger = logging.getLogger(__name__)
 
@@ -201,6 +201,26 @@ def _write_manifest(path: str, args: argparse.Namespace, results: dict | None) -
     write_json(path, manifest)
 
 
+def _log_peak_rss() -> None:
+    """One INFO line, from the package's logger, of this process's peak RSS
+    and the largest of its reaped forked children's, such as the target
+    loader of ``load_spaces``; nothing where ``resource`` is missing."""
+    package = logging.getLogger(__package__)
+    if not package.isEnabledFor(logging.INFO):
+        return  # a run without --verbose does not even import resource
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere.
+    per_mb = 1 << (20 if sys.platform == "darwin" else 10)
+    package.info(
+        "peak RSS %.1f MB; forked children %.1f MB",
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / per_mb,
+    )
+
+
 def _same_file(first: str, second: str) -> bool:
     """The two paths name one file: the same file when both exist, else the
     same resolved path."""
@@ -262,9 +282,10 @@ def _load_spaces(args: argparse.Namespace, preprocessed: bool):
 
 def cmd_train_translator(args: argparse.Namespace) -> dict:
     source_space, target_space = _load_spaces(args, preprocessed=True)
-    seed_pairs = read_seed_dictionary(args.seed_dict)
+    seeds = seed_rows(read_seed_dictionary(args.seed_dict), source_space, target_space)
+    del source_space  # training reads only the seed pairs' rows, which seeds holds
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    result = train(seed_pairs, source_space, target_space, config)
+    result = train(seeds, target_space, config)
     save_model(result.model, args.out)
     print(
         f"epochs run: {result.epochs_run}; final dev loss: {result.dev_losses[-1]:.6f}; "
@@ -553,6 +574,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc, _DATA_ERRORS) else EXIT_UNTRAINABLE
+    finally:
+        _log_peak_rss()
     return EXIT_OK
 
 

@@ -160,16 +160,6 @@ def _read_header(path: str, max_words: int | None) -> tuple[int, int]:
     return (count if max_words is None else min(count, max_words)), dim
 
 
-def _read_vec_file(path: str, max_words: int | None) -> tuple[list[str], np.ndarray]:
-    """The words and a fresh matrix of a .vec file's first ``min(count,
-    max_words)`` rows. A repeated word keeps its first row (with a warning);
-    malformed rows, non-finite values and a short file raise VecFormatError."""
-    limit, dim = _read_header(path, max_words)
-    return read_float_rows(
-        path, dim, first_lineno=2, error=VecFormatError, limit=limit, key="a word"
-    )
-
-
 def save_vec_file(space: EmbeddingSpace, path: str) -> None:
     """Write a space in the .vec text format.
 
@@ -180,13 +170,24 @@ def save_vec_file(space: EmbeddingSpace, path: str) -> None:
 
 
 def load_space(
-    path: str, max_words: int | None = DEFAULT_MAX_WORDS, *, preprocessed: bool = False
+    path: str,
+    max_words: int | None = DEFAULT_MAX_WORDS,
+    *,
+    preprocessed: bool = False,
+    out: np.ndarray | None = None,
 ) -> EmbeddingSpace:
-    """Load a .vec file. With ``preprocessed``, the space is then
-    length-normalized and mean-centered (see ``preprocess``) in place on
-    the one parsed matrix, and its zero rows draw one warning naming the
-    file; a file with no rows is a ``VecFormatError``, as there is nothing
-    to preprocess.
+    """Load the first ``min(count, max_words)`` rows of a .vec file. A
+    repeated word keeps its first row (with a warning); malformed rows,
+    non-finite values and a short file raise VecFormatError. With
+    ``preprocessed``, the space is then length-normalized and
+    mean-centered (see ``preprocess``) in place on the one parsed matrix,
+    and its zero rows draw one warning naming the file; a file with no rows
+    is a ``VecFormatError``, as there is nothing to preprocess.
+
+    The rows are parsed into ``out`` when it is given, a float64 matrix of
+    the rows and dim the header gives (as ``read_float_rows`` takes it), so
+    the space's vectors are a view of it; a file whose header no longer
+    gives that shape is a ``VecFormatError``.
 
     A ``.meta.json`` sidecar beside the file is a ``VecFormatError`` naming
     the sidecar: only the retired OOV-composition subcommand wrote one, and
@@ -199,7 +200,10 @@ def load_space(
             f"{meta_file}: spaces with stored composed rows are no longer read; "
             "translate with --ngrams on the raw space instead"
         )
-    words, vectors = _read_vec_file(path, max_words)
+    limit, dim = _read_header(path, max_words)
+    words, vectors = read_float_rows(
+        path, dim, first_lineno=2, error=VecFormatError, limit=limit, key="a word", out=out
+    )
     if not preprocessed:
         return EmbeddingSpace(tuple(words), vectors, _adopt=True)
     if not words:
@@ -224,19 +228,20 @@ def load_spaces(
     installed there sees both calls.
 
     A target of at least ``_FORK_MIN_VALUES`` values loads in a forked
-    child while the source loads here. The child copies its rows into an
-    anonymous shared mapping and sends back its words, center and log
-    records; this process keeps a read-only view of the mapping. The
-    serial semantics hold: a source error wins, and a target error is
-    raised after the source has loaded; the target's log records follow
-    the source's, and are dropped when the source fails. The child is
-    reaped before this returns or raises, and killed first when its reply
-    is not needed; a child that dies without a whole reply is replaced by
-    an in-process load. A smaller target, one whose header does not parse
-    or that is too short for it, and every target on a platform without
-    ``os.fork`` load in-process after the source; so does a target whose
-    shared mapping, pipe or fork fails, with one warning naming the error
-    and nothing of the attempt left open.
+    child while the source loads here. The child passes ``load`` an
+    ``out`` matrix that is a view of an anonymous shared mapping, so it
+    parses its rows straight into the mapping, and sends back its words,
+    center and log records; this process keeps a read-only view of the
+    mapping. The serial semantics hold: a source error wins, and a target
+    error is raised after the source has loaded; the target's log records
+    follow the source's, and are dropped when the source fails. The child
+    is reaped before this returns or raises, and killed first when its
+    reply is not needed; a child that dies without a whole reply is
+    replaced by an in-process load. A smaller target, one whose header does
+    not parse or that is too short for it, and every target on a platform
+    without ``os.fork`` load in-process after the source; so does a target
+    whose shared mapping, pipe or fork fails, with one warning naming the
+    error and nothing of the attempt left open.
     """
     try:
         rows, dim = _read_header(tgt, max_words)
@@ -257,7 +262,8 @@ def load_spaces(
         cannot_fork(exc)
         child = contextlib.nullcontext(lambda: None)
     else:
-        task = functools.partial(_load_in_child, mapping, load, tgt, max_words, preprocessed)
+        matrix = np.frombuffer(mapping, np.float64).reshape(rows, dim)
+        task = functools.partial(_load_in_child, matrix, load, tgt, max_words, preprocessed)
         child = _forked(task, cannot_fork)
     with child as reply:
         source = _timed_load(load, src, max_words, preprocessed, "in-process")
@@ -270,14 +276,13 @@ def load_spaces(
     if isinstance(outcome, Exception):
         raise outcome
     words, center = outcome
-    vectors = np.frombuffer(mapping, np.float64, len(words) * dim).reshape(len(words), dim)
-    return source, EmbeddingSpace(words, vectors, center, _adopt=True)
+    return source, EmbeddingSpace(words, matrix[: len(words)], center, _adopt=True)
 
 
-def _timed_load(load, path, max_words, preprocessed, where) -> EmbeddingSpace:
+def _timed_load(load, path, max_words, preprocessed, where, out=None) -> EmbeddingSpace:
     """``load``'s space, with an INFO line of its size, time and ``where``."""
     start = time.perf_counter()
-    space = load(path, max_words, preprocessed=preprocessed)
+    space = load(path, max_words, preprocessed=preprocessed, out=out)
     seconds = time.perf_counter() - start
     logger.info("%s: %d x %d loaded in %.3f s, %s", path, len(space), space.dim, seconds, where)
     return space
@@ -295,27 +300,29 @@ class _RecordList(logging.Handler):
         self.records.append(record)
 
 
-def _load_in_child(mapping, load, path, max_words, preprocessed, pipe) -> None:
-    """The task of ``load_spaces``' forked child: load the target, copy its
-    rows into the shared mapping and write ``(words, center)``, or the
-    error, with the package's log records, pickled down the pipe."""
+def _load_in_child(matrix, load, path, max_words, preprocessed, pipe) -> None:
+    """The task of ``load_spaces``' forked child: load the target, its rows
+    parsed into ``matrix``, a view of the shared mapping, and write
+    ``(words, center)``, or the error, with the package's log records,
+    pickled down the pipe."""
     package = logging.getLogger(__package__)
     collected = _RecordList()
     package.handlers, package.propagate = [collected], False
     try:
-        space = _timed_load(load, path, max_words, preprocessed, "in a forked child")
+        space = _timed_load(load, path, max_words, preprocessed, "in a forked child", matrix)
     except Exception as exc:  # sent back and raised by the parent
         outcome: object = exc
     else:
-        rows = np.frombuffer(mapping, np.float64, space.vectors.size)
-        rows.reshape(space.vectors.shape)[...] = space.vectors
         outcome = (space.words, space.center)
     pickle.dump((outcome, collected.records), pipe, pickle.HIGHEST_PROTOCOL)
 
 
 # Rows per np.linalg.norm call when normalizing: the call squares its
 # input, so one call over the whole matrix would need a second matrix.
-_NORM_BLOCK_ROWS = 1024
+# A row's norm has the same bits in any block; 64 rows keep the square as
+# small as a parse chunk's rows (150 KB at dim 300), and normalizing
+# 16k x 300 took 14 ms in blocks of 64 as in blocks of 1,024.
+_NORM_BLOCK_ROWS = 64
 
 
 def _normalize_rows_in_place(vectors: np.ndarray) -> list[int]:

@@ -11,11 +11,14 @@ writes the lines. Every file is UTF-8. Every reader opens its file with
 format's error subclasses ``DataError`` (exit 2) and each condition that
 leaves nothing to train or score subclasses ``UntrainableError`` (exit 3).
 
-``write_float_rows`` refuses a row ``read_float_rows`` would reject. A
-matrix of ``_FORK_MIN_VALUES`` values or more it writes with one forked
-child, which formats the second half of the rows and holds that text,
-about half the file, until this process appends it. ``_forked`` is the
-one helper that forks, here and in ``embeddings.load_spaces``.
+``read_float_rows`` parses ``_CHUNK_ROWS`` rows at a time straight into
+one matrix, a caller's when it passes one, such as a view of a shared
+mapping. ``write_float_rows`` refuses a row ``read_float_rows`` would
+reject. A matrix of ``_FORK_MIN_VALUES`` values or more it writes with
+one forked child, which formats the second half of the rows and holds
+that text, about half the file, until this process appends it.
+``_forked`` is the one helper that forks, here and in
+``embeddings.load_spaces``.
 """
 
 from __future__ import annotations
@@ -302,6 +305,12 @@ def write_float_rows(
 _KEY = re.compile(r"[ \t]*([^ \t\n]*)")
 _LOADTXT = dict(dtype=np.float64, comments=None, quotechar=None, ndmin=2)
 
+# Rows per np.loadtxt call: a chunk's parsed rows, 150 KB at dim 300, and
+# one line of text are all the reader holds beside its result. Parsing
+# 4,096 rows in chunks of 16 to 4,096 rows took the same time at dim 24
+# and at dim 300; one row per call took 14 to 75% longer.
+_CHUNK_ROWS = 64
+
 
 def read_float_rows(
     path: str,
@@ -311,58 +320,51 @@ def read_float_rows(
     error: type[ValueError],
     limit: int | None = None,
     key: str | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[list[str], np.ndarray]:
-    """The rows of ``dim`` floats in a text file, parsed by one streaming
-    ``np.loadtxt`` call; no line is kept in memory.
+    """The rows of ``dim`` floats in a text file, parsed ``_CHUNK_ROWS``
+    lines per ``np.loadtxt`` call straight into one matrix with a row per
+    line; one line of text at a time is in memory.
 
     Rows start at line ``first_lineno``. With a ``limit`` (a .vec body),
     exactly that many lines are read and a blank one is a malformed row;
-    without one, rows run to the end of the file and blank lines are
-    skipped. With ``key`` (the phrase naming it in messages, such as
-    "a word"), each row opens with a key that ends at the first ASCII
-    space or tab; a row whose key was seen before is dropped with a
-    warning. Returns the kept keys (empty without ``key``) and their rows.
+    without one, rows run to the end of the file, blank lines are skipped
+    and a first pass counts the rows. ``out``, a float64 matrix of that
+    many rows and ``dim`` columns (such as a view of a shared mapping), is
+    the matrix parsed into; without it a new one is made. With ``key``
+    (the phrase naming it in messages, such as "a word"), each row opens
+    with a key that ends at the first ASCII space or tab; a row whose key
+    was seen before is parsed, then dropped with a warning, and the rows
+    after it move up. Returns the kept keys (empty without ``key``) and the
+    first rows of the matrix, one per kept row.
+
     A malformed or non-numeric row, then a short file, then a non-finite
     value in a kept row raise ``error`` naming the first offending line;
     a second, line-by-line pass finds the malformed or non-numeric one.
+    How many lines a chunk holds changes none of this.
     """
     # One handle for every pass, closed on every error path: the raised
     # error must not keep the file open through a suspended generator.
     with open_text(path) as handle:
-        seen: dict[str, None] = {}  # the kept keys, in order
-        dropped: list[int] = []  # positions of the rows dropped as repeats
-        count = 0  # rows read
 
-        def rows() -> Iterator[tuple[int, str | None, str]]:
-            """(line number, key, values text) of each row line, read from the
-            start of the file."""
+        def lines() -> Iterator[tuple[int, str]]:
+            """(line number, line) of each row line, read from the start of
+            the file."""
             handle.seek(0)
             stop = None if limit is None else first_lineno - 1 + limit
-            lines = itertools.islice(handle, first_lineno - 1, stop)
-            for lineno, line in enumerate(lines, start=first_lineno):
-                if limit is None and line.isspace():
-                    continue
+            numbered = enumerate(itertools.islice(handle, first_lineno - 1, stop), first_lineno)
+            for lineno, line in numbered:
+                if limit is not None or not line.isspace():
+                    yield lineno, line
+
+        def rows() -> Iterator[tuple[int, str | None, str]]:
+            """(line number, key, values text) of each row line."""
+            for lineno, line in lines():
                 if key is None:
                     yield lineno, None, line
                 else:
                     match = _KEY.match(line)
                     yield lineno, match.group(1), line[match.end():]
-
-        def values() -> Iterator[str]:
-            nonlocal count
-            for position, (lineno, row_key, text) in enumerate(rows()):
-                if not text or text.isspace():
-                    raise ValueError("no values")  # loadtxt would skip the line
-                if row_key in seen:
-                    logger.warning(
-                        "%s: line %d: duplicate %r, keeping the first occurrence",
-                        path, lineno, row_key,
-                    )
-                    dropped.append(position)
-                elif row_key is not None:
-                    seen[row_key] = None
-                count += 1
-                yield text
 
         def first_fault(cause: ValueError | None) -> NoReturn:
             """Parse the rows again one at a time, with the same parser, and
@@ -378,30 +380,70 @@ def read_float_rows(
                     raise error(f"{path}: line {lineno}: expected {expected}, found {found} values")
             raise error(f"{path}: unreadable rows") from cause
 
-        stream = values()
-        try:
-            first = next(stream, None)  # loadtxt warns on an empty stream
-            matrix = (
-                np.zeros((0, dim))
-                if first is None
-                else np.loadtxt(itertools.chain([first], stream), **_LOADTXT)
-            )
-        except UnicodeDecodeError:
-            raise  # not a row fault: open_text names its line
-        except ValueError as exc:
-            first_fault(exc)
-        if matrix.shape != (count, dim):
-            first_fault(None)
+        total = limit if limit is not None else sum(1 for _ in lines())
+        if out is None:
+            # A row's line takes 2 * dim bytes at least (the last one may
+            # lack its line break), so a header that claims more rows than
+            # the file holds costs no memory.
+            size = os.fstat(handle.fileno()).st_size
+            matrix = np.empty((min(total, (size + 1) // (2 * dim)), dim))
+        elif out.shape == (total, dim):
+            matrix = out
+        else:
+            raise error(f"{path}: changed while it was read")
+        seen: dict[str, None] = {}  # the kept keys, in order
+        count = kept = 0  # rows read, rows kept
+        non_finite: tuple[int, str | None] | None = None  # the first kept row with one
+        stream = rows()
+
+        def values(chunk: list[tuple[int, str | None, bool]]) -> Iterator[str]:
+            """The values text of the next ``_CHUNK_ROWS`` rows, one line held
+            at a time; each row's line number, key and whether it is kept
+            (its key is new) go to ``chunk``."""
+            for lineno, row_key, text in itertools.islice(stream, _CHUNK_ROWS):
+                if not text or text.isspace():
+                    raise ValueError("no values")  # loadtxt would skip the line
+                new = row_key not in seen
+                if not new:
+                    logger.warning(
+                        "%s: line %d: duplicate %r, keeping the first occurrence",
+                        path, lineno, row_key,
+                    )
+                elif row_key is not None:
+                    seen[row_key] = None
+                chunk.append((lineno, row_key, new))
+                yield text
+
+        while True:
+            chunk: list[tuple[int, str | None, bool]] = []
+            texts = values(chunk)
+            try:
+                first = next(texts, None)  # loadtxt warns on an empty stream
+                if first is None:
+                    break
+                parsed = np.loadtxt(itertools.chain([first], texts), **_LOADTXT)
+            except UnicodeDecodeError:
+                raise  # not a row fault: open_text names its line
+            except ValueError as exc:
+                first_fault(exc)
+            if parsed.shape != (len(chunk), dim):
+                first_fault(None)
+            if count + len(chunk) > len(matrix):  # rows added since the count
+                raise error(f"{path}: changed while it was read")
+            count += len(chunk)
+            keep = [new for _, _, new in chunk]
+            if not all(keep):
+                chunk, parsed = [row for row in chunk if row[2]], parsed[keep]
+            block = matrix[kept : kept + len(chunk)]
+            block[...] = parsed
+            kept += len(chunk)
+            finite = np.isfinite(block).all(axis=1)
+            if non_finite is None and not finite.all():
+                non_finite = chunk[int(np.argmin(finite))][:2]
         if limit is not None and count < limit:
             raise error(f"{path}: expected {limit} rows after the header, found {count}")
-        if dropped:
-            matrix = np.delete(matrix, dropped, axis=0)
-        keys = list(seen)
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            where = f" in the vector of {keys[bad]!r}" if keys else ""
-            position = int(np.delete(np.arange(count), dropped)[bad])
-            lineno = next(itertools.islice(rows(), position, None))[0]
+        if non_finite is not None:
+            lineno, row_key = non_finite
+            where = "" if row_key is None else f" in the vector of {row_key!r}"
             raise error(f"{path}: line {lineno}: non-finite value{where}")
-        return keys, matrix
+        return list(seen), matrix[:kept]

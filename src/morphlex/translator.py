@@ -292,14 +292,26 @@ class TrainResult:
         return self.dev_losses[self.best_epoch]
 
 
+@dataclass(frozen=True, eq=False)
+class SeedRows:
+    """What a fitter reads of the seed pairs it can use, in dictionary
+    order: the pairs' source rows as one matrix, the target row of each
+    pair and the number of pairs dropped. The source space itself is not
+    kept, so a caller that drops it holds only these rows of it."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    dropped: int
+
+
 def seed_rows(
     seed_dict: list[tuple[str, str]],
     source_space: EmbeddingSpace,
     target_space: EmbeddingSpace,
-) -> list[tuple[int, int]]:
-    """The (source row, target row) of each seed pair that a fitter can
-    use: both its words have a row. Other pairs are dropped with one log
-    line. An empty dictionary or no pair left is NoTrainablePairsError."""
+) -> SeedRows:
+    """The seed pairs that a fitter can use, those whose two words both
+    have a row, gathered as ``SeedRows``. Other pairs are dropped with one
+    log line. An empty dictionary or no pair left is NoTrainablePairsError."""
     if not seed_dict:
         raise NoTrainablePairsError("empty seed dictionary")
     pairs = []
@@ -312,43 +324,39 @@ def seed_rows(
         raise NoTrainablePairsError("no seed pair is resolvable in the embedding spaces")
     if len(pairs) < len(seed_dict):
         logger.info("seed_rows: dropped %d unresolvable seed pairs", len(seed_dict) - len(pairs))
-    return pairs
+    return SeedRows(
+        sources=source_space.vectors[[si for si, _ in pairs]],
+        targets=np.asarray([ti for _, ti in pairs]),
+        dropped=len(seed_dict) - len(pairs),
+    )
 
 
-def train(
-    seed_dict: list[tuple[str, str]],
-    source_space: EmbeddingSpace,
-    target_space: EmbeddingSpace,
-    config: TrainConfig,
-) -> TrainResult:
+def train(seeds: SeedRows, target_space: EmbeddingSpace, config: TrainConfig) -> TrainResult:
     """Fit omega on seed pairs with Adam, lr halving and early stopping.
 
     A non-finite development loss ends the run with a warning; the model
     is then the best snapshot before it.
 
-    The pairs are those ``seed_rows`` keeps; the dropped ones are counted.
-    Runs with equal seeds and inputs are bit-identical under one numpy/BLAS
-    build and BLAS thread count.
+    ``seeds`` are what ``seed_rows`` gathers over the source space and
+    ``target_space``, so training reads no other source row: a caller may
+    drop the source space first. Runs with equal seeds and inputs are
+    bit-identical under one numpy/BLAS build and BLAS thread count.
     """
-    pairs = seed_rows(seed_dict, source_space, target_space)
-
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(pairs))
-    n_dev = int(round(len(pairs) * config.dev_fraction))
-    n_dev = min(max(n_dev, 1), len(pairs) - 1) if len(pairs) > 1 else 0
-    dev_pairs = [pairs[i] for i in order[:n_dev]]
-    train_pairs = [pairs[i] for i in order[n_dev:]]
-    if not dev_pairs:
-        dev_pairs = train_pairs  # single-pair dictionary: schedule on the training loss
+    n_pairs = len(seeds.targets)
+    order = rng.permutation(n_pairs)
+    n_dev = int(round(n_pairs * config.dev_fraction))
+    n_dev = min(max(n_dev, 1), n_pairs - 1) if n_pairs > 1 else 0
+    train_rows = order[n_dev:]
+    # A single-pair dictionary schedules on the training loss.
+    dev_rows = order[:n_dev] if n_dev else train_rows
 
-    n_t, n_s = target_space.dim, source_space.dim
+    n_t, n_s = target_space.dim, seeds.sources.shape[1]
     omega = np.eye(n_t) if n_t == n_s else rng.uniform(-0.01, 0.01, size=(n_t, n_s))
 
     normalizer_rows = target_space.vectors
-    dev_sources = source_space.vectors[[si for si, _ in dev_pairs]]
-    dev_targets = np.asarray([ti for _, ti in dev_pairs])
-    train_sources = np.asarray([si for si, _ in train_pairs])
-    train_targets = np.asarray([ti for _, ti in train_pairs])
+    dev_sources = seeds.sources[dev_rows]
+    dev_targets = seeds.targets[dev_rows]
 
     # A dev block of two batches' rows holds as many scores as a training
     # step's two arrays, so it adds nothing to training's peak; thinner
@@ -367,13 +375,13 @@ def train(
     epoch = 0
     while epoch < config.max_epochs and learning_rate >= config.min_learning_rate:
         epoch += 1
-        permutation = rng.permutation(len(train_pairs))
+        permutation = rng.permutation(len(train_rows))
         for lo in range(0, len(permutation), config.batch_size):
-            chosen = permutation[lo : lo + config.batch_size]
+            chosen = train_rows[permutation[lo : lo + config.batch_size]]
             grad = _gradient_indexed(
                 omega,
-                source_space.vectors[train_sources[chosen]],
-                train_targets[chosen],
+                seeds.sources[chosen],
+                seeds.targets[chosen],
                 normalizer_rows,
                 config.alpha,
                 config.batch_size,
@@ -407,7 +415,7 @@ def train(
         dev_losses=losses,
         best_epoch=best_epoch,
         epochs_run=epoch,
-        dropped_pairs=len(seed_dict) - len(pairs),
+        dropped_pairs=seeds.dropped,
     )
 
 

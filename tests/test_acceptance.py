@@ -35,6 +35,7 @@ from morphlex.translator import (
     log_prob,
     loss_and_gradient,
     retrieve,
+    seed_rows,
     train,
 )
 
@@ -161,7 +162,7 @@ def test_criterion_4_orthogonality_effect():
 
     def final_deviation(alpha: float) -> float:
         config = TrainConfig(alpha=alpha, max_epochs=25, seed=13)
-        model = train(pairs, source, target, config).model
+        model = train(seed_rows(pairs, source, target), target, config).model
         gram = model.omega.T @ model.omega - np.eye(dim)
         return float(np.linalg.norm(gram, "fro"))
 
@@ -199,8 +200,7 @@ def bilingual_world():
     analyzer = learn_analyzer(task.source_unimorph)
     inflector = learn_inflector(task.target_unimorph)
     result = train(
-        task.seed_pairs,
-        task.source_space,
+        seed_rows(task.seed_pairs, task.source_space, task.target_space),
         task.target_space,
         TrainConfig(alpha=10.0, max_epochs=30, seed=0),
     )

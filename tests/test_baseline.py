@@ -3,7 +3,7 @@ import pytest
 
 from morphlex.baseline import procrustes_fit
 from morphlex.embeddings import EmbeddingSpace
-from morphlex.translator import NoTrainablePairsError, TrainConfig, retrieve, train
+from morphlex.translator import NoTrainablePairsError, TrainConfig, retrieve, seed_rows, train
 
 
 def random_orthogonal(rng, dim):
@@ -86,7 +86,7 @@ class TestProcrustesFit:
 # Both fitters, as pairs -> model: they keep the seed pairs by one rule.
 FITTERS = {
     "train": lambda pairs, source, target: train(
-        pairs, source, target, TrainConfig(max_epochs=2)).model,
+        seed_rows(pairs, source, target), target, TrainConfig(max_epochs=2)).model,
     "procrustes_fit": procrustes_fit,
 }
 
@@ -114,7 +114,8 @@ class TestSeedPairRule:
 def test_train_counts_a_pair_with_a_composed_target_as_dropped():
     rng = np.random.default_rng(11)
     source, target, pairs, _ = rotated_spaces(rng, 20, 4)
-    result = train(pairs + [("s0", "composed")], source, target, TrainConfig(max_epochs=2))
+    seeds = seed_rows(pairs + [("s0", "composed")], source, target)
+    result = train(seeds, target, TrainConfig(max_epochs=2))
     assert result.dropped_pairs == 1
 
 

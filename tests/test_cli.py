@@ -12,6 +12,7 @@ import select
 import subprocess
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import replace
 from unittest import mock
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from morphlex import cli, embeddings
 from morphlex.baseline import procrustes_fit
 from morphlex.cli import EXIT_DATA, EXIT_OK, EXIT_UNTRAINABLE, EXIT_USAGE, main
-from morphlex.embeddings import EmbeddingSpace, ngrams, save_vec_file
+from morphlex.embeddings import EmbeddingSpace, load_space, ngrams, save_vec_file
 from morphlex.morph import learn_analyzer, learn_inflector
 from morphlex.pipeline import (
     MODE_DIRECT,
@@ -36,7 +37,7 @@ from morphlex.pipeline import (
     translate_many,
 )
 from morphlex.synthetic import build_bilingual_task
-from morphlex.translator import TranslationModel, save_model
+from morphlex.translator import TrainConfig, TranslationModel, save_model, seed_rows
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -135,6 +136,76 @@ class TestTrainTranslator:
         arguments = manifest["arguments"]
         assert (arguments["src"], arguments["tgt"]) == (corpus["src"], corpus["tgt"])
         assert "final dev loss" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fork_floor", [None, 0], ids=["in-process", "forked-target"])
+    def test_source_space_is_released_before_training(self, tmp_path, monkeypatch, fork_floor):
+        # Training reads only the seed pairs' source rows, so the loaded
+        # source matrix is gone once train is entered, and the model has
+        # the bytes of training over both full spaces.
+        if fork_floor is not None:
+            monkeypatch.setattr(embeddings, "_FORK_MIN_VALUES", fork_floor)
+        task = build_bilingual_task(seed=1, n_lexemes=250, dim=64, apply_preprocessing=False)
+        src, tgt = str(tmp_path / "src.vec"), str(tmp_path / "tgt.vec")
+        save_vec_file(task.source_space, src)
+        save_vec_file(task.target_space, tgt)
+        seed = tmp_path / "seed.tsv"
+        seed.write_text("".join(f"{s}\t{t}\n" for s, t in task.seed_pairs))
+        source_rows = []
+        released = []
+
+        def load(path, *args, **kwargs):
+            space = cli_load_space(path, *args, **kwargs)
+            if path == src:
+                source_rows.append(weakref.ref(space.vectors))
+            return space
+
+        def train(*args, **kwargs):
+            released.append([ref() is None for ref in source_rows])
+            return real_train(*args, **kwargs)
+
+        cli_load_space, real_train = cli.load_space, cli.train
+        monkeypatch.setattr(cli, "load_space", load)
+        monkeypatch.setattr(cli, "train", train)
+        out = tmp_path / "m.omega"
+        assert main([
+            "train-translator", "--src", src, "--tgt", tgt, "--seed-dict", str(seed),
+            "--out", str(out), "--max-epochs", "2", "--seed", "1",
+        ]) == EXIT_OK
+        assert released == [[True]]
+
+        source, target = (load_space(path, preprocessed=True) for path in (src, tgt))
+        config = TrainConfig(max_epochs=2, seed=1)
+        full = real_train(seed_rows(task.seed_pairs, source, target), target, config)
+        save_model(full.model, str(tmp_path / "full.omega"))
+        assert out.read_bytes() == (tmp_path / "full.omega").read_bytes()
+
+    def test_verbose_logs_peak_rss_and_leaves_outputs_unchanged(
+        self, corpus, tmp_path, capsys, caplog
+    ):
+        pytest.importorskip("resource")
+
+        def run(name, *verbose):
+            out = tmp_path / name / "m.omega"
+            out.parent.mkdir()
+            assert main([
+                *verbose, "train-translator", "--src", corpus["src"], "--tgt", corpus["tgt"],
+                "--seed-dict", corpus["seed"], "--out", str(out), "--max-epochs", "2",
+            ]) == EXIT_OK
+            files = {path.name: path.read_bytes() for path in out.parent.iterdir()}
+            return files, capsys.readouterr().out
+
+        quiet = run("quiet")
+        with caplog.at_level(logging.INFO, logger="morphlex"):
+            loud = run("loud", "--verbose")
+        assert loud[1] == quiet[1]
+        assert loud[0]["m.omega"] == quiet[0]["m.omega"]
+        manifests = [json.loads(files["m.omega.manifest.json"]) for files, _ in (quiet, loud)]
+        for manifest in manifests:
+            manifest["arguments"]["out"] = None
+        assert manifests[0] == manifests[1]
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphlex"]
+        assert len(lines) == 1
+        assert re.fullmatch(r"peak RSS \d+\.\d MB; forked children \d+\.\d MB", lines[0])
 
     def test_max_epochs_zero_writes_initial_model(self, corpus, tmp_path):
         out = str(tmp_path / "m.omega")

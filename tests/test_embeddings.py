@@ -1,7 +1,10 @@
 import errno
+import io
 import json
 import logging
+import mmap
 import os
+import pickle
 import re
 import time
 import tracemalloc
@@ -122,6 +125,13 @@ class TestLoadVecFile:
         with pytest.raises(VecFormatError, match="expected 3 rows after the header, found 2"):
             load_space(path)
         assert len(load_space(path, max_words=2)) == kept
+
+    def test_header_claiming_more_rows_than_the_file_holds_is_a_short_file(self, tmp_path):
+        # The matrix is sized by what the file can hold, not by the header.
+        path = write(tmp_path / "a.vec", "1000000000000 3\na 1 0 2\n")
+        message = "expected 1000000000000 rows after the header, found 1"
+        with pytest.raises(VecFormatError, match=message):
+            load_space(path, max_words=None)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_value_rejected(self, tmp_path, value):
@@ -372,21 +382,31 @@ class TestPreprocessBits:
         np.testing.assert_array_equal(array, np.arange(6.0).reshape(3, 2))
         assert not np.shares_memory(array, space.vectors)
 
-    def test_load_and_preprocess_peak_memory_is_one_matrix(self, tmp_path):
-        # Parsing, normalizing and centering hold one matrix, plus the
-        # parser's growth slack and the words: not a copy per step.
+    @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeated-word"])
+    def test_load_and_preprocess_peak_memory_is_one_matrix(self, tmp_path, repeat):
+        # Parsing, normalizing and centering hold the one matrix the space
+        # keeps, plus one chunk of parsed rows and one normalization block:
+        # not a copy per step, and no copy to drop a repeated word's row. The
+        # bound is on what the finished space holds, its matrix, words and
+        # index, since at 4000 x 50 the words alone take a fifth of the
+        # matrix's bytes.
         rng = np.random.default_rng(12)
         path = str(tmp_path / "big.vec")
-        save_vec_file(EmbeddingSpace(tuple(f"w{i}" for i in range(4000)),
-                                     rng.normal(size=(4000, 50))), path)
+        words = [f"w{i}" for i in range(4000)]
+        if repeat:
+            words[2000] = words[17]
+        write(tmp_path / "big.vec", "4000 50\n" + "".join(
+            f"{word} " + " ".join(map(repr, row)) + "\n"
+            for word, row in zip(words, rng.normal(size=(4000, 50)).tolist())
+        ))
         tracemalloc.start()
         try:
             space = load_space(path, preprocessed=True)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert space.vectors.shape == (4000, 50)
-        assert peak <= 1.5 * space.vectors.nbytes
+        assert space.vectors.shape == (4000 - repeat, 50)
+        assert peak <= 1.1 * held
 
 
 class TestComposeOov:
@@ -745,6 +765,41 @@ class TestLoadSpaces:
         assert len(lines) == 2
         assert re.fullmatch(rf"{re.escape(src)}: 10 x 4 loaded in \d+\.\d{{3}} s, in-process", lines[0])
         assert re.fullmatch(rf"{re.escape(tgt)}: 11 x 3 loaded in \d+\.\d{{3}} s, {child}", lines[1])
+
+    def test_child_task_parses_the_target_into_the_shared_mapping(self, tmp_path, monkeypatch):
+        # The forked child's task, run here: the space it loads is a view of
+        # a real anonymous mapping, so the target's rows are never copied.
+        package = logging.getLogger("morphlex")  # the task captures its records
+        monkeypatch.setattr(package, "handlers", list(package.handlers))
+        monkeypatch.setattr(package, "propagate", package.propagate)
+        tgt = random_vec_file(tmp_path / "t.vec", 12, 3, seed=2, duplicate=4, zero=2)
+        mapping = mmap.mmap(-1, 12 * 3 * 8)
+        matrix = np.frombuffer(mapping, np.float64).reshape(12, 3)
+        loaded = []
+
+        def load(*args, **kwargs):
+            loaded.append(load_space(*args, **kwargs))
+            return loaded[-1]
+
+        pipe = io.BytesIO()
+        embeddings._load_in_child(matrix, load, tgt, None, True, pipe)
+        (words, center), records = pickle.loads(pipe.getvalue())
+        assert np.shares_memory(loaded[0].vectors, np.frombuffer(mapping, np.uint8))
+        want = load_space(tgt, None, preprocessed=True)
+        assert words == want.words and len(words) == 11
+        assert matrix[: len(words)].tobytes() == want.vectors.tobytes()
+        assert center.tobytes() == want.center.tobytes()
+        assert [r.getMessage() for r in records if r.levelno == logging.WARNING] == [
+            f"{tgt}: line 6: duplicate 'w0', keeping the first occurrence",
+            f"{tgt}: 1 zero vectors could not be normalized",
+        ]
+
+    def test_rows_for_another_shape_mean_the_file_changed(self, tmp_path):
+        # The child parses into a mapping sized from the header the parent
+        # read; a file rewritten in between no longer fits it.
+        tgt = random_vec_file(tmp_path / "t.vec", 12, 3, seed=2)
+        with pytest.raises(VecFormatError, match="t.vec: changed while it was read"):
+            load_space(tgt, out=np.empty((10, 3)))
 
     @pytest.mark.parametrize("failing", ["mmap", "pipe", "fork"])
     def test_failed_fork_loads_the_target_after_the_source(

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphlex import cli, textio
@@ -102,6 +102,66 @@ def test_float_row_error_leaves_the_file_closed(tmp_path, descriptors, name):
         reader(str(path))
     assert info.value.__traceback__ is not None
     assert str(path) not in descriptors().values()
+
+
+@st.composite
+def float_row_files(draw):
+    """(layout, dim, text, limit): a .vec body after a header line, read
+    with a limit below, at or above its row count; a header-less n-gram
+    table; or a model body without keys. Keys come from five letters, so
+    repeats fall on either side of a chunk boundary, and rows are mostly
+    good but may be blank, short, long, non-numeric or non-finite."""
+    layout = draw(st.sampled_from(["vec", "ngrams", "model"]))
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "short", "long", "x", "nan", "-inf"]))
+        values = [repr(draw(st.floats(allow_nan=False, allow_infinity=False))) for _ in range(dim)]
+        if kind == "short":
+            values.pop()
+        elif kind == "long":
+            values.append("1.5")
+        elif kind != "good":
+            values[draw(st.integers(0, dim - 1))] = kind
+        if layout != "model":
+            values.insert(0, draw(st.sampled_from("abcde")))
+        row = " ".join(values)
+        lines.append("" if kind == "blank" else row)
+    limit = draw(st.integers(0, len(lines) + 2)) if layout == "vec" else None
+    header = "" if layout == "ngrams" else "header\n"
+    return layout, dim, header + "".join(line + "\n" for line in lines), limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=float_row_files(), chunk_rows=st.integers(1, 4))
+@example(case=("vec", 2, "header\na 1 2\nb 3 4\na 5 6\nc 7 8\n", 4), chunk_rows=2)
+@example(case=("ngrams", 2, "a 1 2\n\nb 1\nc 1 2\n", None), chunk_rows=1)
+@example(case=("model", 2, "header\n1 2\n3 x\n", None), chunk_rows=1)
+@example(case=("vec", 2, "header\na 1 2\nb 3 4\n", 4), chunk_rows=1)
+@example(case=("vec", 2, "header\na 1 2\nb 3 4\nc 5 6\n", 2), chunk_rows=1)
+@example(case=("vec", 1, "header\na 1\nb 2\nc nan\n", 3), chunk_rows=2)
+@example(case=("vec", 1, "header\na 1\nb 2\na inf\n", 3), chunk_rows=2)
+def test_chunked_read_equals_a_one_chunk_read(tmp_path_factory, case, chunk_rows):
+    # The rows a chunk holds change neither the kept keys and the bits of
+    # their rows nor the text of the error: a repeat is dropped across a
+    # chunk boundary as within one, and the first fault of the file wins.
+    layout, dim, text, limit = case
+    path = tmp_path_factory.mktemp("rows") / "rows.txt"
+    path.write_text(text, encoding="utf-8")
+
+    def read(rows_per_chunk):
+        with mock.patch.object(textio, "_CHUNK_ROWS", rows_per_chunk):
+            try:
+                keys, matrix = textio.read_float_rows(
+                    str(path), dim, first_lineno=1 if layout == "ngrams" else 2,
+                    error=VecFormatError, limit=limit,
+                    key=None if layout == "model" else "a word",
+                )
+            except VecFormatError as exc:
+                return str(exc)
+        return keys, matrix.shape, matrix.tobytes()
+
+    assert read(chunk_rows) == read(len(text) + 1)
 
 
 WRITERS = {

@@ -28,6 +28,7 @@ from morphlex.translator import (
     orth_penalty,
     retrieve,
     save_model,
+    seed_rows,
     train,
 )
 
@@ -249,7 +250,7 @@ class TestTrain:
         rng = np.random.default_rng(10)
         source, target, pairs, _ = rotation_task(rng, 70, 10)
         config = TrainConfig(alpha=1.0, max_epochs=60, seed=0)
-        result = train(pairs[:50], source, target, config)
+        result = train(seed_rows(pairs[:50], source, target), target, config)
         found = top_words(result.model, source, target, [f"s{i}" for i in range(50, 70)])
         hits = sum(word == f"t{i}" for i, word in zip(range(50, 70), found))
         assert hits / 20 >= 0.95
@@ -257,7 +258,7 @@ class TestTrain:
     def test_max_epochs_zero_returns_initialization(self):
         rng = np.random.default_rng(11)
         source, target, pairs, _ = rotation_task(rng, 10, 4)
-        result = train(pairs, source, target, TrainConfig(max_epochs=0, seed=3))
+        result = train(seed_rows(pairs, source, target), target, TrainConfig(max_epochs=0, seed=3))
         np.testing.assert_array_equal(result.model.omega, np.eye(4))
         assert result.epochs_run == 0 and result.best_epoch == 0
 
@@ -265,8 +266,8 @@ class TestTrain:
         rng = np.random.default_rng(12)
         source, target, pairs, _ = rotation_task(rng, 30, 6)
         config = TrainConfig(alpha=5.0, max_epochs=8, seed=42)
-        first = train(pairs, source, target, config)
-        second = train(pairs, source, target, config)
+        first = train(seed_rows(pairs, source, target), target, config)
+        second = train(seed_rows(pairs, source, target), target, config)
         assert np.array_equal(first.model.omega, second.model.omega)
         assert first.dev_losses == second.dev_losses
 
@@ -276,7 +277,7 @@ class TestTrain:
         rng = np.random.default_rng(14)
         source, target, pairs, _ = rotation_task(rng, 10, 4)
         config = TrainConfig(alpha=0.0, max_epochs=3, seed=0)
-        result = train(pairs[:1], source, target, config)
+        result = train(seed_rows(pairs[:1], source, target), target, config)
         start = TranslationModel(np.eye(4), len(target))
         loss, _ = loss_and_gradient(start, pairs[:1], source, target, config)
         assert result.dev_losses[0] == pytest.approx(loss, rel=1e-12)
@@ -287,14 +288,14 @@ class TestTrain:
         rng = np.random.default_rng(13)
         source, target, pairs, _ = rotation_task(rng, 10, 4)
         noisy = pairs + [("missing", "t0"), ("s0", "missing")]
-        result = train(noisy, source, target, TrainConfig(max_epochs=1, seed=0))
+        result = train(seed_rows(noisy, source, target), target, TrainConfig(max_epochs=1, seed=0))
         assert result.dropped_pairs == 2
 
     def test_non_finite_dev_loss_stops_with_the_best_finite_snapshot(self, monkeypatch, caplog):
         rng = np.random.default_rng(23)
         source, target, pairs, _ = rotation_task(rng, 30, 6)
         config = TrainConfig(alpha=1.0, max_epochs=10, seed=5)
-        one_epoch = train(pairs, source, target, replace(config, max_epochs=1))
+        one_epoch = train(seed_rows(pairs, source, target), target, replace(config, max_epochs=1))
         real = translator._dev_loss
         dev_evaluations = 0
 
@@ -307,7 +308,7 @@ class TestTrain:
 
         monkeypatch.setattr(translator, "_dev_loss", nan_after_first_epoch)
         with caplog.at_level(logging.WARNING, logger="morphlex.translator"):
-            result = train(pairs, source, target, config)
+            result = train(seed_rows(pairs, source, target), target, config)
         assert result.epochs_run == 2
         assert result.dev_losses[:2] == one_epoch.dev_losses
         assert len(result.dev_losses) == 3 and math.isnan(result.dev_losses[2])
@@ -320,7 +321,7 @@ class TestTrain:
         source, target, pairs, _ = rotation_task(rng, 40, 6)
         config = TrainConfig(alpha=1.0, learning_rate=0.5, max_epochs=8, seed=0)
         with caplog.at_level(logging.INFO, logger="morphlex.translator"):
-            result = train(pairs, source, target, config)
+            result = train(seed_rows(pairs, source, target), target, config)
         lines = [
             re.fullmatch(r"train: epoch (\d+) dev loss (\S+), learning rate (\S+)( \(halved\))?",
                          record.getMessage())
@@ -345,7 +346,7 @@ class TestTrain:
         config = TrainConfig(max_epochs=1, seed=0)
         tracemalloc.start()
         try:
-            train(pairs, source, target, config)
+            train(seed_rows(pairs, source, target), target, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -355,7 +356,7 @@ class TestTrain:
         rng = np.random.default_rng(14)
         source, target, _, _ = rotation_task(rng, 5, 3)
         with pytest.raises(NoTrainablePairsError):
-            train([("x", "y")], source, target, TrainConfig())
+            train(seed_rows([("x", "y")], source, target), target, TrainConfig())
 
     def test_penalty_pulls_omega_toward_orthogonality(self):
         rng = np.random.default_rng(15)
@@ -367,7 +368,7 @@ class TestTrain:
         )
         def final_deviation(alpha):
             config = TrainConfig(alpha=alpha, max_epochs=20, seed=7)
-            model = train(pairs, source, noisy_target, config).model
+            model = train(seed_rows(pairs, source, noisy_target), noisy_target, config).model
             gram = model.omega.T @ model.omega - np.eye(6)
             return float(np.linalg.norm(gram, "fro"))
         assert final_deviation(10.0) < final_deviation(0.0)
