@@ -45,6 +45,7 @@ from .evaluation import (
     DEFAULT_MIN_TAG_COUNT,
     DEFAULT_NUM_BINS,
     DictionaryFormatError,
+    _keyed_row,
     extract_identical_seed,
     precision_at_1,
     read_eval_dictionary,
@@ -347,7 +348,8 @@ def _build_joint_config(args: argparse.Namespace) -> JointConfig:
 
 def _oracle_row(row: list[str]) -> tuple[str, tuple[str, MorphTag]]:
     """A form<TAB>lemma<TAB>tag row as (form, (lemma, tag))."""
-    return row[0], (row[1], parse_tag(row[2]))
+    form, lemma, tag = _keyed_row(row)
+    return form, (lemma, parse_tag(tag))
 
 
 def _read_oracle_analyses(path: str) -> dict[str, tuple[str, MorphTag]]:
@@ -358,16 +360,18 @@ def _read_oracle_analyses(path: str) -> dict[str, tuple[str, MorphTag]]:
 
 def _oracle_gold(line: str) -> tuple[str, MorphTag] | None:
     """The (lemma, tag) of an oracle input line, or None, which makes the
-    line untranslatable: a line without three columns draws a warning, a
-    tag that does not parse none."""
+    line untranslatable: a line without three columns, or with an empty
+    form or lemma, draws a warning, a tag that does not parse none."""
     columns = line.split("\t")
-    if len(columns) != 3:
-        print(f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}", file=sys.stderr)
-        return None
     try:
-        return _oracle_row(columns)[1]
+        if len(columns) == 3:
+            return _oracle_row(columns)[1]
     except TagParseError:
         return None
+    except ValueError:  # an empty form or lemma
+        pass
+    print(f"warning: oracle input needs form<TAB>lemma<TAB>tag, got {line!r}", file=sys.stderr)
+    return None
 
 
 def cmd_translate(args: argparse.Namespace) -> None:

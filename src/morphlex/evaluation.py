@@ -93,6 +93,14 @@ class EvalReport:
     tags: list[Tally]
 
 
+def _keyed_row(row: list[str]) -> tuple[str, ...]:
+    """The fields of a dictionary-like row, whose first two (source and
+    target, or form and lemma) must not be empty."""
+    if not row[0] or not row[1]:
+        raise ValueError("empty field")
+    return tuple(row)
+
+
 def read_eval_dictionary(path: str) -> EvalDictionary:
     """Read source<TAB>target[<TAB>source_tag] rows, merging gold targets
     of repeated source forms into one set; a source's tag is the smallest
@@ -100,9 +108,8 @@ def read_eval_dictionary(path: str) -> EvalDictionary:
     syncretism), so the row order does not matter."""
 
     def parse_row(row: list[str]) -> tuple[str, str, MorphTag | None]:
-        if not row[0] or not row[1]:
-            raise ValueError("empty field")
-        return row[0], row[1], parse_tag(row[2]) if len(row) == 3 and row[2] else None
+        source, target, *tag = _keyed_row(row)
+        return source, target, parse_tag(tag[0]) if tag and tag[0] else None
 
     golds: dict[str, set[str]] = {}
     tags: dict[str, MorphTag | None] = {}
@@ -117,7 +124,7 @@ def read_eval_dictionary(path: str) -> EvalDictionary:
 
 def read_seed_dictionary(path: str) -> list[tuple[str, str]]:
     """Read source<TAB>target pairs; duplicate pairs are kept once."""
-    return list(dict.fromkeys(read_tsv(path, 2, DictionaryFormatError, tuple)))
+    return list(dict.fromkeys(read_tsv(path, 2, DictionaryFormatError, _keyed_row)))
 
 
 def _count(outcomes: Sequence[EntryOutcome], label_of) -> dict[str, list[int]]:

@@ -1,12 +1,14 @@
 """The joint translation pipeline: analyze, translate, re-inflect.
 
-Base mode routes every form through its lemma; hybrid mode does so only
-when the analyzer's lemma is strictly more frequent than the surface
-form, translating the form directly otherwise; oracle mode is given the
-gold (lemma, tag) and skips analysis; direct mode translates the surface
-form alone. Every stage decodes greedily (1-best). Retrieval is batched:
-``translate_many`` maps all the lemmas, then all the direct forms, of a
-list of inputs through one fused score product each.
+``translate_many`` plans, then executes. The plan holds the one routing
+rule: base mode routes every form through its lemma; hybrid mode does so
+only when the analyzer's lemma is strictly more frequent than the surface
+form; oracle mode routes the gold (lemma, tag) and skips analysis; direct
+mode routes nothing through a lemma. The execution maps all the planned
+lemmas, then all the forms left without a candidate, of a list of inputs
+through one fused score product each, and has one fallback rule: a form
+whose lemma route is not taken or fails goes direct, except in oracle
+mode. Every stage decodes greedily (1-best).
 """
 
 from __future__ import annotations
@@ -187,31 +189,30 @@ def _retrieve_many(
     }
 
 
-def _lemma_outranks_form(config: JointConfig, lemma: str, source_form: str) -> bool:
-    """The hybrid gate: strict frequency-rank inequality.
-
-    A form without a row counts as infinitely rare; a lemma without one
-    never outranks it. A vector composed from n-grams gives no rank.
-    """
-    lemma_rank = config.source_space.index_or_none(lemma)
-    form_rank = config.source_space.index_or_none(source_form)
-    return lemma_rank is not None and (form_rank is None or lemma_rank < form_rank)
-
-
-def _lemma_route_analysis(config: JointConfig, source_form: str) -> Analysis | None:
-    """The analysis a base or hybrid form takes the lemma route with, or
-    None when it goes direct: direct mode, no analysis, or (hybrid) a
-    lemma that does not outrank the form."""
+def _lemma_route(
+    config: JointConfig, form: str, gold: tuple[str, MorphTag] | None
+) -> Analysis | None:
+    """The plan for one distinct input, and the one place that reads the
+    mode's routing rule: the analysis its lemma route translates, or None
+    when it goes direct. Oracle mode routes the gold (None without one),
+    direct mode nothing, base mode the analyzer's reading, and hybrid mode
+    that reading only when its lemma outranks the form."""
+    if config.mode == MODE_ORACLE:
+        return None if gold is None else Analysis(*gold, log_prob=0.0)
     if config.mode == MODE_DIRECT:
         return None
     try:
-        analysis = analyze(config.analyzer, source_form)
+        analysis = analyze(config.analyzer, form)
     except NoAnalysisError:
         return None
-    if config.mode == MODE_HYBRID and not _lemma_outranks_form(
-        config, analysis.lemma, source_form
-    ):
-        return None
+    if config.mode == MODE_HYBRID:
+        # Strict frequency-rank inequality: a form without a row counts as
+        # infinitely rare; a lemma without one never outranks it. A vector
+        # composed from n-grams gives no rank.
+        lemma_rank = config.source_space.index_or_none(analysis.lemma)
+        form_rank = config.source_space.index_or_none(form)
+        if lemma_rank is None or (form_rank is not None and lemma_rank >= form_rank):
+            return None
     return analysis
 
 
@@ -223,45 +224,32 @@ def translate_many(
 ) -> list[TranslationCandidate | Exception]:
     """Translate source forms in the configured mode.
 
-    Slot i holds the candidate for ``forms[i]`` (with ``golds[i]``), or
-    the declared error (one of ``TRANSLATION_ERRORS``) that stopped it.
-    Oracle mode translates the gold (lemma, tag) with no fallback, so its
-    failures are the slot's error; without gold the form is
-    untranslatable. Base and hybrid modes analyze the form and take the
-    lemma route when allowed (hybrid: only when the lemma outranks the
-    form), falling back to direct translation of the surface form when
-    analysis or any stage of the lemma route fails. Direct mode never
-    uses morphology. ``golds`` is read in oracle mode only.
+    Slot i holds the candidate for ``forms[i]`` (with ``golds[i]``, read in
+    oracle mode only), or the declared error (one of
+    ``TRANSLATION_ERRORS``) that stopped it.
 
-    The work runs in stages over the distinct inputs: route each form,
-    retrieve every lemma in one batch, inflect, then retrieve every form
-    that goes direct in a second batch. ``stats``, when given, adds up
+    The plan (``_lemma_route``) routes each distinct input once. The
+    execution retrieves the plan's lemmas in one batch and inflects them,
+    then retrieves every form left without a candidate in a second batch.
+    Its one fallback rule: a form whose lemma route is not taken or fails
+    goes direct, except in oracle mode, where the failure is the slot and
+    a form without gold is untranslatable. ``stats``, when given, adds up
     the work done.
     """
     oracle = config.mode == MODE_ORACLE
     if golds is None:
         golds = [None] * len(forms)
     keys = [(form, gold if oracle else None) for form, gold in zip(forms, golds, strict=True)]
-    distinct = list(dict.fromkeys(keys))
+    plan = {key: _lemma_route(config, *key) for key in dict.fromkeys(keys)}
     if stats is not None:
         stats.forms += len(keys)
-        stats.distinct_forms += len(distinct)
+        stats.distinct_forms += len(plan)
 
     results: dict[tuple, TranslationCandidate | Exception] = {}
-    routed: dict[tuple, Analysis] = {}
-    for key in distinct:
-        form, gold = key
-        if oracle and gold is None:
-            results[key] = UntranslatableError(form)
-        elif oracle:
-            routed[key] = Analysis(*gold, log_prob=0.0)
-        else:
-            analysis = _lemma_route_analysis(config, form)
-            if analysis is not None:
-                routed[key] = analysis
-
-    lemmas = _retrieve_many(config, list(dict.fromkeys(a.lemma for a in routed.values())), stats)
-    for key, analysis in routed.items():
+    lemmas = _retrieve_many(config, list(dict.fromkeys(a.lemma for a in plan.values() if a)), stats)
+    for key, analysis in plan.items():
+        if analysis is None:
+            continue
         try:
             if analysis.lemma not in lemmas:
                 raise UntranslatableError(analysis.lemma)
@@ -277,8 +265,8 @@ def translate_many(
             inflector_log_prob,
         )
 
-    pending = [key for key in distinct if key not in results]
-    direct = _retrieve_many(config, [form for form, _ in pending], stats)
+    pending = [key for key in plan if key not in results]
+    direct = {} if oracle else _retrieve_many(config, [form for form, _ in pending], stats)
     for form, gold in pending:
         if form in direct:
             target_word, translator_log_prob = direct[form]

@@ -118,6 +118,20 @@ def trained(corpus, tmp_path_factory):
 
 
 class TestTrainTranslator:
+    def test_empty_seed_field_is_a_data_error(self, corpus, tmp_path, capsys):
+        # A pair with an empty word is refused, not counted as dropped.
+        seed = tmp_path / "seed.tsv"
+        with open(corpus["seed"], encoding="utf-8") as handle:
+            good = handle.readline()
+        seed.write_text(good + good.split("\t")[0] + "\t\n", encoding="utf-8")
+        code = main([
+            "train-translator", "--src", corpus["src"], "--tgt", corpus["tgt"],
+            "--seed-dict", str(seed), "--out", str(tmp_path / "m.omega"),
+        ])
+        assert code == EXIT_DATA
+        assert f"error: {seed}: line 2: empty field" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["seed.tsv"]
+
     def test_writes_model_metadata_and_manifest(self, corpus, tmp_path, capsys):
         out = str(tmp_path / "m.omega")
         code = main([
@@ -610,6 +624,14 @@ class TestTranslateLineCache:
         out, err = translate_stream(MODE_ORACLE, text, 2, sys.maxsize)
         assert out == "no-tag-here\t<NONE>\t-\t-\n" * 5
         assert err.count("oracle input needs form<TAB>lemma<TAB>tag") == 5
+
+    def test_an_empty_form_or_lemma_is_a_line_without_three_columns(self):
+        _, pool = stream_world()
+        form, lemma, tag = next(line for line in pool if line.count("\t") == 2).split("\t")
+        text = f"\t{lemma}\t{tag}\n{form}\t\t{tag}\n"
+        out, err = translate_stream(MODE_ORACLE, text, 1024, 1024)
+        assert out == f"\t<NONE>\t-\t-\n{form}\t<NONE>\t-\t-\n"
+        assert err.count("oracle input needs form<TAB>lemma<TAB>tag") == 2
 
     def test_cache_holds_at_most_its_cap(self, monkeypatch):
         sizes = []

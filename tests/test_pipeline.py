@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 from dataclasses import replace
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphlex import pipeline
 from morphlex.baseline import procrustes_fit
 from morphlex.embeddings import EmbeddingSpace, ngrams
 from morphlex.morph import (
+    NoRuleError,
     UniMorphEntry,
     UnknownTagError,
+    analyze,
     learn_analyzer,
     learn_inflector,
     parse_tag,
@@ -361,22 +365,37 @@ class TestDirect:
                 assert isinstance(slot, TranslationCandidate)
 
 
+# In batch_world, "pivemiu" translates to a lemma that ends in no suffix
+# of this tag's rules once the tag has lost its empty-suffix backoff, and
+# "mazeu" has a zero source row, so no cosine neighbour.
+TAG_WITHOUT_BACKOFF = parse_tag("V;PRS;3;PL")
+TAG_2SG = parse_tag("V;PRS;2;SG")
+GOLD_WITHOUT_RULE = ("pivemiu", TAG_WITHOUT_BACKOFF)
+ZERO_LEMMA = "mazeu"
+
+
 @functools.lru_cache(maxsize=None)
 def batch_world():
     """A small synthetic world with an n-gram table, plus a pool of inputs:
     vocabulary forms, composable OOV forms, an uncomposable form and
-    unanalyzable forms, each with gold analyses good and bad."""
+    forms unlike any training form, each with gold analyses good and bad.
+    The inflector lacks the empty-suffix backoff for one tag, as a loaded
+    rule table may, and one lemma's source row is zero."""
     task = build_bilingual_task(seed=2, n_lexemes=16, dim=6)
     rng = np.random.default_rng(2)
     grams = sorted({g for word in task.source_space.words for g in ngrams(word)})
     table = EmbeddingSpace(tuple(grams), rng.normal(size=(len(grams), 6)))
+    inflector = learn_inflector(task.target_unimorph)
+    del inflector.rules[TAG_WITHOUT_BACKOFF][""]
+    vectors = task.source_space.vectors.copy()
+    vectors[task.source_space.index_or_none(ZERO_LEMMA)] = 0.0
     config = JointConfig(
         MODE_BASE,
         procrustes_fit(task.seed_pairs, task.source_space, task.target_space),
-        task.source_space,
+        replace(task.source_space, vectors=vectors),
         task.target_space,
         learn_analyzer(task.source_unimorph),
-        learn_inflector(task.target_unimorph),
+        inflector,
         table,
     )
     vocabulary = list(task.source_space.words[::5])
@@ -384,6 +403,7 @@ def batch_world():
     some_gold = next(iter(task.gold_analyses.values()))
     golds = [None, some_gold, ("qqqq", some_gold[1]), (some_gold[0], parse_tag("N;PL;XX"))]
     golds += [task.gold_analyses[f] for f in forms if f in task.gold_analyses][:4]
+    golds += [GOLD_WITHOUT_RULE, (ZERO_LEMMA, some_gold[1])]
     return config, forms, golds
 
 
@@ -434,7 +454,54 @@ class TestTranslateMany:
             seen.update(
                 r.route if isinstance(r, TranslationCandidate) else type(r) for r in results
             )
-        assert {ROUTE_LEMMA, ROUTE_DIRECT, UntranslatableError, UnknownTagError} <= seen
+        assert {ROUTE_LEMMA, ROUTE_DIRECT, UntranslatableError, UnknownTagError, NoRuleError} <= seen
+
+    @pytest.mark.parametrize("mode", [MODE_BASE, MODE_HYBRID])
+    def test_a_lemma_route_failure_after_retrieval_falls_back_to_direct(self, mode):
+        # Both forms take the lemma route (their lemmas outrank them): one
+        # ends in NoRuleError, the other at a lemma without a neighbour.
+        config, _, _ = batch_world()
+        forms = ["pivemisa", "mazema"]
+        analyses = [analyze(config.analyzer, form) for form in forms]
+        assert [(a.lemma, a.tag) for a in analyses] == [GOLD_WITHOUT_RULE, (ZERO_LEMMA, TAG_2SG)]
+        slots = translate_many(replace(config, mode=mode), forms)
+        assert slots == translate_many(replace(config, mode=MODE_DIRECT), forms)
+        assert all(slot.route == ROUTE_DIRECT for slot in slots)
+
+    def test_oracle_keeps_a_lemma_route_failure_after_retrieval(self):
+        config, _, _ = batch_world()
+        golds = [GOLD_WITHOUT_RULE, (ZERO_LEMMA, TAG_2SG)]
+        slots = translate_many(replace(config, mode=MODE_ORACLE), ["pivemisa", "mazema"], golds)
+        assert isinstance(slots[0], NoRuleError)
+        assert isinstance(slots[1], UntranslatableError) and slots[1].args == (ZERO_LEMMA,)
+
+    @pytest.mark.parametrize(
+        "mode, analyses, inflections",
+        [(MODE_BASE, 2, 2), (MODE_HYBRID, 2, 1), (MODE_ORACLE, 0, 3), (MODE_DIRECT, 0, 0)],
+    )
+    def test_routes_each_distinct_input_once(self, monkeypatch, mode, analyses, inflections):
+        # Counted through the module-level names that perfbench's tracer
+        # hooks, so this also guards that the traced metrics are fed.
+        calls = collections.Counter()
+
+        def counted(name):
+            function = getattr(pipeline, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counted("analyze")
+        counted("inflect")
+        # Two distinct forms; three distinct (form, gold) keys in oracle
+        # mode. Hybrid sends "saltar", its own lemma, direct.
+        forms = ["salto", "salto", "salto", "saltar", "saltar"]
+        golds = [("saltar", TAG)] * 2 + [("saltar", TAG_NFIN)] * 3
+        slots = translate_many(replace(tiny_setup(), mode=mode), forms, golds)
+        assert all(isinstance(slot, TranslationCandidate) for slot in slots)
+        assert (calls["analyze"], calls["inflect"]) == (analyses, inflections)
 
     @settings(max_examples=150, deadline=None)
     @given(

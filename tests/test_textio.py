@@ -26,20 +26,26 @@ from morphlex.textio import write_float_rows, write_json, write_tsv
 from morphlex.translator import ModelFormatError, load_model
 
 # name: (reader, its error, header lines, a good row, a row with a wrong
-# column count, a row with a bad tag or None when the format has no tag)
+# column count, a row with a bad tag or None when the format has no tag,
+# the error of a good row with its first or second field emptied or None
+# when those fields may be empty)
 READERS = {
     "unimorph": (read_unimorph, MorphFormatError, "",
-                 "cantar\tcanto\tV;PRS;1;SG", "cantar\tcanto", "cantar\tcantas\tV;;SG"),
+                 "cantar\tcanto\tV;PRS;1;SG", "cantar\tcanto", "cantar\tcantas\tV;;SG",
+                 "lemma and form must be non-empty"),
     "eval-dictionary": (read_eval_dictionary, DictionaryFormatError, "",
-                        "canto\tsing\tV;PRS;1;SG", "canto\tsing\tV\tx", "cantas\tsing\tV;;SG"),
+                        "canto\tsing\tV;PRS;1;SG", "canto\tsing\tV\tx", "cantas\tsing\tV;;SG",
+                        "empty field"),
     "seed-dictionary": (read_seed_dictionary, DictionaryFormatError, "",
-                        "canto\tsing", "canto", None),
+                        "canto\tsing", "canto", None, "empty field"),
     "inflect-rules": (load_rule_table, MorphFormatError, "MORPHLEX-RULES v1 inflect\n",
-                      "V;PRS;1;SG\tar\to\t2", "V;PRS;1;SG\tar\to", "V;;SG\tar\tas\t1"),
+                      "V;PRS;1;SG\tar\to\t2", "V;PRS;1;SG\tar\to", "V;;SG\tar\tas\t1", None),
     "analyze-rules": (load_rule_table, MorphFormatError, "MORPHLEX-RULES v1 analyze\n",
-                      "o\tar\tV;PRS;1;SG\t2", "o\tar\tV;PRS;1;SG\t2\t3", "as\tar\tV;;SG\t1"),
+                      "o\tar\tV;PRS;1;SG\t2", "o\tar\tV;PRS;1;SG\t2\t3", "as\tar\tV;;SG\t1",
+                      None),
     "oracle-analyses": (cli._read_oracle_analyses, DictionaryFormatError, "",
-                        "canto\tcantar\tV;PRS;1;SG", "canto\tcantar", "cantas\tcantar\tV;;SG"),
+                        "canto\tcantar\tV;PRS;1;SG", "canto\tcantar", "cantas\tcantar\tV;;SG",
+                        "empty field"),
 }
 
 
@@ -51,7 +57,7 @@ def line_three(header: str, good: str, bad: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_wrong_column_count_names_line_three(tmp_path, name):
-    reader, error, header, good, wrong_columns, _ = READERS[name]
+    reader, error, header, good, wrong_columns, _, _ = READERS[name]
     path = tmp_path / "f.tsv"
     path.write_text(line_three(header, good, wrong_columns), encoding="utf-8")
     with pytest.raises(error, match="line 3: expected") as info:
@@ -61,7 +67,7 @@ def test_wrong_column_count_names_line_three(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(n for n, spec in READERS.items() if spec[5]))
 def test_bad_tag_names_line_three(tmp_path, name):
-    reader, error, header, good, _, bad_tag = READERS[name]
+    reader, error, header, good, _, bad_tag, _ = READERS[name]
     path = tmp_path / "f.tsv"
     path.write_text(line_three(header, good, bad_tag), encoding="utf-8")
     with pytest.raises(error, match="line 3: empty feature in tag 'V;;SG'") as info:
@@ -69,9 +75,24 @@ def test_bad_tag_names_line_three(tmp_path, name):
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("field", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("name", sorted(n for n, spec in READERS.items() if spec[6]))
+def test_empty_key_field_names_line_three(tmp_path, name, field):
+    # An empty source, target, form or lemma is refused, never read as a
+    # word that no space can hold.
+    reader, error, header, good, _, _, message = READERS[name]
+    fields = good.split("\t")
+    fields[field] = ""
+    path = tmp_path / "f.tsv"
+    path.write_text(line_three(header, good, "\t".join(fields)), encoding="utf-8")
+    with pytest.raises(error, match=f"line 3: {message}") as info:
+        reader(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_blank_and_whitespace_lines_are_skipped(tmp_path, name):
-    reader, _, header, good, _, _ = READERS[name]
+    reader, _, header, good, _, _, _ = READERS[name]
     path = tmp_path / "f.tsv"
     path.write_text(header + good + "\n", encoding="utf-8")
     plain = reader(str(path))
