@@ -275,7 +275,9 @@ def _stdout_closed() -> bool:
 
 def _load_spaces(args: argparse.Namespace, preprocessed: bool):
     """The source and target spaces of a command. Both loads go through
-    this module's ``load_space`` binding, which perfbench's tracer wraps."""
+    this module's ``load_space`` binding, which perfbench's tracer wraps.
+    A target that ``load_spaces`` loads in a forked child runs the wrapper
+    there, so that call is wrapped but recorded in no process."""
     return load_spaces(
         args.src, args.tgt, args.max_words, preprocessed=preprocessed, load=load_space
     )
@@ -384,8 +386,10 @@ def cmd_translate(args: argparse.Namespace) -> None:
     with contextlib.ExitStack() as files:
         if args.input == "-":
             in_handle = sys.stdin
-            if hasattr(in_handle, "reconfigure"):  # strict UTF-8, whatever the locale
-                in_handle.reconfigure(encoding="utf-8", errors="strict")
+            # Strict UTF-8, whatever the locale, and universal newlines, as
+            # open_text reads a file: "\r\n" and "\r" end a line.
+            if hasattr(in_handle, "reconfigure"):
+                in_handle.reconfigure(encoding="utf-8", errors="strict", newline=None)
             files.enter_context(decode_errors_named("-"))
         else:
             in_handle = files.enter_context(open_text(args.input))

@@ -236,39 +236,38 @@ def load_spaces(
     error is raised after the source has loaded; the target's log records
     follow the source's, and are dropped when the source fails. The child
     is reaped before this returns or raises, and killed first when its
-    reply is not needed; a child that dies without a whole reply is
-    replaced by an in-process load. A smaller target, one whose header does
-    not parse or that is too short for it, and every target on a platform
-    without ``os.fork`` load in-process after the source; so does a target
-    whose shared mapping, pipe or fork fails, with one warning naming the
-    error and nothing of the attempt left open.
+    reply is not needed.
+
+    Every other target takes the one fallback, an in-process load after
+    the source: a smaller target, one whose header does not parse or that
+    is too short for it, every target on a platform without ``os.fork``,
+    one whose shared mapping, pipe or fork fails (with one warning naming
+    the error and nothing of the attempt left open), and one whose child
+    dies without a whole reply.
     """
+    def cannot_fork(exc: OSError) -> None:
+        logger.warning("%s: cannot load in a forked child (%s), loading it in-process", tgt, exc)
+
     try:
         rows, dim = _read_header(tgt, max_words)
         size = os.path.getsize(tgt)
     except (OSError, ValueError):
         rows = dim = size = 0  # the in-process load raises the same error
+    child = contextlib.nullcontext(lambda: None)
     # A row holds a word and dim values, so 2 * dim + 1 bytes at least.
-    if not (rows * dim >= _FORK_MIN_VALUES and 0 < rows * (2 * dim + 1) <= size):
-        source = _timed_load(load, src, max_words, preprocessed, "in-process")
-        return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
-
-    def cannot_fork(exc: OSError) -> None:
-        logger.warning("%s: cannot load in a forked child (%s), loading it in-process", tgt, exc)
-
-    try:
-        mapping = mmap.mmap(-1, rows * dim * 8)
-    except OSError as exc:
-        cannot_fork(exc)
-        child = contextlib.nullcontext(lambda: None)
-    else:
-        matrix = np.frombuffer(mapping, np.float64).reshape(rows, dim)
-        task = functools.partial(_load_in_child, matrix, load, tgt, max_words, preprocessed)
-        child = _forked(task, cannot_fork)
+    if rows * dim >= _FORK_MIN_VALUES and 0 < rows * (2 * dim + 1) <= size:
+        try:
+            mapping = mmap.mmap(-1, rows * dim * 8)
+        except OSError as exc:
+            cannot_fork(exc)
+        else:
+            matrix = np.frombuffer(mapping, np.float64).reshape(rows, dim)
+            task = functools.partial(_load_in_child, matrix, load, tgt, max_words, preprocessed)
+            child = _forked(task, cannot_fork)
     with child as reply:
         source = _timed_load(load, src, max_words, preprocessed, "in-process")
         pickled = reply()
-    if pickled is None:  # no fork, or the child died before its whole reply
+    if pickled is None:  # a small target, or no mapping, no fork or no whole reply
         return source, _timed_load(load, tgt, max_words, preprocessed, "in-process")
     outcome, records = pickle.loads(pickled)
     for record in records:

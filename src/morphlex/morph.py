@@ -227,9 +227,10 @@ def learn_analyzer(entries: Sequence[UniMorphEntry]) -> SuffixRuleTable:
     analysis of each form contributes rules.
 
     Unlike the inflector, backoffs stop at single-character suffixes:
-    an empty matched suffix exists only where lemma == form, so analysis
-    of a form resembling no training form can still fail (the pipeline
-    owns the fallback).
+    an empty matched suffix exists only where lemma == form. With such a
+    citation row (a ``V;NFIN`` row, say), a form resembling no training
+    form analyzes as its own lemma with that row's tag; without one, its
+    analysis fails (the pipeline owns the fallback).
     """
     if not entries:
         raise ValueError("no training entries")

@@ -13,10 +13,11 @@ leaves nothing to train or score subclasses ``UntrainableError`` (exit 3).
 
 ``read_float_rows`` parses ``_CHUNK_ROWS`` rows at a time straight into
 one matrix, a caller's when it passes one, such as a view of a shared
-mapping. ``write_float_rows`` refuses a row ``read_float_rows`` would
-reject. A matrix of ``_FORK_MIN_VALUES`` values or more it writes with
-one forked child, which formats the second half of the rows and holds
-that text, about half the file, until this process appends it.
+mapping, holding one chunk of lines and its parsed rows beside it.
+``write_float_rows`` refuses a row ``read_float_rows`` would reject. A
+matrix of ``_FORK_MIN_VALUES`` values or more it writes with one forked
+child, which formats the second half of the rows and holds that text,
+about half the file, until this process appends it.
 ``_forked`` is the one helper that forks, here and in
 ``embeddings.load_spaces``.
 """
@@ -305,10 +306,10 @@ def write_float_rows(
 _KEY = re.compile(r"[ \t]*([^ \t\n]*)")
 _LOADTXT = dict(dtype=np.float64, comments=None, quotechar=None, ndmin=2)
 
-# Rows per np.loadtxt call: a chunk's parsed rows, 150 KB at dim 300, and
-# one line of text are all the reader holds beside its result. Parsing
-# 4,096 rows in chunks of 16 to 4,096 rows took the same time at dim 24
-# and at dim 300; one row per call took 14 to 75% longer.
+# Rows per np.loadtxt call: one chunk of lines and its parsed rows, 380 KB
+# and 150 KB at dim 300, are all the reader holds beside its result.
+# Parsing 4,096 rows in chunks of 16 to 4,096 rows took the same time at
+# dim 24 and at dim 300; one row per call took 14 to 75% longer.
 _CHUNK_ROWS = 64
 
 
@@ -324,7 +325,7 @@ def read_float_rows(
 ) -> tuple[list[str], np.ndarray]:
     """The rows of ``dim`` floats in a text file, parsed ``_CHUNK_ROWS``
     lines per ``np.loadtxt`` call straight into one matrix with a row per
-    line; one line of text at a time is in memory.
+    line; one chunk of lines and its parsed rows are in memory beside it.
 
     Rows start at line ``first_lineno``. With a ``limit`` (a .vec body),
     exactly that many lines are read and a blank one is a malformed row;
@@ -395,14 +396,20 @@ def read_float_rows(
         count = kept = 0  # rows read, rows kept
         non_finite: tuple[int, str | None] | None = None  # the first kept row with one
         stream = rows()
-
-        def values(chunk: list[tuple[int, str | None, bool]]) -> Iterator[str]:
-            """The values text of the next ``_CHUNK_ROWS`` rows, one line held
-            at a time; each row's line number, key and whether it is kept
-            (its key is new) go to ``chunk``."""
-            for lineno, row_key, text in itertools.islice(stream, _CHUNK_ROWS):
-                if not text or text.isspace():
-                    raise ValueError("no values")  # loadtxt would skip the line
+        while chunk := list(itertools.islice(stream, _CHUNK_ROWS)):
+            if any(not text or text.isspace() for _, _, text in chunk):
+                first_fault(None)  # loadtxt would skip the line
+            try:
+                parsed = np.loadtxt([text for _, _, text in chunk], **_LOADTXT)
+            except ValueError as exc:
+                first_fault(exc)
+            if parsed.shape != (len(chunk), dim):
+                first_fault(None)
+            if count + len(chunk) > len(matrix):  # rows added since the count
+                raise error(f"{path}: changed while it was read")
+            count += len(chunk)
+            keep = []  # whether each row's key is new
+            for lineno, row_key, _ in chunk:
                 new = row_key not in seen
                 if not new:
                     logger.warning(
@@ -411,29 +418,9 @@ def read_float_rows(
                     )
                 elif row_key is not None:
                     seen[row_key] = None
-                chunk.append((lineno, row_key, new))
-                yield text
-
-        while True:
-            chunk: list[tuple[int, str | None, bool]] = []
-            texts = values(chunk)
-            try:
-                first = next(texts, None)  # loadtxt warns on an empty stream
-                if first is None:
-                    break
-                parsed = np.loadtxt(itertools.chain([first], texts), **_LOADTXT)
-            except UnicodeDecodeError:
-                raise  # not a row fault: open_text names its line
-            except ValueError as exc:
-                first_fault(exc)
-            if parsed.shape != (len(chunk), dim):
-                first_fault(None)
-            if count + len(chunk) > len(matrix):  # rows added since the count
-                raise error(f"{path}: changed while it was read")
-            count += len(chunk)
-            keep = [new for _, _, new in chunk]
+                keep.append(new)
             if not all(keep):
-                chunk, parsed = [row for row in chunk if row[2]], parsed[keep]
+                chunk, parsed = [row for row, new in zip(chunk, keep) if new], parsed[keep]
             block = matrix[kept : kept + len(chunk)]
             block[...] = parsed
             kept += len(chunk)

@@ -375,6 +375,38 @@ class TestTranslate:
         assert "oracle input needs" in capsys.readouterr().err
         assert lines[1].split("\t")[1] != "<NONE>"
 
+    @pytest.mark.parametrize("mode", ["base", "oracle"])
+    def test_crlf_lines_read_the_same_from_stdin_and_a_file(self, corpus, trained, tmp_path, mode):
+        # A file is read with universal newlines, and so is standard input:
+        # no "\r" stays on a form, whatever the mode.
+        task = corpus["task"]
+        lines = []
+        for entry in task.eval_dictionary.entries[:5]:
+            lemma, tag = task.gold_analyses[entry.source]
+            lines.append(f"{entry.source}\t{lemma}\t{tag.canonical}" if mode == "oracle"
+                         else entry.source)
+        data = "".join(line + "\r\n" for line in lines).encode()
+        forms = tmp_path / "forms.txt"
+        forms.write_bytes(data)
+        argv = [
+            "translate", "--model", trained["model"], "--src", corpus["src"],
+            "--tgt", corpus["tgt"], "--analyzer", trained["analyzer"],
+            "--inflector", trained["inflector"], "--mode", mode, "--output", "-",
+        ]
+        env = {**os.environ, "PYTHONPATH": SRC_DIR}
+
+        def stdout(source, stdin):
+            result = subprocess.run(
+                [sys.executable, "-m", "morphlex.cli", *argv, "--input", source],
+                input=stdin, capture_output=True, env=env, timeout=120,
+            )
+            assert result.returncode == EXIT_OK, result.stderr
+            return result.stdout
+
+        from_file = stdout(str(forms), b"")
+        assert len(from_file.splitlines()) == 5 and b"\r" not in from_file
+        assert stdout("-", data) == from_file
+
     def test_base_mode_without_analyzer_is_usage_error(self, corpus, trained, capsys):
         code = main([
             "translate", "--model", trained["model"], "--src", corpus["src"],

@@ -382,22 +382,26 @@ class TestPreprocessBits:
         np.testing.assert_array_equal(array, np.arange(6.0).reshape(3, 2))
         assert not np.shares_memory(array, space.vectors)
 
-    @pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeated-word"])
-    def test_load_and_preprocess_peak_memory_is_one_matrix(self, tmp_path, repeat):
+    @pytest.mark.parametrize(
+        "repeat, dim", [(False, 50), (True, 50), (False, 300)],
+        ids=["distinct", "repeated-word", "distinct-dim300"],
+    )
+    def test_load_and_preprocess_peak_memory_is_one_matrix(self, tmp_path, repeat, dim):
         # Parsing, normalizing and centering hold the one matrix the space
-        # keeps, plus one chunk of parsed rows and one normalization block:
-        # not a copy per step, and no copy to drop a repeated word's row. The
-        # bound is on what the finished space holds, its matrix, words and
-        # index, since at 4000 x 50 the words alone take a fifth of the
-        # matrix's bytes.
+        # keeps, plus one chunk of lines and its parsed rows and one
+        # normalization block: not a copy per step, no copy to drop a
+        # repeated word's row, and never the whole file's text. The bound
+        # is on what the finished space holds, its matrix, words and index,
+        # since at 4000 x 50 the words alone take a fifth of the matrix's
+        # bytes; dim 300 is the benchmark's width.
         rng = np.random.default_rng(12)
         path = str(tmp_path / "big.vec")
         words = [f"w{i}" for i in range(4000)]
         if repeat:
             words[2000] = words[17]
-        write(tmp_path / "big.vec", "4000 50\n" + "".join(
+        write(tmp_path / "big.vec", f"4000 {dim}\n" + "".join(
             f"{word} " + " ".join(map(repr, row)) + "\n"
-            for word, row in zip(words, rng.normal(size=(4000, 50)).tolist())
+            for word, row in zip(words, rng.normal(size=(4000, dim)).tolist())
         ))
         tracemalloc.start()
         try:
@@ -405,7 +409,7 @@ class TestPreprocessBits:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert space.vectors.shape == (4000 - repeat, 50)
+        assert space.vectors.shape == (4000 - repeat, dim)
         assert peak <= 1.1 * held
 
 

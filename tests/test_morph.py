@@ -25,7 +25,7 @@ from morphlex.morph import (
     save_rule_table,
     tag_translate,
 )
-from morphlex.synthetic import make_language, split_lexemes
+from morphlex.synthetic import build_bilingual_task, make_language, split_lexemes
 
 features = st.lists(
     st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ013", min_size=1, max_size=4),
@@ -225,6 +225,17 @@ class TestAnalyze:
         )
         assert "" in with_base.rules
         assert analyze(with_base, "xyz") == Analysis("xyz", adv, 0.0)
+
+    def test_a_world_with_citation_rows_analyzes_every_unlike_form_as_itself(self):
+        # The synthetic worlds' V;NFIN rows are citation rows (lemma ==
+        # form), as UniMorph data has; without them the same forms fail.
+        entries = build_bilingual_task(seed=2, n_lexemes=16, dim=6).source_unimorph
+        with_citations = learn_analyzer(entries)
+        without = learn_analyzer([e for e in entries if e.lemma != e.form])
+        for form in ("qqqq", "xq", "%%"):
+            assert analyze(with_citations, form) == Analysis(form, parse_tag("V;NFIN"), 0.0)
+            with pytest.raises(NoAnalysisError):
+                analyze(without, form)
 
 
 class TestProperties:

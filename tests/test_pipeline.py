@@ -377,10 +377,12 @@ ZERO_LEMMA = "mazeu"
 @functools.lru_cache(maxsize=None)
 def batch_world():
     """A small synthetic world with an n-gram table, plus a pool of inputs:
-    vocabulary forms, composable OOV forms, an uncomposable form and
-    forms unlike any training form, each with gold analyses good and bad.
-    The inflector lacks the empty-suffix backoff for one tag, as a loaded
-    rule table may, and one lemma's source row is zero."""
+    vocabulary forms, composable OOV forms and three uncomposable forms
+    unlike any training form, each with gold analyses good and bad. The
+    analyzer learns from the world's citation rows (lemma == form), so
+    those three still analyze, each as its own lemma. The inflector lacks
+    the empty-suffix backoff for one tag, as a loaded rule table may, and
+    one lemma's source row is zero."""
     task = build_bilingual_task(seed=2, n_lexemes=16, dim=6)
     rng = np.random.default_rng(2)
     grams = sorted({g for word in task.source_space.words for g in ngrams(word)})

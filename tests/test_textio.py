@@ -4,6 +4,7 @@ writers' errors and the two-process float-row writer."""
 import errno
 import logging
 import os
+import pathlib
 import subprocess
 from unittest import mock
 
@@ -402,3 +403,17 @@ def test_fifo_whose_reader_leaves_is_the_serial_error(tmp_path, monkeypatch):
     finally:
         reader.wait(timeout=120)
     assert str(info.value) == f"[Errno 32] Broken pipe: {str(fifo)!r}"
+
+
+def test_only_textio_parses_or_writes_the_shared_formats():
+    # One owner per on-disk format: float rows are parsed (loadtxt) and
+    # formatted (repr), JSON is written and lines are numbered in textio
+    # alone, so each rule of those formats is kept in one place.
+    package = pathlib.Path(textio.__file__).parent
+    found = [
+        f"{path.name}: {token}"
+        for path in sorted(package.glob("*.py")) if path.name != "textio.py"
+        for token in ("loadtxt", "json.dump", "repr(", "enumerate(handle")
+        if token in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
